@@ -103,12 +103,11 @@ class RunConfig:
     include_initial_state: bool
 
 
-def _positive_int(raw, key, default=None):
-    value = raw.get(key, default)
+def _int_at_least(key, value, low):
     if value is None:
         _fail(key, "required")
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        _fail(key, f"must be a positive integer, got {value!r}")
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        _fail(key, f"must be an integer of at least {low}, got {value!r}")
     return value
 
 
@@ -197,15 +196,12 @@ def load_config(path, kernel_override=None, seed_override=None, out_override=Non
     else:
         configs = ladder_configs(ladder, **kwargs)
     seed = seed_override if seed_override is not None else raw.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        _fail("seed", f"must be an integer, got {seed!r}")
-    burn_in = raw.get("burn_in", 0)
-    if not isinstance(burn_in, int) or burn_in < 0:
-        _fail("burn_in", f"must be a non-negative integer, got {burn_in!r}")
-    iterations = _positive_int(raw, "iterations")
+    _int_at_least("seed", seed, 0)
+    burn_in = _int_at_least("burn_in", raw.get("burn_in", 0), 0)
+    iterations = _int_at_least("iterations", raw.get("iterations"), 1)
     if burn_in >= iterations:
         _fail("burn_in", f"must be below iterations={iterations}")
-    replications = _positive_int(raw, "replications", default=1)
+    replications = _int_at_least("replications", raw.get("replications", 1), 1)
     out = Path(out_override if out_override is not None else raw.get("out", "results"))
     return RunConfig(
         raw=raw,
@@ -456,6 +452,10 @@ def load_oracle_config(path, seed_override=None, out_override=None) -> dict:
     if f.shape != (n,):
         _fail("f", f"must have one value per state ({n}), got shape {f.shape}")
     seed = seed_override if seed_override is not None else raw.get("seed", 0)
+    _int_at_least("seed", seed, 0)
+    reps = raw.get("crosscheck_replications")
+    if reps is not None:  # the cross-check reports a sample variance, which needs two
+        _int_at_least("crosscheck_replications", reps, 2)
     return {
         "raw": raw,
         "digest": config_digest(raw),
@@ -465,9 +465,9 @@ def load_oracle_config(path, seed_override=None, out_override=None) -> dict:
         "p0": p0,
         "p1": p1,
         "f": f,
-        "seed": int(seed),
+        "seed": seed,
         "out": Path(out_override if out_override is not None else raw.get("out", "results")),
-        "crosscheck_replications": raw.get("crosscheck_replications"),
+        "crosscheck_replications": reps,
         "crosscheck_iterations": raw.get("crosscheck_iterations"),
     }
 
@@ -515,8 +515,8 @@ def cmd_oracle(args) -> int:
     def work():
         report, model0, limit, log_r = oracle_report(cfg)
         crosscheck = None
-        if cfg["crosscheck_replications"]:
-            reps = int(cfg["crosscheck_replications"])
+        if cfg["crosscheck_replications"] is not None:
+            reps = cfg["crosscheck_replications"]
             iters = int(cfg["crosscheck_iterations"] or 100_000)
             fc = cfg["f"] - limit.stationary @ cfg["f"]
             scaled = ee_pair_scaled_sums(

@@ -7,9 +7,13 @@ the zero measure.  The zero measure itself has no sampling semantics, so
 drawing from an empty reservoir is an error; adaptive kernels route
 around it by taking their local branch until the first push.
 
-Weighted resampling normalizes per call via max-shifted exponentiation,
-so log weights of any magnitude are safe.  No thinning, forgetting or
-weight clipping: all raw states are kept.
+Weighted resampling caches each state's log weight and the running
+cumulative sum of the max-shifted exponentiated weights, so a draw
+weights only the states pushed since the previous weighted draw and then
+bisects the cumulative sum: amortised O(log n) per draw, and log weights
+of any magnitude are safe.  The cumulative sum is rebuilt at the new
+shift only when a state sets a new record weight.  No thinning,
+forgetting or weight clipping: all raw states are kept.
 """
 
 from __future__ import annotations
@@ -44,6 +48,12 @@ class Reservoir:
             self._buf = np.empty(16, dtype=np.int64)
         else:
             self._buf = np.empty((16, dimension), dtype=float)
+        # weighted-draw cache: log weights and the prefix sums of
+        # exp(_lw - _shift) of the first _weighted states
+        self._lw = np.empty(0)
+        self._cum = np.empty(0)
+        self._weighted = 0
+        self._shift = -np.inf
 
     @property
     def count(self) -> int:
@@ -73,11 +83,6 @@ class Reservoir:
             self._buf[self._count] = x
         self._count += 1
 
-    def state_at(self, k: int):
-        if not 0 <= k < self._count:
-            raise IndexError(k)
-        return self._item(k)
-
     def _item(self, k: int):
         if self.dimension is None:
             return int(self._buf[k])
@@ -99,21 +104,44 @@ class Reservoir:
     def sample_weighted(self, log_weight, rng):
         """One stored state with probability proportional to exp(log_weight).
 
-        ``log_weight`` is applied to the full stacked sample array and must
-        return one finite value per state.  Normalization is recomputed per
-        call after subtracting the max, so huge log weights do not overflow.
+        ``log_weight`` maps a stacked block of states to one finite value
+        per state, and must be the same row-wise function for the life of
+        the reservoir: each state is weighted once, at the first weighted
+        draw after its push, and its log weight is cached.  The cumulative
+        sum of exp(log weight - running max) is extended by the new states,
+        or rebuilt at the new shift when one of them sets a record, so the
+        prefix floats equal a per-call ``cumsum(exp(lw - lw.max()))`` bit
+        for bit.  A draw then bisects it with one ``rng.random()``:
+        amortised O(log n) per draw.  A draw that raises leaves the cache
+        unchanged.
         """
-        if self._count == 0:
+        n = self._count
+        if n == 0:
             raise EmptyReservoirError("cannot draw from an empty reservoir")
-        lw = np.asarray(log_weight(self.samples), dtype=float)
-        if lw.shape != (self._count,):
-            raise ValueError(f"log_weight must return {self._count} values, got {lw.shape}")
-        if not np.all(np.isfinite(lw)):
-            raise NonFiniteWeightError("resampling log weights must be finite")
-        w = np.exp(lw - lw.max())
-        cdf = np.cumsum(w)
+        done = self._weighted
+        if done < n:
+            new = np.asarray(log_weight(self.samples[done:]), dtype=float)
+            if new.shape != (n - done,):
+                raise ValueError(f"log_weight must return {n - done} values, got {new.shape}")
+            if not np.all(np.isfinite(new)):
+                raise NonFiniteWeightError("resampling log weights must be finite")
+            if len(self._lw) < n:
+                size = len(self._buf)
+                self._lw = np.concatenate((self._lw[:done], np.empty(size - done)))
+                self._cum = np.concatenate((self._cum[:done], np.empty(size - done)))
+            self._lw[done:n] = new
+            top = new.max()
+            if top > self._shift:
+                self._shift = top
+                np.cumsum(np.exp(self._lw[:n] - top), out=self._cum[:n])
+            else:
+                w = np.exp(new - self._shift)
+                w[0] += self._cum[done - 1]
+                np.cumsum(w, out=self._cum[done:n])
+            self._weighted = n
+        cdf = self._cum[:n]
         k = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-        return self._item(min(k, self._count - 1))
+        return self._item(min(k, n - 1))
 
     def empirical_distribution(self, state_count: int) -> np.ndarray:
         """Occupation frequencies over a finite state space (integer states only)."""

@@ -262,3 +262,44 @@ def test_unreadable_and_malformed_configs(tmp_path, capsys):
     notdict = tmp_path / "list.yaml"
     notdict.write_text("- 1\n- 2\n")
     assert main(["validate", str(notdict)]) == 1
+
+
+def test_negative_seed_rejected_before_any_run(tmp_path, capsys):
+    path = gaussian_config(tmp_path, seed=-5)
+    assert main(["validate", path]) == 1
+    assert "config key 'seed'" in capsys.readouterr().err
+    path = finite_config(tmp_path)
+    for command in ("run", "table1"):
+        out = tmp_path / command
+        assert main([command, path, "--seed", "-5", "--out", str(out)]) == 1
+        assert "config key 'seed'" in capsys.readouterr().err
+        assert not out.exists()  # rejected before the output directory is made
+    oracle = f"{REPO_CONFIGS}/oracle_5state.yaml"
+    assert main(["oracle", oracle, "--seed", "-5", "--out", str(tmp_path / "o")]) == 1
+    assert "config key 'seed'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_crosscheck_needs_two_replications(tmp_path, capsys):
+    cfg = {
+        "target": "finite",
+        "energies0": [0.0, 1.0, 2.0],
+        "energies1": [0.0, 1.0, 2.0],
+        "theta": 0.5,
+        "f": [1.0, 0.0, -1.0],
+        "crosscheck_replications": 1,
+        "crosscheck_iterations": 50,
+        "seed": 3,
+        "out": str(tmp_path / "xc"),
+    }
+    path = write_config(tmp_path, "xc.yaml", cfg)
+    assert main(["validate", path]) == 1
+    assert "config key 'crosscheck_replications'" in capsys.readouterr().err
+    assert main(["oracle", path]) == 1
+    assert "config key 'crosscheck_replications'" in capsys.readouterr().err
+    assert not (tmp_path / "xc").exists()
+    cfg["crosscheck_replications"] = 2
+    path = write_config(tmp_path, "xc2.yaml", cfg)
+    assert main(["validate", path]) == 0
+    assert main(["oracle", path]) == 0
+    assert "crosscheck_replications: 2" in (tmp_path / "xc" / "variance_report.txt").read_text()

@@ -160,3 +160,91 @@ def test_csv_dump(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x0,x1"
     assert [float(v) for v in lines[1].split(",")] == [0.1, 0.2]
+
+
+def reference_cdf(samples, log_weight):
+    """The full recompute: weight every stored state at the current max."""
+    lw = np.asarray(log_weight(samples), dtype=float)
+    return np.cumsum(np.exp(lw - lw.max()))
+
+
+def reference_draw(samples, log_weight, rng):
+    cdf = reference_cdf(samples, log_weight)
+    k = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+    return min(k, len(cdf) - 1)
+
+
+def record_table(n_rows, seed):
+    """Log weights by row: normal noise, rising records, then a dominant 710
+    followed by near-dominant rows (so later draws still vary)."""
+    table = np.random.default_rng(seed).normal(scale=2.0, size=n_rows)
+    for row, value in [(3, 6.0), (40, 9.0), (300, 15.0), (700, 40.0)]:
+        table[row] = value
+    table[1100] = 710.0  # exp(710) overflows a float64
+    table[1101:] = 709.0 + np.random.default_rng(seed + 1).uniform(size=n_rows - 1101)
+    table[1150] = 711.5
+    return table
+
+
+@pytest.mark.parametrize("dimension", [None, 2])
+def test_weighted_draws_match_full_recompute(dimension):
+    table = record_table(1300, seed=11)
+    if dimension is None:
+        log_weight = lambda xs: table[xs]
+        index_of = lambda s: s
+    else:
+        log_weight = lambda xs: table[xs[:, 0].astype(int)]
+        index_of = lambda s: int(s[0])
+    schedule = np.random.default_rng(12)
+    rng_cached, rng_ref = np.random.default_rng(13), np.random.default_rng(13)
+    r = Reservoir(dimension)
+    cached, ref = [], []
+    while r.count < len(table):
+        # zero pushes between draws happen too: a draw with nothing new to weight
+        for _ in range(min(int(schedule.integers(0, 12)), len(table) - r.count)):
+            k = r.count
+            r.push(k if dimension is None else np.array([k, -0.5 * k]))
+        if r.count == 0:
+            continue
+        for _ in range(int(schedule.integers(1, 4))):
+            cached.append(index_of(r.sample_weighted(log_weight, rng_cached)))
+            ref.append(reference_draw(r.samples, log_weight, rng_ref))
+        # a differing last bit almost never changes an index, so compare the
+        # cached prefix sums themselves
+        assert np.array_equal(r._cum[: r.count], reference_cdf(r.samples, log_weight))
+    assert r.count == 1300  # crossed every doubling from 16 to 2048 rows
+    assert cached == ref
+    assert len(set(cached[-50:])) > 1  # near-dominant rows keep the tail informative
+
+
+def test_each_state_is_weighted_once_and_errors_leave_the_cache_intact():
+    table = record_table(1300, seed=21)
+    handed = []
+
+    def counting(xs):
+        handed.append(len(xs))
+        return table[xs]
+
+    def poisoned(xs):
+        out = table[xs].copy()
+        out[-1] = np.inf
+        return out
+
+    schedule = np.random.default_rng(22)
+    rng_cached, rng_ref = np.random.default_rng(23), np.random.default_rng(23)
+    r = Reservoir()
+    for step in range(400):
+        pushes = min(int(schedule.integers(0, 7)), len(table) - r.count)
+        for _ in range(pushes):
+            r.push(r.count)
+        if r.count == 0:
+            continue
+        if step % 37 == 5 and pushes:  # the failing draws see unweighted rows
+            with pytest.raises(NonFiniteWeightError):
+                r.sample_weighted(poisoned, rng_cached)
+            with pytest.raises(ValueError):
+                r.sample_weighted(lambda xs: table[xs][:-1], rng_cached)
+        drawn = r.sample_weighted(counting, rng_cached)
+        assert drawn == reference_draw(r.samples, lambda xs: table[xs], rng_ref)
+    assert r.count > 1000
+    assert sum(handed) == r.count
