@@ -25,14 +25,11 @@ from .analysis import (
 from .kernels import (
     KappaTooLargeError,
     KernelConfig,
-    StepOutcome,
     acceptance_matrix,
     ee_adaptive_step,
     ee_limit_matrix,
     finite_kernel_matrix,
     ir_adaptive_step,
-    ir_frozen_matrix,
-    ir_limit_matrix,
     limit_ee_step,
     limit_ir_step,
     metropolis_matrix,
@@ -41,7 +38,6 @@ from .kernels import (
     theta_lower_bound,
 )
 from .ladder import (
-    LadderState,
     Trajectory,
     init_ladder_state,
     ladder_configs,
@@ -53,12 +49,10 @@ from .ladder import (
 )
 from .reservoir import EmptyReservoirError, NonFiniteWeightError, Reservoir
 from .targets import (
-    FiniteTarget,
     GaussianTarget,
     MissingExactSamplerError,
     TemperatureLadder,
     importance_log_weight,
-    importance_log_weights_many,
     make_finite_target,
     make_gaussian_target,
     tempered_log_density,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import STOCHASTIC_ATOL, acceptance_matrix
+from .kernels import _check_stochastic, acceptance_matrix
 from .ladder import run_sampler
 
 POISSON_RESIDUAL_TOL = 1e-10
@@ -36,18 +36,6 @@ STATIONARY_RESIDUAL_TOL = 1e-10
 
 class ReducibleChainError(ValueError):
     """The transition matrix is not irreducible (or the solve degenerated)."""
-
-
-def _check_square_stochastic(matrix: np.ndarray) -> np.ndarray:
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if np.any(m < -STOCHASTIC_ATOL):
-        raise ValueError("matrix has negative entries")
-    dev = np.abs(m.sum(axis=1) - 1.0).max()
-    if dev > STOCHASTIC_ATOL:
-        raise ValueError(f"matrix rows must sum to 1 (max deviation {dev:.3e})")
-    return m
 
 
 def _strongly_connected(matrix: np.ndarray) -> bool:
@@ -67,7 +55,7 @@ def stationary_distribution(matrix) -> np.ndarray:
     Solves pi' M = pi' with the normalization sum(pi) = 1 by a direct
     linear solve; the residual is checked against 1e-10.
     """
-    m = _check_square_stochastic(matrix)
+    m = _check_stochastic(matrix)
     if not _strongly_connected(m):
         raise ReducibleChainError("matrix is reducible: no unique stationary distribution")
     n = m.shape[0]
@@ -97,7 +85,7 @@ class FiniteChainModel:
     stationary: np.ndarray | None = None
 
     def __post_init__(self):
-        m = _check_square_stochastic(self.matrix)
+        m = _check_stochastic(self.matrix)
         object.__setattr__(self, "matrix", m)
         if self.stationary is None:
             pi = stationary_distribution(m)
@@ -304,7 +292,7 @@ def batch_means_variance(values, batch_count: int) -> tuple[float, float]:
 
 def simulate_matrix_chain(matrix, n_steps: int, seed: int, x0: int = 0) -> np.ndarray:
     """Trajectory of a finite chain driven by an explicit matrix."""
-    m = _check_square_stochastic(matrix)
+    m = _check_stochastic(matrix)
     rows = [list(np.cumsum(row)) for row in m]
     rng = np.random.default_rng(seed)
     us = rng.random(n_steps)
@@ -335,8 +323,8 @@ def ee_pair_scaled_sums(p0, p1, theta: float, log_r, f, n_steps: int,
     (c,) of the master seed), so memory stays bounded and results are
     reproducible for a fixed chunk size.
     """
-    p0 = _check_square_stochastic(p0)
-    p1 = _check_square_stochastic(p1)
+    p0 = _check_stochastic(p0)
+    p1 = _check_stochastic(p1)
     n_states = p0.shape[0]
     if n_states > 127:
         raise ValueError("replicated pair simulation stores int8 history (< 128 states)")

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 import traceback
@@ -43,18 +44,16 @@ from .analysis import (
     mse_harness,
 )
 from .kernels import (
-    KappaTooLargeError,
+    _check_stochastic,
     ee_limit_matrix,
     metropolis_matrix,
     neighbor_proposal,
     theta_lower_bound,
 )
-from .ladder import ladder_configs, run_sampler
+from .ladder import ADAPTIVE_KINDS, SINGLE_KINDS, ladder_configs, run_sampler
 from .targets import TemperatureLadder, make_finite_target, make_gaussian_target
 
 TABLE1_KINDS = ("rwm", "ir", "ir_limit", "ee", "ee_limit")
-ADAPTIVE = ("ee", "ir")
-KERNEL_KINDS = ("rwm", "ee", "ir", "ee_limit", "ir_limit")
 
 
 class ConfigError(ValueError):
@@ -63,6 +62,44 @@ class ConfigError(ValueError):
 
 def _fail(key: str, message: str):
     raise ConfigError(f"config key '{key}': {message}")
+
+
+def _checked(key: str, build, *args):
+    """``build(*args)``, with any conversion or domain error reported under ``key``."""
+    try:
+        return build(*args)
+    except (TypeError, ValueError, OverflowError) as exc:
+        _fail(key, str(exc))
+
+
+def _float(key, value) -> float:
+    return _checked(key, float, value)
+
+
+def _float_list(key, value) -> list:
+    if not isinstance(value, list):
+        _fail(key, f"must be a list of numbers, got {value!r}")
+    return [_float(key, item) for item in value]
+
+
+def _positive_scale(raw, key) -> float:
+    scale = _float(key, raw.get(key, 1.0))
+    if not (scale > 0.0 and 0.0 < scale * scale < math.inf):
+        _fail(key, f"must be finite and positive, and so must its square; got {scale!r}")
+    return scale
+
+
+def _int_at_least(key, value, low):
+    if value is None:
+        _fail(key, "required")
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        _fail(key, f"must be an integer of at least {low}, got {value!r}")
+    return value
+
+
+def _out_dir(raw, out_override) -> Path:
+    out = raw.get("out", "results") if out_override is None else out_override
+    return _checked("out", Path, out)
 
 
 def load_raw_config(path) -> dict:
@@ -90,7 +127,6 @@ class RunConfig:
     """Validated sampler configuration (everything the run commands need)."""
 
     raw: dict
-    digest: str
     target: object
     ladder: TemperatureLadder
     configs: tuple
@@ -103,98 +139,72 @@ class RunConfig:
     include_initial_state: bool
 
 
-def _int_at_least(key, value, low):
-    if value is None:
-        _fail(key, "required")
-    if not isinstance(value, int) or isinstance(value, bool) or value < low:
-        _fail(key, f"must be an integer of at least {low}, got {value!r}")
-    return value
-
-
 def _build_target(raw):
     kind = raw.get("target")
     if kind == "gaussian":
-        if "covariance" not in raw:
-            _fail("covariance", "required for gaussian targets")
-        try:
-            return make_gaussian_target(raw["covariance"])
-        except ValueError as exc:
-            _fail("covariance", str(exc))
+        key, make = "covariance", make_gaussian_target
     elif kind == "finite":
-        if "energies" not in raw:
-            _fail("energies", "required for finite targets")
-        try:
-            return make_finite_target(raw["energies"])
-        except ValueError as exc:
-            _fail("energies", str(exc))
+        key, make = "energies", make_finite_target
     else:
         _fail("target", f"must be 'gaussian' or 'finite', got {kind!r}")
+    if key not in raw:
+        _fail(key, f"required for {kind} targets")
+    return _checked(key, make, raw[key])
 
 
 def _build_ladder(raw, kernel):
-    temps = raw.get("temperatures")
-    if not isinstance(temps, (list, tuple)) or not temps:
-        _fail("temperatures", "must be a non-empty list")
-    for prev, nxt in zip(temps[:-1], temps[1:]):
-        if nxt >= prev:
-            _fail("temperatures", f"must be strictly decreasing; pair ({prev}, {nxt}) is not")
+    """The temperature ladder, and the theta of a limit kernel run with theta 0 (else None)."""
+    temps = _float_list("temperatures", raw.get("temperatures"))
+    ladder = _checked("temperatures", TemperatureLadder, temps)
     theta = raw.get("theta", 0.5)
-    n_adaptive = len(temps) - 1
-    thetas = tuple(theta) if isinstance(theta, (list, tuple)) else (float(theta),) * n_adaptive
-    if len(thetas) != n_adaptive:
-        _fail("theta", f"need {n_adaptive} values (one per adaptive level), got {len(thetas)}")
-    limit_only = kernel in ("rwm", "ee_limit", "ir_limit")
-    for th in thetas:
-        if not 0.0 <= th <= 1.0:
-            _fail("theta", f"{th} outside [0, 1]")
-        if th == 0.0 and not limit_only:
-            _fail("theta", "0 is not allowed for an adaptive level (theta must lie in (0, 1])")
-    try:
-        if limit_only and any(th == 0.0 for th in thetas):
-            return TemperatureLadder(tuple(temps)), thetas
-        return TemperatureLadder(tuple(temps), thetas), thetas
-    except ValueError as exc:
-        _fail("temperatures", str(exc))
-
-
-def _finite_base_matrices(raw, target, temps):
-    if "proposal_matrix" in raw:
-        proposal = np.array(raw["proposal_matrix"], dtype=float)
+    if isinstance(theta, list):
+        thetas = _float_list("theta", theta)
     else:
-        move_prob = float(raw.get("move_prob", 1.0))
-        proposal = neighbor_proposal(target.state_count, move_prob)
-    try:
-        return [
-            metropolis_matrix(proposal, -np.asarray(target.energies) / t) for t in temps
-        ]
-    except ValueError as exc:
-        _fail("proposal_matrix", str(exc))
+        thetas = [_float("theta", theta)] * (len(temps) - 1)
+    if kernel in SINGLE_KINDS and 0.0 in thetas:
+        # theta 0 (pure refresh) suits only the limit kernels, which take their theta
+        # directly; the ladder's (0, 1] rule still checks the other entries
+        _checked("theta", TemperatureLadder, temps, [th or 1.0 for th in thetas])
+        return ladder, thetas[-1]
+    return _checked("theta", TemperatureLadder, temps, thetas), None
+
+
+def _state_matrix(key, value, n) -> np.ndarray:
+    matrix = _checked(key, _check_stochastic, value)
+    if matrix.shape != (n, n):
+        _fail(key, f"must be {n} x {n} (one row per state), got shape {matrix.shape}")
+    return matrix
+
+
+def _finite_bases(raw, n, log_weights) -> list:
+    """One Metropolis base matrix per log-weight vector, over ``proposal_matrix``
+    (else the nearest-neighbor proposal with ``move_prob``)."""
+    if "proposal_matrix" in raw:
+        proposal = _state_matrix("proposal_matrix", raw["proposal_matrix"], n)
+    else:
+        move_prob = _float("move_prob", raw.get("move_prob", 1.0))
+        proposal = _checked("move_prob", neighbor_proposal, n, move_prob)
+    return [_checked("proposal_matrix", metropolis_matrix, proposal, lw) for lw in log_weights]
 
 
 def load_config(path, kernel_override=None, seed_override=None, out_override=None) -> RunConfig:
     raw = load_raw_config(path)
     kernel = kernel_override or raw.get("kernel")
-    if kernel is not None and kernel not in KERNEL_KINDS:
-        _fail("kernel", f"must be one of {KERNEL_KINDS}, got {kernel!r}")
+    if kernel is not None and kernel not in ADAPTIVE_KINDS + SINGLE_KINDS:
+        _fail("kernel", f"must be one of {ADAPTIVE_KINDS + SINGLE_KINDS}, got {kernel!r}")
     target = _build_target(raw)
-    ladder, thetas = _build_ladder(raw, kernel)
-    proposal_scale = float(raw.get("proposal_scale", 1.0))
-    if proposal_scale <= 0:
-        _fail("proposal_scale", "must be positive")
+    ladder, single_theta = _build_ladder(raw, kernel)
+    proposal_scale = _positive_scale(raw, "proposal_scale")
     if target.kind == "finite":
-        bases = _finite_base_matrices(raw, target, ladder.temperatures)
-        kwargs = {"base_matrices": bases}
+        log_weights = [-target.energies / t for t in ladder.temperatures]
+        kwargs = {"base_matrices": _finite_bases(raw, target.state_count, log_weights)}
     else:
         kwargs = {"proposal_covariance": proposal_scale**2 * np.eye(target.dimension)}
         if "ir_proposal_scale" in raw:
             kwargs["ir_proposal_covariance"] = (
-                float(raw["ir_proposal_scale"]) ** 2 * np.eye(target.dimension)
+                _positive_scale(raw, "ir_proposal_scale") ** 2 * np.eye(target.dimension)
             )
-    if ladder.thetas is None:
-        # theta 0 on a limit kind: configure the kernels directly
-        configs = ladder_configs(ladder, single_theta=thetas[-1], **kwargs)
-    else:
-        configs = ladder_configs(ladder, **kwargs)
+    configs = ladder_configs(ladder, single_theta=single_theta, **kwargs)
     seed = seed_override if seed_override is not None else raw.get("seed")
     _int_at_least("seed", seed, 0)
     burn_in = _int_at_least("burn_in", raw.get("burn_in", 0), 0)
@@ -202,10 +212,11 @@ def load_config(path, kernel_override=None, seed_override=None, out_override=Non
     if burn_in >= iterations:
         _fail("burn_in", f"must be below iterations={iterations}")
     replications = _int_at_least("replications", raw.get("replications", 1), 1)
-    out = Path(out_override if out_override is not None else raw.get("out", "results"))
+    include_initial_state = raw.get("include_initial_state", False)
+    if not isinstance(include_initial_state, bool):
+        _fail("include_initial_state", f"must be true or false, got {include_initial_state!r}")
     return RunConfig(
         raw=raw,
-        digest=config_digest(raw),
         target=target,
         ladder=ladder,
         configs=configs,
@@ -214,8 +225,8 @@ def load_config(path, kernel_override=None, seed_override=None, out_override=Non
         replications=replications,
         seed=seed,
         burn_in=burn_in,
-        out=out,
-        include_initial_state=bool(raw.get("include_initial_state", False)),
+        out=_out_dir(raw, out_override),
+        include_initial_state=include_initial_state,
     )
 
 
@@ -228,15 +239,16 @@ def theta_bound_report(raw, temps, thetas):
     kappas = raw.get("kappas")
     if lambdas is None or kappas is None:
         return [], []
+    lambdas, kappas = _float_list("lambdas", lambdas), _float_list("kappas", kappas)
     n_adaptive = len(temps) - 1
     if len(lambdas) != n_adaptive or len(kappas) != n_adaptive:
         _fail("lambdas", f"lambdas and kappas need {n_adaptive} entries (one per adaptive level)")
     lines, warnings = [], []
     for level in range(1, len(temps)):
-        lam, kap = float(lambdas[level - 1]), float(kappas[level - 1])
+        lam, kap = lambdas[level - 1], kappas[level - 1]
         try:
             bound = theta_lower_bound(lam, kap, temps[level], temps[level - 1])
-        except (KappaTooLargeError, ValueError) as exc:
+        except ValueError as exc:  # KappaTooLargeError included
             _fail("kappas", f"level {level}: {exc}")
         theta = thetas[level - 1]
         status = "ok" if theta > bound else "below bound"
@@ -255,14 +267,14 @@ def theta_bound_report(raw, temps, thetas):
 # --- output helpers -----------------------------------------------------------
 
 
-def _write_metadata(path: Path, config: RunConfig, extra: dict):
+def _write_metadata(path: Path, raw: dict, seed: int, **extra):
     meta = {
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "config_digest": config.digest,
-        "seed": config.seed,
-        "config": config.raw,
+        "config_digest": config_digest(raw),
+        "seed": seed,
+        "config": raw,
+        **extra,
     }
-    meta.update(extra)
     path.write_text(json.dumps(meta, indent=2, default=str) + "\n")
 
 
@@ -292,7 +304,7 @@ def cmd_validate(args) -> int:
         raw = load_raw_config(args.config)
         if _is_oracle_config(raw):
             cfg = load_oracle_config(args.config)
-            print(f"config {args.config}: valid oracle instance (digest {cfg['digest']})")
+            print(f"config {args.config}: valid oracle instance (digest {config_digest(raw)})")
             print(f"  states: {cfg['e0'].size}, theta: {cfg['theta']}")
             return 0
         config = load_config(args.config)
@@ -304,7 +316,7 @@ def cmd_validate(args) -> int:
     except ConfigError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1
-    print(f"config {args.config}: valid (digest {config.digest})")
+    print(f"config {args.config}: valid (digest {config_digest(raw)})")
     print(f"  target: {config.raw['target']}, levels: {config.ladder.n_levels}, "
           f"iterations: {config.iterations}, replications: {config.replications}")
     for line in lines:
@@ -340,15 +352,12 @@ def cmd_run(args) -> int:
             for level in range(traj.n_levels)
         }
         _write_metadata(
-            config.out / "trajectory.meta.json",
-            config,
-            {
-                "kernel": config.kernel,
-                "iterations": config.iterations,
-                "burn_in": config.burn_in,
-                "levels": traj.n_levels,
-                "diagnostics": diagnostics,
-            },
+            config.out / "trajectory.meta.json", config.raw, config.seed,
+            kernel=config.kernel,
+            iterations=config.iterations,
+            burn_in=config.burn_in,
+            levels=traj.n_levels,
+            diagnostics=diagnostics,
         )
         print(f"wrote {csv_path} ({traj.n_iterations} iterations x {traj.n_levels} levels)")
 
@@ -400,14 +409,11 @@ def cmd_table1(args) -> int:
         text = table.to_text()
         (config.out / "mse_table.txt").write_text(text + "\n")
         _write_metadata(
-            config.out / "mse_table.meta.json",
-            config,
-            {
-                "samplers": list(TABLE1_KINDS),
-                "iterations": config.iterations,
-                "replications": config.replications,
-                "burn_in": config.burn_in,
-            },
+            config.out / "mse_table.meta.json", config.raw, config.seed,
+            samplers=list(TABLE1_KINDS),
+            iterations=config.iterations,
+            replications=config.replications,
+            burn_in=config.burn_in,
         )
         print(text)
         print(f"\nwrote {config.out / 'mse_table.csv'}")
@@ -425,32 +431,29 @@ def load_oracle_config(path, seed_override=None, out_override=None) -> dict:
     if "energies0" in raw or "energies1" in raw:
         if not ("energies0" in raw and "energies1" in raw):
             _fail("energies0", "energies0 and energies1 must be given together")
-        e0 = np.asarray(raw["energies0"], dtype=float)
-        e1 = np.asarray(raw["energies1"], dtype=float)
+        e0 = _checked("energies0", make_finite_target, raw["energies0"]).energies
+        e1 = _checked("energies1", make_finite_target, raw["energies1"]).energies
+        if e0.shape != e1.shape:
+            _fail("energies1", f"must have one entry per state like energies0 ({e0.size})")
     else:
-        temps = raw.get("temperatures")
-        if not temps or len(temps) != 2:
+        temps = _float_list("temperatures", raw.get("temperatures"))
+        if len(temps) != 2:
             _fail("temperatures", "the oracle needs exactly two levels "
                                   "(or explicit energies0/energies1)")
-        energies = np.asarray(raw.get("energies"), dtype=float)
+        energies = _checked("energies", make_finite_target, raw.get("energies")).energies
         e0, e1 = energies / temps[0], energies / temps[1]
-    if e0.shape != e1.shape or e0.ndim != 1 or e0.size == 0:
-        _fail("energies0", "per-level energies must be equal-length vectors")
-    if not (np.all(np.isfinite(e0)) and np.all(np.isfinite(e1))):
-        _fail("energies0", "energies must be finite")
+        if not (np.all(np.isfinite(e0)) and np.all(np.isfinite(e1))):
+            _fail("temperatures", "energies divided by each temperature must be finite")
     n = e0.size
-    theta = float(raw.get("theta", 0.5))
+    theta = _float("theta", raw.get("theta", 0.5))
     if not 0.0 <= theta <= 1.0:
         _fail("theta", f"must lie in [0, 1], got {theta}")
-    if "proposal_matrix" in raw:
-        proposal = np.array(raw["proposal_matrix"], dtype=float)
-    else:
-        proposal = neighbor_proposal(n, float(raw.get("move_prob", 1.0)))
-    p0 = np.array(raw["p0"], dtype=float) if "p0" in raw else metropolis_matrix(proposal, -e0)
-    p1 = np.array(raw["p1"], dtype=float) if "p1" in raw else metropolis_matrix(proposal, -e1)
-    f = np.asarray(raw.get("f", np.arange(n, dtype=float)), dtype=float)
-    if f.shape != (n,):
-        _fail("f", f"must have one value per state ({n}), got shape {f.shape}")
+    base0, base1 = _finite_bases(raw, n, [-e0, -e1])
+    p0 = _state_matrix("p0", raw["p0"], n) if "p0" in raw else base0
+    p1 = _state_matrix("p1", raw["p1"], n) if "p1" in raw else base1
+    f = _checked("f", np.asarray, raw.get("f", np.arange(n, dtype=float)), float)
+    if f.shape != (n,) or not np.all(np.isfinite(f)):
+        _fail("f", f"must be {n} finite values (one per state), got shape {f.shape}")
     seed = seed_override if seed_override is not None else raw.get("seed", 0)
     _int_at_least("seed", seed, 0)
     reps = raw.get("crosscheck_replications")
@@ -458,7 +461,6 @@ def load_oracle_config(path, seed_override=None, out_override=None) -> dict:
         _int_at_least("crosscheck_replications", reps, 2)
     return {
         "raw": raw,
-        "digest": config_digest(raw),
         "e0": e0,
         "e1": e1,
         "theta": theta,
@@ -466,9 +468,11 @@ def load_oracle_config(path, seed_override=None, out_override=None) -> dict:
         "p1": p1,
         "f": f,
         "seed": seed,
-        "out": Path(out_override if out_override is not None else raw.get("out", "results")),
+        "out": _out_dir(raw, out_override),
         "crosscheck_replications": reps,
-        "crosscheck_iterations": raw.get("crosscheck_iterations"),
+        "crosscheck_iterations": _int_at_least(
+            "crosscheck_iterations", raw.get("crosscheck_iterations", 100_000), 1
+        ),
     }
 
 
@@ -517,7 +521,7 @@ def cmd_oracle(args) -> int:
         crosscheck = None
         if cfg["crosscheck_replications"] is not None:
             reps = cfg["crosscheck_replications"]
-            iters = int(cfg["crosscheck_iterations"] or 100_000)
+            iters = cfg["crosscheck_iterations"]
             fc = cfg["f"] - limit.stationary @ cfg["f"]
             scaled = ee_pair_scaled_sums(
                 cfg["p0"], cfg["p1"], cfg["theta"], log_r, fc,
@@ -532,15 +536,7 @@ def cmd_oracle(args) -> int:
             }
         text = format_variance_report(report, cfg["theta"], crosscheck)
         (cfg["out"] / "variance_report.txt").write_text(text + "\n")
-        meta = {
-            "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "config_digest": cfg["digest"],
-            "seed": cfg["seed"],
-            "config": cfg["raw"],
-        }
-        (cfg["out"] / "variance_report.meta.json").write_text(
-            json.dumps(meta, indent=2, default=str) + "\n"
-        )
+        _write_metadata(cfg["out"] / "variance_report.meta.json", cfg["raw"], cfg["seed"])
         print(text)
         print(f"\nwrote {cfg['out'] / 'variance_report.txt'}")
 
@@ -560,7 +556,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("run", help="run one sampler and write its trajectory")
     p.add_argument("config")
-    p.add_argument("--kernel", choices=KERNEL_KINDS, default=None)
+    p.add_argument("--kernel", choices=ADAPTIVE_KINDS + SINGLE_KINDS, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_run)

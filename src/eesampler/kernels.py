@@ -33,6 +33,7 @@ import numpy as np
 
 from .targets import (
     MissingExactSamplerError,
+    _as_spd_matrix,
     importance_coefficient,
     importance_log_weight,
     importance_log_weights_many,
@@ -81,17 +82,14 @@ class KernelConfig:
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if self.proposal_covariance is not None:
-            cov = np.array(self.proposal_covariance, dtype=float)
+            cov = _as_spd_matrix(self.proposal_covariance, "proposal covariance")
             object.__setattr__(self, "proposal_covariance", cov)
-            _cholesky_or_raise(cov, "proposal covariance")
         if self.ir_proposal_covariance is not None:
-            cov = np.array(self.ir_proposal_covariance, dtype=float)
+            cov = _as_spd_matrix(self.ir_proposal_covariance, "resampling-move proposal covariance")
             object.__setattr__(self, "ir_proposal_covariance", cov)
-            _cholesky_or_raise(cov, "resampling-move proposal covariance")
         if self.base_matrix is not None:
-            base = np.array(self.base_matrix, dtype=float)
+            base = _check_stochastic(np.array(self.base_matrix, dtype=float))
             object.__setattr__(self, "base_matrix", base)
-            _check_stochastic(base)
 
     @cached_property
     def _proposal_chol(self) -> np.ndarray:
@@ -112,25 +110,17 @@ class KernelConfig:
         return np.cumsum(self.base_matrix, axis=1)
 
 
-def _cholesky_or_raise(cov: np.ndarray, what: str) -> np.ndarray:
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError(f"{what} must be square, got shape {cov.shape}")
-    if not np.allclose(cov, cov.T, atol=1e-12, rtol=0.0):
-        raise ValueError(f"{what} must be symmetric")
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise ValueError(f"{what} must be positive definite") from None
-
-
-def _check_stochastic(matrix: np.ndarray) -> None:
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {matrix.shape}")
-    if np.any(matrix < -STOCHASTIC_ATOL):
+def _check_stochastic(matrix) -> np.ndarray:
+    """``matrix`` as a float array, checked square and row-stochastic."""
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"matrix must be square and non-empty, got shape {m.shape}")
+    if np.any(m < -STOCHASTIC_ATOL):
         raise ValueError("matrix has negative entries")
-    dev = np.abs(matrix.sum(axis=1) - 1.0).max()
-    if dev > STOCHASTIC_ATOL:
+    dev = np.abs(m.sum(axis=1) - 1.0).max()
+    if not dev <= STOCHASTIC_ATOL:  # also rejects NaN and infinite entries
         raise ValueError(f"matrix rows must sum to 1 (max deviation {dev:.3e})")
+    return m
 
 
 def _draw_row(cum_row: np.ndarray, rng) -> int:
@@ -276,8 +266,7 @@ def acceptance_matrix(log_r: np.ndarray) -> np.ndarray:
 def ee_limit_matrix(base: np.ndarray, proposal: np.ndarray, log_r: np.ndarray, theta: float) -> np.ndarray:
     """theta * base + (1 - theta) * R with R the exchange move proposing
     from ``proposal`` (a probability vector) and accepting by min(1, r(y)/r(x))."""
-    base = np.asarray(base, dtype=float)
-    _check_stochastic(base)
+    base = _check_stochastic(base)
     accept = acceptance_matrix(log_r)
     r_kernel = accept * np.asarray(proposal, dtype=float)[None, :]
     r_kernel[np.diag_indices_from(r_kernel)] += 1.0 - r_kernel.sum(axis=1)
@@ -286,8 +275,7 @@ def ee_limit_matrix(base: np.ndarray, proposal: np.ndarray, log_r: np.ndarray, t
 
 def ir_limit_matrix(base: np.ndarray, refresh: np.ndarray, theta: float) -> np.ndarray:
     """theta * base + (1 - theta) * (every row = ``refresh``)."""
-    base = np.asarray(base, dtype=float)
-    _check_stochastic(base)
+    base = _check_stochastic(base)
     refresh = np.asarray(refresh, dtype=float)
     return theta * base + (1.0 - theta) * np.tile(refresh, (base.shape[0], 1))
 
@@ -295,8 +283,7 @@ def ir_limit_matrix(base: np.ndarray, refresh: np.ndarray, theta: float) -> np.n
 def ir_frozen_matrix(base: np.ndarray, mu: np.ndarray, log_r: np.ndarray, theta: float) -> np.ndarray:
     """Frozen importance-resampling kernel: resample from ``mu`` with
     weights exp(log_r), then one base-matrix step."""
-    base = np.asarray(base, dtype=float)
-    _check_stochastic(base)
+    base = _check_stochastic(base)
     lw = np.asarray(log_r, dtype=float)
     q = np.asarray(mu, dtype=float) * np.exp(lw - lw.max())
     total = q.sum()
@@ -315,8 +302,7 @@ def finite_kernel_matrix(kind, target, ladder, level, base_matrix, theta, mu=Non
     """
     if target.kind != "finite":
         raise ValueError("explicit kernel matrices exist only for finite targets")
-    base = np.asarray(base_matrix, dtype=float)
-    _check_stochastic(base)
+    base = _check_stochastic(base_matrix)
     if kind == "base":
         return base.copy()
     log_r = -importance_coefficient(ladder, level) * target.energies
@@ -344,8 +330,7 @@ def metropolis_matrix(proposal_matrix: np.ndarray, log_weights: np.ndarray) -> n
     ``log_weights`` are unnormalized log probabilities of the target law;
     the result is reversible with respect to it.
     """
-    q = np.asarray(proposal_matrix, dtype=float)
-    _check_stochastic(q)
+    q = _check_stochastic(proposal_matrix)
     if not np.allclose(q, q.T, atol=1e-12, rtol=0.0):
         raise ValueError("proposal matrix must be symmetric")
     accept = acceptance_matrix(np.asarray(log_weights, dtype=float))

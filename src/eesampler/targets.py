@@ -22,16 +22,19 @@ class MissingExactSamplerError(RuntimeError):
     """Raised when an operation needs an exact tempered sampler and none exists."""
 
 
-def _as_spd_matrix(covariance) -> np.ndarray:
+def _as_spd_matrix(covariance, what: str = "covariance") -> np.ndarray:
+    """A float copy of ``covariance``, checked symmetric positive definite."""
     cov = np.array(covariance, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError(f"covariance must be a square matrix, got shape {cov.shape}")
+        raise ValueError(f"{what} must be a square matrix, got shape {cov.shape}")
+    if not np.all(np.isfinite(cov)):
+        raise ValueError(f"{what} must be finite")
     if not np.allclose(cov, cov.T, atol=1e-12, rtol=0.0):
-        raise ValueError("covariance must be symmetric")
+        raise ValueError(f"{what} must be symmetric")
     try:
         np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        raise ValueError("covariance must be positive definite") from None
+        raise ValueError(f"{what} must be positive definite") from None
     return cov
 
 
@@ -146,10 +149,13 @@ class TemperatureLadder:
         object.__setattr__(self, "temperatures", temps)
         if len(temps) == 0:
             raise ValueError("temperature list must be non-empty")
-        if any(t <= 0 for t in temps):
-            raise ValueError("temperatures must all be positive")
-        if any(nxt >= prev for prev, nxt in zip(temps[:-1], temps[1:])):
-            raise ValueError("temperatures must be strictly decreasing")
+        if not all(0.0 < t < np.inf for t in temps):
+            raise ValueError("temperatures must all be positive and finite")
+        for prev, nxt in zip(temps[:-1], temps[1:]):
+            if nxt >= prev:
+                raise ValueError(
+                    f"temperatures must be strictly decreasing; pair ({prev:g}, {nxt:g}) is not"
+                )
         if temps[-1] != 1.0:
             raise ValueError(f"coldest temperature must be exactly 1, got {temps[-1]}")
         if self.thetas is not None:

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eesampler import FiniteChainModel, ee_limit_clt_variance, ee_limit_matrix
 from eesampler.cli import load_config, load_oracle_config, main, oracle_report
@@ -303,3 +307,100 @@ def test_crosscheck_needs_two_replications(tmp_path, capsys):
     assert main(["validate", path]) == 0
     assert main(["oracle", path]) == 0
     assert "crosscheck_replications: 2" in (tmp_path / "xc" / "variance_report.txt").read_text()
+
+
+def oracle_config(tmp_path, **overrides):
+    cfg = {
+        "target": "finite",
+        "energies0": [0.0, 2.0, 4.0, 2.0, 0.0],
+        "energies1": [0.0, 2.0, 4.0, 2.0, 0.0],
+        "theta": 0.5,
+        "move_prob": 0.6,
+        "f": [1.0, 0.0, 0.0, 0.0, -1.0],
+        "crosscheck_replications": 2,
+        "seed": 3,
+        "out": str(tmp_path / "out"),
+    }
+    cfg.update(overrides)
+    return write_config(tmp_path, "oracle.yaml", cfg)
+
+
+MALFORMED_KEYS = [
+    (gaussian_config, {"theta": "abc"}, "theta"),
+    (gaussian_config, {"theta": [0.5, 0.5, "a"]}, "theta"),
+    (gaussian_config, {"temperatures": [4, "x", 1]}, "temperatures"),
+    (gaussian_config, {"proposal_scale": "abc"}, "proposal_scale"),
+    (gaussian_config, {"ir_proposal_scale": "abc"}, "ir_proposal_scale"),
+    (gaussian_config, {"proposal_scale": 1e308}, "proposal_scale"),
+    (gaussian_config, {"ir_proposal_scale": 1e308}, "ir_proposal_scale"),
+    (gaussian_config, {"ir_proposal_scale": -1}, "ir_proposal_scale"),
+    (gaussian_config, {"lambdas": 3, "kappas": 3}, "lambdas"),
+    (gaussian_config, {"out": None}, "out"),
+    (gaussian_config, {"out": 5}, "out"),
+    (gaussian_config, {"include_initial_state": "no"}, "include_initial_state"),
+    (finite_config, {"move_prob": 0}, "move_prob"),
+    (finite_config, {"move_prob": "abc"}, "move_prob"),
+    (finite_config, {"proposal_matrix": "abc"}, "proposal_matrix"),
+    (finite_config, {"proposal_matrix": [[0.5, 0.5], [0.5, 0.5]]}, "proposal_matrix"),
+    (oracle_config, {"move_prob": 0}, "move_prob"),
+    (oracle_config, {"move_prob": "abc"}, "move_prob"),
+    (oracle_config, {"f": "abc"}, "f"),
+    (oracle_config, {"energies0": ["a", "b"]}, "energies0"),
+    (oracle_config, {"p0": [[1]]}, "p0"),
+    (oracle_config, {"crosscheck_iterations": "abc"}, "crosscheck_iterations"),
+    (oracle_config, {"crosscheck_iterations": -3}, "crosscheck_iterations"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, overrides, key", MALFORMED_KEYS,
+    ids=[f"{make.__name__}-{overrides}" for make, overrides, _ in MALFORMED_KEYS],
+)
+def test_malformed_key_is_a_config_error(tmp_path, capsys, make, overrides, key):
+    path = make(tmp_path, **overrides)
+    assert main(["validate", path]) == 1
+    err = capsys.readouterr().err
+    assert f"config key '{key}'" in err and "Traceback" not in err
+    if make is oracle_config:
+        assert main(["oracle", path]) == 1
+        assert f"config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+DOCUMENTED_KEYS = (
+    "target", "covariance", "energies", "temperatures", "theta", "proposal_scale",
+    "ir_proposal_scale", "move_prob", "proposal_matrix", "kernel", "iterations",
+    "replications", "seed", "burn_in", "out", "include_initial_state", "lambdas", "kappas",
+    "energies0", "energies1", "f", "p0", "p1", "crosscheck_replications",
+    "crosscheck_iterations",
+)
+CONFIG_ERRORS = ("config key '", "cannot read", "cannot parse", "must contain a mapping")
+
+
+FUZZ_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 12),
+        st.sampled_from([0.0, 0.5, -1.0, 1e308, -1e308, float("nan"), float("inf")]),
+        st.text(alphabet="ax1. ", max_size=3),
+        st.sampled_from(["gaussian", "finite", "ee", "rwm", "ir_limit"]),
+    ),
+    lambda inner: st.lists(inner, max_size=5),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(bundled=st.sampled_from(["gaussian_table1", "finite_5state", "oracle_5state"]),
+       changes=st.dictionaries(st.sampled_from(DOCUMENTED_KEYS), FUZZ_VALUES,
+                               min_size=1, max_size=3))
+def test_fuzzed_configs_never_escape_validate(tmp_path_factory, bundled, changes):
+    with open(f"{REPO_CONFIGS}/{bundled}.yaml") as fh:
+        base = yaml.safe_load(fh)
+    path = write_config(tmp_path_factory.getbasetemp(), "fuzz.yaml", {**base, **changes})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["validate", path])
+    assert code == 0 or (code == 1 and any(m in err.getvalue() for m in CONFIG_ERRORS))
