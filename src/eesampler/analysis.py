@@ -27,11 +27,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import _check_stochastic, acceptance_matrix
+from .kernels import _check_stochastic, acceptance_matrix, exchange_matrix
 from .ladder import run_sampler
+from .targets import _pinned_cumsum
 
+# relative to max(1, max|U|): the solve's rounding error grows with |U|
 POISSON_RESIDUAL_TOL = 1e-10
 STATIONARY_RESIDUAL_TOL = 1e-10
+# replications per seeded block of the pair simulator; the block size fixes
+# which generator drives each replication, so changing it changes the results
+PAIR_CHUNK = 500
 
 
 class ReducibleChainError(ValueError):
@@ -110,13 +115,14 @@ def poisson_solve(model: FiniteChainModel, f) -> np.ndarray:
 
     Solves the regularized system (I - M + 1 pi') U = f, whose solution
     is the fundamental-series value sum_k (M - 1 pi')^k f; in particular
-    pi(U) = pi(f).  The residual of the Poisson identity is checked
-    against 1e-10.
+    pi(U) = pi(f).  ``f`` of shape (S, k) solves for k functions at once,
+    one per column.  The residual of the Poisson identity is checked
+    against 1e-10 * max(1, max|U|).
     """
     f = np.asarray(f, dtype=float)
     m = model.matrix
-    if f.shape != (m.shape[0],):
-        raise ValueError(f"f must have {m.shape[0]} entries, got shape {f.shape}")
+    if f.ndim not in (1, 2) or f.shape[0] != m.shape[0]:
+        raise ValueError(f"f must have {m.shape[0]} rows, got shape {f.shape}")
     if not np.all(np.isfinite(f)):
         raise ValueError("f must be finite")
     a = np.eye(m.shape[0]) - m + np.outer(np.ones(m.shape[0]), model.stationary)
@@ -124,9 +130,8 @@ def poisson_solve(model: FiniteChainModel, f) -> np.ndarray:
         u = np.linalg.solve(a, f)
     except np.linalg.LinAlgError as exc:
         raise ReducibleChainError(f"Poisson system is singular: {exc}") from None
-    centered = f - float(model.stationary @ f)
-    residual = np.abs(u - m @ u - centered).max()
-    if residual > POISSON_RESIDUAL_TOL:
+    residual = np.abs(u - m @ u - (f - model.stationary @ f)).max()
+    if not residual <= POISSON_RESIDUAL_TOL * max(1.0, np.abs(u).max()):
         raise ReducibleChainError(f"Poisson residual {residual:.3e} exceeds tolerance")
     return u
 
@@ -192,10 +197,8 @@ def gamma_covariance_matrix(model0: FiniteChainModel, h: np.ndarray) -> np.ndarr
     h = np.asarray(h, dtype=float)
     pi0 = model0.stationary
     hc = h - (h @ pi0)[:, None]
-    m = model0.matrix
-    a = np.eye(model0.n_states) - m + np.outer(np.ones(model0.n_states), pi0)
-    u = np.linalg.solve(a, hc.T)  # columns are U_x
-    mu = m @ u
+    u = poisson_solve(model0, hc.T)  # columns are U_x
+    mu = model0.matrix @ u
     return u.T @ (pi0[:, None] * u) - mu.T @ (pi0[:, None] * mu)
 
 
@@ -258,9 +261,7 @@ def _is_shared_kernel_case(model0, limit_kernel, theta, log_r, atol=1e-10) -> bo
     """
     if np.abs(limit_kernel.stationary - model0.stationary).max() > atol:
         return False
-    accept = acceptance_matrix(np.asarray(log_r, dtype=float))
-    r_kernel = accept * model0.stationary[None, :]
-    r_kernel[np.diag_indices_from(r_kernel)] += 1.0 - r_kernel.sum(axis=1)
+    r_kernel = exchange_matrix(model0.stationary, log_r)
     base1 = (limit_kernel.matrix - (1.0 - theta) * r_kernel) / theta
     return bool(np.abs(base1 - model0.matrix).max() <= atol)
 
@@ -292,22 +293,19 @@ def batch_means_variance(values, batch_count: int) -> tuple[float, float]:
 
 def simulate_matrix_chain(matrix, n_steps: int, seed: int, x0: int = 0) -> np.ndarray:
     """Trajectory of a finite chain driven by an explicit matrix."""
-    m = _check_stochastic(matrix)
-    rows = [list(np.cumsum(row)) for row in m]
+    rows = [list(row) for row in _pinned_cumsum(_check_stochastic(matrix))]
     rng = np.random.default_rng(seed)
     us = rng.random(n_steps)
     out = np.empty(n_steps, dtype=np.int64)
     x = x0
-    last = m.shape[0] - 1
     for i in range(n_steps):
-        x = min(bisect_right(rows[x], us[i]), last)
+        x = bisect_right(rows[x], us[i])
         out[i] = x
     return out
 
 
 def ee_pair_scaled_sums(p0, p1, theta: float, log_r, f, n_steps: int,
-                        replications: int, seed: int, chunk_size: int = 500,
-                        x0: int = 0, x1: int = 0) -> np.ndarray:
+                        replications: int, seed: int, x0: int = 0, x1: int = 0) -> np.ndarray:
     """Replicated two-level adaptive equi-energy runs, vectorized.
 
     Simulates ``replications`` independent copies of the coupled pair
@@ -319,31 +317,23 @@ def ee_pair_scaled_sums(p0, p1, theta: float, log_r, f, n_steps: int,
     the exchange proposal is drawn from {X_1, ..., X_{n-1}} of level 0,
     and iteration 1 is forced local.
 
-    Replications are processed in chunks (chunk c seeded by spawn key
-    (c,) of the master seed), so memory stays bounded and results are
-    reproducible for a fixed chunk size.
+    Replications are processed in chunks of ``PAIR_CHUNK`` (chunk c
+    seeded by spawn key (c,) of the master seed), so memory stays bounded.
     """
-    p0 = _check_stochastic(p0)
-    p1 = _check_stochastic(p1)
-    n_states = p0.shape[0]
-    if n_states > 127:
-        raise ValueError("replicated pair simulation stores int8 history (< 128 states)")
+    cum0 = _pinned_cumsum(_check_stochastic(p0))
+    cum1 = _pinned_cumsum(_check_stochastic(p1))
+    history_dtype = np.min_scalar_type(cum0.shape[0] - 1)
     log_r = np.asarray(log_r, dtype=float)
     f = np.asarray(f, dtype=float)
-    cum0 = np.cumsum(p0, axis=1)
-    cum1 = np.cumsum(p1, axis=1)
-    # guard against cumulative rounding: final column must dominate the draws
-    cum0[:, -1] = 1.0
-    cum1[:, -1] = 1.0
     out = np.empty(replications)
     done = 0
     chunk_index = 0
     while done < replications:
-        r = min(chunk_size, replications - done)
+        r = min(PAIR_CHUNK, replications - done)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
         s0 = np.full(r, x0, dtype=np.int64)
         s1 = np.full(r, x1, dtype=np.int64)
-        hist = np.empty((n_steps, r), dtype=np.int8)
+        hist = np.empty((n_steps, r), dtype=history_dtype)
         sums = np.zeros(r)
         rows = np.arange(r)
         for n in range(1, n_steps + 1):
@@ -410,18 +400,11 @@ def replication_seed(master_seed: int, replication: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _replication_averages(spec: SamplerSpec, estimands, iterations: int,
-                          burn_in: int, seed: int) -> list[float]:
-    traj = run_sampler(spec.kind, spec.target, spec.ladder, spec.configs, iterations, seed)
-    states = traj.states[-1]
-    if burn_in:
-        states = states[burn_in:]
-    return [est.average(states) for est in estimands]
-
-
-def _replication_task(args):
+def _replication_task(args) -> list[float]:
     spec, estimands, iterations, burn_in, seed = args
-    return _replication_averages(spec, estimands, iterations, burn_in, seed)
+    traj = run_sampler(spec.kind, spec.target, spec.ladder, spec.configs, iterations, seed)
+    states = traj.states[-1][burn_in:]
+    return [est.average(states) for est in estimands]
 
 
 @dataclass

@@ -300,22 +300,18 @@ def _is_oracle_config(raw: dict) -> bool:
 
 
 def cmd_validate(args) -> int:
-    try:
-        raw = load_raw_config(args.config)
-        if _is_oracle_config(raw):
-            cfg = load_oracle_config(args.config)
-            print(f"config {args.config}: valid oracle instance (digest {config_digest(raw)})")
-            print(f"  states: {cfg['e0'].size}, theta: {cfg['theta']}")
-            return 0
-        config = load_config(args.config)
-        lines, warnings = theta_bound_report(
-            config.raw,
-            config.ladder.temperatures,
-            config.ladder.thetas or (config.configs[-1].theta,) * (config.ladder.n_levels - 1),
-        )
-    except ConfigError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return 1
+    raw = load_raw_config(args.config)
+    if _is_oracle_config(raw):
+        cfg = load_oracle_config(args.config)
+        print(f"config {args.config}: valid oracle instance (digest {config_digest(raw)})")
+        print(f"  states: {cfg['e0'].size}, theta: {cfg['theta']}")
+        return 0
+    config = load_config(args.config)
+    lines, warnings = theta_bound_report(
+        config.raw,
+        config.ladder.temperatures,
+        config.ladder.thetas or (config.configs[-1].theta,) * (config.ladder.n_levels - 1),
+    )
     print(f"config {args.config}: valid (digest {config_digest(raw)})")
     print(f"  target: {config.raw['target']}, levels: {config.ladder.n_levels}, "
           f"iterations: {config.iterations}, replications: {config.replications}")
@@ -327,14 +323,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        config = load_config(args.config, kernel_override=args.kernel,
-                             seed_override=args.seed, out_override=args.out)
-        if config.kernel is None:
-            _fail("kernel", "required for the run command (config key or --kernel)")
-    except ConfigError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return 1
+    config = load_config(args.config, kernel_override=args.kernel,
+                         seed_override=args.seed, out_override=args.out)
+    if config.kernel is None:
+        _fail("kernel", "required for the run command (config key or --kernel)")
 
     def work():
         traj = run_sampler(
@@ -383,13 +375,9 @@ def _table1_estimands(config):
 
 
 def cmd_table1(args) -> int:
-    try:
-        config = load_config(args.config, seed_override=args.seed, out_override=args.out)
-        if config.ladder.thetas is None:
-            _fail("theta", "adaptive samplers need theta in (0, 1]")
-    except ConfigError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return 1
+    config = load_config(args.config, seed_override=args.seed, out_override=args.out)
+    if config.ladder.thetas is None:
+        _fail("theta", "adaptive samplers need theta in (0, 1]")
 
     def work():
         specs = [
@@ -510,11 +498,7 @@ def format_variance_report(report, theta, crosscheck=None) -> str:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        cfg = load_oracle_config(args.config, seed_override=args.seed, out_override=args.out)
-    except ConfigError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return 1
+    cfg = load_oracle_config(args.config, seed_override=args.seed, out_override=args.out)
 
     def work():
         report, model0, limit, log_r = oracle_report(cfg)
@@ -575,7 +559,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_oracle)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:  # raised before any output directory is made
+        print(f"invalid: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ import numpy as np
 from .targets import (
     MissingExactSamplerError,
     _as_spd_matrix,
+    _pinned_cumsum,
     importance_coefficient,
     importance_log_weight,
     importance_log_weights_many,
@@ -56,7 +57,6 @@ class StepOutcome:
     next: object
     branch: str
     accepted: bool
-    log_accept_ratio: float | None
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class KernelConfig:
     def _base_cum(self) -> np.ndarray:
         if self.base_matrix is None:
             raise ValueError("no base matrix configured for a finite target")
-        return np.cumsum(self.base_matrix, axis=1)
+        return _pinned_cumsum(self.base_matrix)
 
 
 def _check_stochastic(matrix) -> np.ndarray:
@@ -124,8 +124,7 @@ def _check_stochastic(matrix) -> np.ndarray:
 
 
 def _draw_row(cum_row: np.ndarray, rng) -> int:
-    k = int(np.searchsorted(cum_row, rng.random() * cum_row[-1], side="right"))
-    return min(k, len(cum_row) - 1)
+    return int(np.searchsorted(cum_row, rng.random(), side="right"))
 
 
 def rwm_step(target, ladder, level, x, config: KernelConfig, rng) -> StepOutcome:
@@ -138,7 +137,7 @@ def rwm_step(target, ladder, level, x, config: KernelConfig, rng) -> StepOutcome
     """
     if target.kind == "finite":
         y = _draw_row(config._base_cum[int(x)], rng)
-        return StepOutcome(y, LOCAL, True, None)
+        return StepOutcome(y, LOCAL, True)
     x = np.asarray(x, dtype=float)
     chol = config._proposal_chol
     if chol.shape[0] != x.shape[0]:
@@ -154,8 +153,18 @@ def _metropolis_move(target, ladder, level, x, chol, rng) -> StepOutcome:
         target, ladder, level, x
     )
     if math.log(rng.random()) < lar:
-        return StepOutcome(y, LOCAL, True, lar)
-    return StepOutcome(x, LOCAL, False, lar)
+        return StepOutcome(y, LOCAL, True)
+    return StepOutcome(x, LOCAL, False)
+
+
+def _exchange_move(target, ladder, level, x, y, rng) -> StepOutcome:
+    """Move from x to the proposed y with probability min(1, r(y)/r(x))."""
+    lar = importance_log_weight(target, ladder, level, y) - importance_log_weight(
+        target, ladder, level, x
+    )
+    if math.log(rng.random()) < lar:
+        return StepOutcome(y, EXCHANGE, True)
+    return StepOutcome(x, EXCHANGE, False)
 
 
 def ee_adaptive_step(target, ladder, level, x, reservoir, config: KernelConfig, rng) -> StepOutcome:
@@ -169,13 +178,7 @@ def ee_adaptive_step(target, ladder, level, x, reservoir, config: KernelConfig, 
     u = rng.random()
     if u < config.theta or reservoir.count == 0:
         return rwm_step(target, ladder, level, x, config, rng)
-    y = reservoir.sample_uniform(rng)
-    lar = importance_log_weight(target, ladder, level, y) - importance_log_weight(
-        target, ladder, level, x
-    )
-    if math.log(rng.random()) < lar:
-        return StepOutcome(y, EXCHANGE, True, lar)
-    return StepOutcome(x, EXCHANGE, False, lar)
+    return _exchange_move(target, ladder, level, x, reservoir.sample_uniform(rng), rng)
 
 
 def ir_adaptive_step(target, ladder, level, x, reservoir, config: KernelConfig, rng) -> StepOutcome:
@@ -194,9 +197,9 @@ def ir_adaptive_step(target, ladder, level, x, reservoir, config: KernelConfig, 
     )
     if target.kind == "finite":
         z = _draw_row(config._base_cum[int(y)], rng)
-        return StepOutcome(z, RESAMPLE, True, None)
+        return StepOutcome(z, RESAMPLE, True)
     inner = _metropolis_move(target, ladder, level, np.asarray(y, dtype=float), config._ir_chol, rng)
-    return StepOutcome(inner.next, RESAMPLE, inner.accepted, inner.log_accept_ratio)
+    return StepOutcome(inner.next, RESAMPLE, inner.accepted)
 
 
 def limit_ee_step(target, ladder, level, x, config: KernelConfig, rng) -> StepOutcome:
@@ -208,12 +211,7 @@ def limit_ee_step(target, ladder, level, x, config: KernelConfig, rng) -> StepOu
     if not target.has_exact_sampler:
         raise MissingExactSamplerError("limit EE kernel needs an exact tempered sampler")
     y = target.sample_tempered(ladder.temperature(level - 1), rng)
-    lar = importance_log_weight(target, ladder, level, y) - importance_log_weight(
-        target, ladder, level, x
-    )
-    if math.log(rng.random()) < lar:
-        return StepOutcome(y, EXCHANGE, True, lar)
-    return StepOutcome(x, EXCHANGE, False, lar)
+    return _exchange_move(target, ladder, level, x, y, rng)
 
 
 def limit_ir_step(target, ladder, level, x, config: KernelConfig, rng) -> StepOutcome:
@@ -225,7 +223,7 @@ def limit_ir_step(target, ladder, level, x, config: KernelConfig, rng) -> StepOu
     if not target.has_exact_sampler:
         raise MissingExactSamplerError("limit IR kernel needs an exact tempered sampler")
     y = target.sample_tempered(ladder.temperature(level), rng)
-    return StepOutcome(y, RESAMPLE, True, None)
+    return StepOutcome(y, RESAMPLE, True)
 
 
 def theta_lower_bound(lambda_l: float, kappa: float, t_l: float, t_prev: float) -> float:
@@ -263,14 +261,18 @@ def acceptance_matrix(log_r: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(0.0, log_r[None, :] - log_r[:, None]))
 
 
-def ee_limit_matrix(base: np.ndarray, proposal: np.ndarray, log_r: np.ndarray, theta: float) -> np.ndarray:
-    """theta * base + (1 - theta) * R with R the exchange move proposing
-    from ``proposal`` (a probability vector) and accepting by min(1, r(y)/r(x))."""
-    base = _check_stochastic(base)
-    accept = acceptance_matrix(log_r)
-    r_kernel = accept * np.asarray(proposal, dtype=float)[None, :]
+def exchange_matrix(proposal: np.ndarray, log_r: np.ndarray) -> np.ndarray:
+    """Exchange move R: propose y from ``proposal`` (a probability vector),
+    accept by min(1, r(y)/r(x)), and hold at x on rejection."""
+    r_kernel = acceptance_matrix(log_r) * np.asarray(proposal, dtype=float)[None, :]
     r_kernel[np.diag_indices_from(r_kernel)] += 1.0 - r_kernel.sum(axis=1)
-    return theta * base + (1.0 - theta) * r_kernel
+    return r_kernel
+
+
+def ee_limit_matrix(base: np.ndarray, proposal: np.ndarray, log_r: np.ndarray, theta: float) -> np.ndarray:
+    """theta * base + (1 - theta) * R, R being ``exchange_matrix(proposal, log_r)``."""
+    base = _check_stochastic(base)
+    return theta * base + (1.0 - theta) * exchange_matrix(proposal, log_r)
 
 
 def ir_limit_matrix(base: np.ndarray, refresh: np.ndarray, theta: float) -> np.ndarray:
@@ -289,8 +291,7 @@ def ir_frozen_matrix(base: np.ndarray, mu: np.ndarray, log_r: np.ndarray, theta:
     total = q.sum()
     if total <= 0.0:
         raise ValueError("frozen measure puts no mass anywhere")
-    row = (q / total) @ base
-    return theta * base + (1.0 - theta) * np.tile(row, (base.shape[0], 1))
+    return ir_limit_matrix(base, (q / total) @ base, theta)
 
 
 def finite_kernel_matrix(kind, target, ladder, level, base_matrix, theta, mu=None) -> np.ndarray:

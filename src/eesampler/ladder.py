@@ -123,7 +123,6 @@ class Trajectory:
     states: list
     branches: np.ndarray
     accepted: np.ndarray
-    log_accept: np.ndarray
     seed: int
     metadata: dict = field(default_factory=dict)
 
@@ -134,9 +133,6 @@ class Trajectory:
     @property
     def n_levels(self) -> int:
         return self.branches.shape[1]
-
-    def level_states(self, level: int) -> np.ndarray:
-        return self.states[level]
 
     def acceptance_rate(self, level: int, branch: str | None = None) -> float:
         """Fraction of accepted steps at a level, optionally within one branch."""
@@ -177,42 +173,44 @@ class Trajectory:
                     writer.writerow(row)
 
 
-def _alloc_states(target, n_levels, n_iterations):
+def _record(target, n_levels, n_iterations, step):
+    """Call ``step()`` (per-level outcomes of one iteration) ``n_iterations`` times
+    and record every level's state, branch and acceptance."""
+    if n_iterations < 1:
+        raise ValueError("n_iterations must be at least 1")
     if target.kind == "finite":
-        return [np.empty(n_iterations, dtype=np.int64) for _ in range(n_levels)]
-    return [np.empty((n_iterations, target.dimension)) for _ in range(n_levels)]
+        states = [np.empty(n_iterations, dtype=np.int64) for _ in range(n_levels)]
+    else:
+        states = [np.empty((n_iterations, target.dimension)) for _ in range(n_levels)]
+    branches = np.empty((n_iterations, n_levels), dtype=np.int8)
+    accepted = np.empty((n_iterations, n_levels), dtype=bool)
+    for n in range(n_iterations):
+        for level, out in enumerate(step()):
+            states[level][n] = out.next
+            branches[n, level] = BRANCH_CODES[out.branch]
+            accepted[n, level] = out.accepted
+    return states, branches, accepted
 
 
 def run_ladder(target, ladder, configs, scheme: str, n_iterations: int, seed: int,
                initial_states=None, include_initial_state: bool = False) -> Trajectory:
     """Run the full adaptive ladder; deterministic given (arguments, seed)."""
-    if n_iterations < 1:
-        raise ValueError("n_iterations must be at least 1")
     if ladder.thetas is None:
         raise ValueError("adaptive ladder runs need thetas on the temperature ladder")
     if len(configs) != ladder.n_levels:
         raise ValueError(f"need {ladder.n_levels} kernel configs, got {len(configs)}")
     state = init_ladder_state(target, ladder, seed, initial_states, include_initial_state)
-    n_levels = ladder.n_levels
-    states = _alloc_states(target, n_levels, n_iterations)
-    branches = np.empty((n_iterations, n_levels), dtype=np.int8)
-    accepted = np.empty((n_iterations, n_levels), dtype=bool)
-    log_accept = np.full((n_iterations, n_levels), np.nan)
-    for n in range(n_iterations):
-        outcomes = ladder_step(state, target, ladder, configs, scheme)
-        for level, out in enumerate(outcomes):
-            states[level][n] = out.next
-            branches[n, level] = BRANCH_CODES[out.branch]
-            accepted[n, level] = out.accepted
-            if out.log_accept_ratio is not None:
-                log_accept[n, level] = out.log_accept_ratio
+    recorded = _record(
+        target, ladder.n_levels, n_iterations,
+        lambda: ladder_step(state, target, ladder, configs, scheme),
+    )
     meta = {
         "scheme": scheme,
         "temperatures": list(ladder.temperatures),
         "thetas": list(ladder.thetas),
         "include_initial_state": include_initial_state,
     }
-    return Trajectory(scheme, states, branches, accepted, log_accept, seed, meta)
+    return Trajectory(scheme, *recorded, seed, meta)
 
 
 def run_single(target, ladder, config: KernelConfig, kind: str, n_iterations: int,
@@ -223,8 +221,6 @@ def run_single(target, ladder, config: KernelConfig, kind: str, n_iterations: in
     uses that level's seed stream, so a rwm run at level 0 reproduces the
     level-0 trace of a ladder run bit for bit.
     """
-    if n_iterations < 1:
-        raise ValueError("n_iterations must be at least 1")
     if kind not in SINGLE_KINDS:
         raise ValueError(f"kind must be one of {SINGLE_KINDS}, got {kind!r}")
     if level is None:
@@ -232,32 +228,23 @@ def run_single(target, ladder, config: KernelConfig, kind: str, n_iterations: in
     ladder._check_level(level)
     if kind == "ee_limit" and level == 0:
         raise ValueError("the limit EE kernel needs a hotter level and cannot run at level 0")
+    kernel = {"rwm": rwm_step, "ee_limit": limit_ee_step, "ir_limit": limit_ir_step}[kind]
     rng = level_rng(seed, level)
     x = target.initial_state() if initial_state is None else initial_state
-    states = _alloc_states(target, 1, n_iterations)
-    branches = np.empty((n_iterations, 1), dtype=np.int8)
-    accepted = np.empty((n_iterations, 1), dtype=bool)
-    log_accept = np.full((n_iterations, 1), np.nan)
-    for n in range(n_iterations):
-        if kind == "rwm":
-            out = rwm_step(target, ladder, level, x, config, rng)
-        elif kind == "ee_limit":
-            out = limit_ee_step(target, ladder, level, x, config, rng)
-        else:
-            out = limit_ir_step(target, ladder, level, x, config, rng)
+
+    def step():
+        nonlocal x
+        out = kernel(target, ladder, level, x, config, rng)
         x = out.next
-        states[0][n] = x
-        branches[n, 0] = BRANCH_CODES[out.branch]
-        accepted[n, 0] = out.accepted
-        if out.log_accept_ratio is not None:
-            log_accept[n, 0] = out.log_accept_ratio
+        return (out,)
+
     meta = {
         "kind": kind,
         "level": level,
         "temperature": ladder.temperature(level),
         "theta": config.theta,
     }
-    return Trajectory(kind, states, branches, accepted, log_accept, seed, meta)
+    return Trajectory(kind, *_record(target, 1, n_iterations, step), seed, meta)
 
 
 def ladder_configs(ladder, proposal_covariance=None, base_matrices=None,

@@ -38,6 +38,19 @@ def _as_spd_matrix(covariance, what: str = "covariance") -> np.ndarray:
     return cov
 
 
+def _pinned_cumsum(probabilities) -> np.ndarray:
+    """Cumulative sums along the last axis with the final total pinned at 1.
+
+    Every entry equal to the total (the last one, and those after the last
+    state with mass) becomes exactly 1, so ``searchsorted(cum, u, side="right")``
+    with u in [0, 1) is the inverse-CDF draw: rounding in the sums can send it
+    neither past the last state nor onto a trailing state without mass.
+    """
+    cum = np.cumsum(probabilities, axis=-1)
+    cum[cum >= cum[..., -1:]] = 1.0
+    return cum
+
+
 class GaussianTarget:
     """Zero-mean Gaussian N(0, Sigma) seen as an energy target.
 
@@ -121,7 +134,7 @@ class FiniteTarget:
 
     def sample_tempered(self, temperature: float, rng, size=None):
         """Exact draw(s) by inverse CDF over the normalized tempered vector."""
-        cdf = np.cumsum(self.tempered_probabilities(temperature))
+        cdf = _pinned_cumsum(self.tempered_probabilities(temperature))
         if size is None:
             return int(np.searchsorted(cdf, rng.random(), side="right"))
         return np.searchsorted(cdf, rng.random(size), side="right").astype(np.int64)
@@ -166,8 +179,9 @@ class TemperatureLadder:
                     f"need one theta per adaptive level: expected {len(temps) - 1}, "
                     f"got {len(thetas)}"
                 )
-            if any(not 0.0 < th <= 1.0 for th in thetas):
-                raise ValueError("every theta must lie in (0, 1]")
+            for th in thetas:
+                if not 0.0 < th <= 1.0:
+                    raise ValueError(f"every theta must lie in (0, 1], got {th}")
 
     @property
     def n_levels(self) -> int:

@@ -128,6 +128,20 @@ def test_poisson_matches_truncated_series():
     assert model.stationary @ u == pytest.approx(model.stationary @ f, abs=1e-12)
 
 
+def test_poisson_solves_columns_like_single_functions():
+    rng = np.random.default_rng(3)
+    model = FiniteChainModel(random_chain(rng, 6))
+    fs = rng.normal(size=(6, 4))
+    u = poisson_solve(model, fs)
+    columns = np.column_stack([poisson_solve(model, fs[:, j]) for j in range(4)])
+    # one LU solve with four right-hand sides rounds differently from four solves
+    tol = 100 * np.finfo(float).eps * np.abs(columns).max()
+    np.testing.assert_allclose(u, columns, rtol=0.0, atol=tol)
+    for bad in (np.ones((5, 4)), np.ones(7), np.ones((6, 4, 1))):
+        with pytest.raises(ValueError, match="6 rows"):
+            poisson_solve(model, bad)
+
+
 # --- asymptotic variance --------------------------------------------------------
 
 

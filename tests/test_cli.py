@@ -78,6 +78,13 @@ def test_validate_rejects_zero_theta_for_adaptive_kernel(tmp_path, capsys):
     assert "theta" in capsys.readouterr().err
 
 
+def test_limit_kernel_theta_error_names_the_bad_entry(tmp_path, capsys):
+    # theta 0 is allowed for a limit kernel, so the message must point at the 2
+    path = gaussian_config(tmp_path, kernel="rwm", theta=[0, 2, 0.5])
+    assert main(["validate", path]) == 1
+    assert "config key 'theta': every theta must lie in (0, 1], got 2.0" in capsys.readouterr().err
+
+
 def test_theta_zero_allowed_for_limit_kernels(tmp_path):
     path = gaussian_config(tmp_path, theta=0.0, kernel="ir_limit")
     config = load_config(path)
@@ -323,6 +330,18 @@ def oracle_config(tmp_path, **overrides):
     }
     cfg.update(overrides)
     return write_config(tmp_path, "oracle.yaml", cfg)
+
+
+@pytest.mark.parametrize("energies", [[i % 7 for i in range(130)], [0] * 130],
+                         ids=["mod7", "zero"])
+def test_oracle_runs_on_instances_past_127_states(tmp_path, energies):
+    path = oracle_config(tmp_path, energies0=energies, energies1=energies,
+                         f=list(range(130)), crosscheck_iterations=10)
+    assert main(["oracle", path]) == 0
+    lines = (tmp_path / "out" / "variance_report.txt").read_text().splitlines()
+    values = dict(line.split(": ", 1) for line in lines[1:])
+    for key in ("sigma_star_sq", "gamma_gbar", "clt_variance", "crosscheck_sample_variance"):
+        assert np.isfinite(float(values[key]))
 
 
 MALFORMED_KEYS = [

@@ -180,6 +180,23 @@ def test_finite_sampler_chi_square_goodness_of_fit():
     assert p_value > 0.001
 
 
+class TopUniform:
+    """Generator stub whose every uniform is the largest double below 1."""
+
+    def random(self, size=None):
+        u = 1.0 - 2.0**-53
+        return u if size is None else np.full(size, u)
+
+
+def test_finite_sampler_stays_on_states_with_mass_at_the_top_uniform():
+    # both tempered laws' cumulative sums reach only 0.9999999999999999, and
+    # state 3 of the second has no mass (exp(-800) underflows to 0)
+    for energies in ([0.0, 0.5, 1.0], [0.0, 0.5, 1.0, 800.0]):
+        target = make_finite_target(energies)
+        assert target.sample_tempered(1.0, TopUniform()) == 2
+        assert list(target.sample_tempered(1.0, TopUniform(), size=3)) == [2, 2, 2]
+
+
 def test_ladder_validation():
     with pytest.raises(ValueError):
         TemperatureLadder((1.0, 2.0))
