@@ -466,10 +466,8 @@ def load_oracle_config(path, seed_override=None, out_override=None) -> dict:
 
 def oracle_report(cfg) -> tuple:
     """VarianceReport for an oracle config, plus the two chain models."""
-    pi0 = np.exp(-(cfg["e0"] - cfg["e0"].min()))
-    pi0 /= pi0.sum()
-    pi1 = np.exp(-(cfg["e1"] - cfg["e1"].min()))
-    pi1 /= pi1.sum()
+    pi0 = make_finite_target(cfg["e0"]).tempered_probabilities(1.0)
+    pi1 = make_finite_target(cfg["e1"]).tempered_probabilities(1.0)
     log_r = cfg["e0"] - cfg["e1"]
     model0 = FiniteChainModel(cfg["p0"], pi0)
     limit = FiniteChainModel(ee_limit_matrix(cfg["p1"], pi0, log_r, cfg["theta"]), pi1)
@@ -484,11 +482,8 @@ def format_variance_report(report, theta, crosscheck=None) -> str:
         f"sigma_star_sq: {report.sigma_star_sq!r}",
         f"gamma_gbar: {report.gamma_gbar!r}",
         f"clt_variance: {report.clt_variance!r}",
+        f"second_moment_limit: {report.second_moment_limit!r}",
     ]
-    if report.second_moment_limit is None:
-        lines.append("second_moment_limit: not applicable (levels do not share kernel and law)")
-    else:
-        lines.append(f"second_moment_limit: {report.second_moment_limit!r}")
     if crosscheck is not None:
         lines.append(f"crosscheck_sample_variance: {crosscheck['variance']!r}")
         lines.append(f"crosscheck_standard_error: {crosscheck['std_err']!r}")

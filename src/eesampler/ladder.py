@@ -214,7 +214,7 @@ def run_ladder(target, ladder, configs, scheme: str, n_iterations: int, seed: in
 
 
 def run_single(target, ladder, config: KernelConfig, kind: str, n_iterations: int,
-               seed: int, level: int | None = None, initial_state=None) -> Trajectory:
+               seed: int, level: int | None = None) -> Trajectory:
     """Run one chain with a non-adaptive kernel (rwm, ee_limit or ir_limit).
 
     The chain sits at ``level`` of the ladder (default: the coldest) and
@@ -230,7 +230,7 @@ def run_single(target, ladder, config: KernelConfig, kind: str, n_iterations: in
         raise ValueError("the limit EE kernel needs a hotter level and cannot run at level 0")
     kernel = {"rwm": rwm_step, "ee_limit": limit_ee_step, "ir_limit": limit_ir_step}[kind]
     rng = level_rng(seed, level)
-    x = target.initial_state() if initial_state is None else initial_state
+    x = target.initial_state()
 
     def step():
         nonlocal x

@@ -188,7 +188,7 @@ def test_criterion_5_second_moment_coefficient_two():
 
 
 # two-level instances whose levels run different kernels on different laws:
-# (energies, f, hot temperature t0, theta, move probability, seed)
+# (name, energies, f, hot temperature t0, theta, move probability, seed)
 NON_SHARED_PANEL = (
     ("well t0=2", WELL_ENERGIES, WELL_F, 2.0, 0.5, 0.6, 606),
     ("well t0=3", WELL_ENERGIES, WELL_F, 3.0, 0.3, 0.6, 607),
@@ -219,7 +219,10 @@ def test_second_moment_coefficient_two_on_non_shared_instances():
         coef2 = report.second_moment_limit
         assert abs(sample_var - coef2) <= 3.0 * se, name
         assert abs(sample_var - coef2) < abs(sample_var - report.clt_variance), name
-        details.append(f"{name} z={(sample_var - coef2) / se:+.2f}")
+        details.append(
+            f"{name} z={(sample_var - coef2) / se:+.2f} "
+            f"(coefficient 4: {(sample_var - report.clt_variance) / se:+.1f})"
+        )
     _report("coefficient 2 on non-shared instances", ", ".join(details))
 
 

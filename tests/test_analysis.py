@@ -86,6 +86,9 @@ def test_model_validates_rows_and_residual():
     m = np.array([[0.4, 0.6], [0.3, 0.7]])
     with pytest.raises(ValueError):
         FiniteChainModel(m, stationary=np.array([0.9, 0.1]))
+    for degenerate in ([0.0, 0.0], [np.nan, 1.0], [0.5, np.inf]):
+        with pytest.raises(ValueError, match="finite with positive total mass"):
+            FiniteChainModel(m, stationary=np.array(degenerate))
 
 
 # --- Poisson equation ----------------------------------------------------------
@@ -357,7 +360,7 @@ def test_shared_kernel_case_dual_formulas():
     )
 
 
-def test_generic_instance_marks_second_moment_not_applicable():
+def test_generic_instance_reports_coefficient_two_second_moment():
     rng = np.random.default_rng(13)
     e0 = np.array([0.0, 0.5, 1.0, 1.5, 2.0]) / 2.0
     e1 = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
@@ -366,7 +369,9 @@ def test_generic_instance_marks_second_moment_not_applicable():
     p1 = metropolis_matrix(neighbor_proposal(5), -e1)
     limit = FiniteChainModel(ee_limit_matrix(p1, pi0, e0 - e1, 0.5))
     report = ee_limit_clt_variance(model0, limit, 0.5, rng.normal(size=5))
-    assert report.second_moment_limit is None
+    assert report.second_moment_limit == pytest.approx(
+        report.sigma_star_sq + 2.0 * 0.5**2 * report.gamma_gbar, rel=1e-12
+    )
     assert report.gamma_gbar > 1e-12
     assert report.clt_variance > report.sigma_star_sq
 

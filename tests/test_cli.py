@@ -241,7 +241,15 @@ def test_oracle_against_independent_model_construction(tmp_path):
     direct = ee_limit_clt_variance(model0, limit, 0.4, np.array(cfg["f"]), log_r=e0 - e1)
     assert report.sigma_star_sq == pytest.approx(direct.sigma_star_sq, rel=1e-14)
     assert report.gamma_gbar == pytest.approx(direct.gamma_gbar, rel=1e-14)
-    assert report.second_moment_limit is None and direct.second_moment_limit is None
+    assert report.second_moment_limit == pytest.approx(direct.second_moment_limit, rel=1e-14)
+    assert report.second_moment_limit == pytest.approx(
+        report.sigma_star_sq + 2.0 * 0.6**2 * report.gamma_gbar, rel=1e-14
+    )
+    assert main(["oracle", path]) == 0
+    text = (tmp_path / "oracle2" / "variance_report.txt").read_text()
+    assert "not applicable" not in text
+    line = next(ln for ln in text.splitlines() if ln.startswith("second_moment_limit:"))
+    assert float(line.partition(":")[2]) == report.second_moment_limit
 
 
 def test_failure_sentinel_on_midrun_error(tmp_path, capsys):
