@@ -447,10 +447,13 @@ def mse_harness(samplers, estimands, replications: int, iterations: int,
     same across samplers.  MSEs are measured at the coldest level against
     the supplied truths, and the ratio rows are normalized by the first
     (baseline) sampler.  With ``jobs`` > 1 replications fan out to a
-    process pool; results are independent of the worker count.
+    process pool of min(jobs, samplers x replications) workers; results are
+    independent of the worker count.
     """
     if replications < 1 or iterations < 1:
         raise ValueError("replications and iterations must be positive")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     samplers = list(samplers)
     estimands = list(estimands)
     seeds = [replication_seed(master_seed, r) for r in range(replications)]
@@ -460,8 +463,9 @@ def mse_harness(samplers, estimands, replications: int, iterations: int,
         for r in range(replications)
     ]
     averages = np.empty((len(samplers), replications, len(estimands)))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for (s, r, _), result in zip(
                 tasks, pool.map(_replication_task, [t[2] for t in tasks], chunksize=4)
             ):

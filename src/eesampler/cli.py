@@ -97,6 +97,17 @@ def _int_at_least(key, value, low):
     return value
 
 
+def _jobs(text) -> int:
+    """``--jobs``: an integer >= 1, else an argparse usage error (exit 2)."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return jobs
+
+
 def _out_dir(raw, out_override) -> Path:
     out = raw.get("out", "results") if out_override is None else out_override
     return _checked("out", Path, out)
@@ -544,7 +555,7 @@ def main(argv=None) -> int:
     p.add_argument("config")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("oracle", help="exact two-level variance report (finite targets)")

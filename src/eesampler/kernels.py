@@ -17,6 +17,13 @@ Conventions shared by all mixture kernels:
 * acceptance ratios are formed in log domain from energy differences,
   never from normalized densities.
 
+Energy contract: every step kernel takes an optional ``energy`` of the
+current state x, which must be exactly ``target.energy(x)`` or ``None``
+(then the step evaluates it).  ``StepOutcome.energy`` is E(next) when the
+step evaluated it, else ``None``, so a caller that passes each outcome's
+energy into the next step evaluates E once per proposal.  Every energy a
+step evaluates comes from ``target.energy`` and is checked finite.
+
 On finite targets the "random walk Metropolis" base kernel is a single
 row draw from a caller-supplied stochastic matrix with the right
 tempered stationary law; ``metropolis_matrix`` builds such a matrix from
@@ -35,10 +42,9 @@ from .targets import (
     MissingExactSamplerError,
     _as_spd_matrix,
     _pinned_cumsum,
+    checked_energy,
     importance_coefficient,
-    importance_log_weight,
     importance_log_weights_many,
-    tempered_log_density,
 )
 
 STOCHASTIC_ATOL = 1e-12
@@ -52,11 +58,16 @@ class KappaTooLargeError(ValueError):
 
 @dataclass(slots=True)
 class StepOutcome:
-    """Result of one kernel step, with diagnostics for rate reporting."""
+    """Result of one kernel step, with diagnostics for rate reporting.
+
+    ``energy`` is ``target.energy(next)`` when the step evaluated it, else
+    ``None``.
+    """
 
     next: object
     branch: str
     accepted: bool
+    energy: float | None = None
 
 
 @dataclass(frozen=True)
@@ -124,10 +135,10 @@ def _check_stochastic(matrix) -> np.ndarray:
 
 
 def _draw_row(cum_row: np.ndarray, rng) -> int:
-    return int(np.searchsorted(cum_row, rng.random(), side="right"))
+    return int(cum_row.searchsorted(rng.random(), side="right"))
 
 
-def rwm_step(target, ladder, level, x, config: KernelConfig, rng) -> StepOutcome:
+def rwm_step(target, ladder, level, x, config: KernelConfig, rng, energy=None) -> StepOutcome:
     """One local step at ``level``.
 
     Continuous targets: propose y = x + z with z ~ N(0, proposal
@@ -144,30 +155,34 @@ def rwm_step(target, ladder, level, x, config: KernelConfig, rng) -> StepOutcome
         raise ValueError(
             f"proposal dimension {chol.shape[0]} does not match state dimension {x.shape[0]}"
         )
-    return _metropolis_move(target, ladder, level, x, chol, rng)
+    return _metropolis_move(target, ladder.temperature(level), x, energy, chol, rng)
 
 
-def _metropolis_move(target, ladder, level, x, chol, rng) -> StepOutcome:
+def _metropolis_move(target, t, x, ex, chol, rng) -> StepOutcome:
+    """Random-walk Metropolis at temperature t from x, whose energy is ex (or None)."""
     y = x + chol @ rng.standard_normal(len(x))
-    lar = tempered_log_density(target, ladder, level, y) - tempered_log_density(
-        target, ladder, level, x
-    )
-    if math.log(rng.random()) < lar:
-        return StepOutcome(y, LOCAL, True)
-    return StepOutcome(x, LOCAL, False)
+    ey = checked_energy(target, y)
+    if ex is None:
+        ex = checked_energy(target, x)
+    if math.log(rng.random()) < (-ey / t) - (-ex / t):
+        return StepOutcome(y, LOCAL, True, ey)
+    return StepOutcome(x, LOCAL, False, ex)
 
 
-def _exchange_move(target, ladder, level, x, y, rng) -> StepOutcome:
-    """Move from x to the proposed y with probability min(1, r(y)/r(x))."""
-    lar = importance_log_weight(target, ladder, level, y) - importance_log_weight(
-        target, ladder, level, x
-    )
-    if math.log(rng.random()) < lar:
-        return StepOutcome(y, EXCHANGE, True)
-    return StepOutcome(x, EXCHANGE, False)
+def _exchange_move(target, ladder, level, x, ex, y, rng) -> StepOutcome:
+    """Move from x (energy ex, or None) to the proposed y with probability
+    min(1, r(y)/r(x))."""
+    c = importance_coefficient(ladder, level)
+    ey = checked_energy(target, y)
+    if ex is None:
+        ex = checked_energy(target, x)
+    if math.log(rng.random()) < (-ey * c) - (-ex * c):
+        return StepOutcome(y, EXCHANGE, True, ey)
+    return StepOutcome(x, EXCHANGE, False, ex)
 
 
-def ee_adaptive_step(target, ladder, level, x, reservoir, config: KernelConfig, rng) -> StepOutcome:
+def ee_adaptive_step(target, ladder, level, x, reservoir, config: KernelConfig, rng,
+                     energy=None) -> StepOutcome:
     """Equi-energy adaptive step at ``level`` against the level-(l-1) reservoir.
 
     With probability theta takes the local branch; otherwise proposes a
@@ -177,11 +192,12 @@ def ee_adaptive_step(target, ladder, level, x, reservoir, config: KernelConfig, 
     """
     u = rng.random()
     if u < config.theta or reservoir.count == 0:
-        return rwm_step(target, ladder, level, x, config, rng)
-    return _exchange_move(target, ladder, level, x, reservoir.sample_uniform(rng), rng)
+        return rwm_step(target, ladder, level, x, config, rng, energy)
+    return _exchange_move(target, ladder, level, x, energy, reservoir.sample_uniform(rng), rng)
 
 
-def ir_adaptive_step(target, ladder, level, x, reservoir, config: KernelConfig, rng) -> StepOutcome:
+def ir_adaptive_step(target, ladder, level, x, reservoir, config: KernelConfig, rng,
+                     energy=None) -> StepOutcome:
     """Importance-resampling adaptive step at ``level``.
 
     With probability theta takes the local branch; otherwise resamples a
@@ -191,35 +207,39 @@ def ir_adaptive_step(target, ladder, level, x, reservoir, config: KernelConfig, 
     """
     u = rng.random()
     if u < config.theta or reservoir.count == 0:
-        return rwm_step(target, ladder, level, x, config, rng)
+        return rwm_step(target, ladder, level, x, config, rng, energy)
     y = reservoir.sample_weighted(
         lambda xs: importance_log_weights_many(target, ladder, level, xs), rng
     )
     if target.kind == "finite":
         z = _draw_row(config._base_cum[int(y)], rng)
         return StepOutcome(z, RESAMPLE, True)
-    inner = _metropolis_move(target, ladder, level, np.asarray(y, dtype=float), config._ir_chol, rng)
-    return StepOutcome(inner.next, RESAMPLE, inner.accepted)
+    t = ladder.temperature(level)
+    inner = _metropolis_move(target, t, np.asarray(y, dtype=float), None, config._ir_chol, rng)
+    inner.branch = RESAMPLE
+    return inner
 
 
-def limit_ee_step(target, ladder, level, x, config: KernelConfig, rng) -> StepOutcome:
+def limit_ee_step(target, ladder, level, x, config: KernelConfig, rng,
+                  energy=None) -> StepOutcome:
     """Limiting equi-energy kernel: independence MH proposing from the
     exact level-(l-1) tempered law instead of the reservoir."""
     u = rng.random()
     if u < config.theta:
-        return rwm_step(target, ladder, level, x, config, rng)
+        return rwm_step(target, ladder, level, x, config, rng, energy)
     if not target.has_exact_sampler:
         raise MissingExactSamplerError("limit EE kernel needs an exact tempered sampler")
     y = target.sample_tempered(ladder.temperature(level - 1), rng)
-    return _exchange_move(target, ladder, level, x, y, rng)
+    return _exchange_move(target, ladder, level, x, energy, y, rng)
 
 
-def limit_ir_step(target, ladder, level, x, config: KernelConfig, rng) -> StepOutcome:
+def limit_ir_step(target, ladder, level, x, config: KernelConfig, rng,
+                  energy=None) -> StepOutcome:
     """Limiting importance-resampling kernel: mixture of the local kernel
     with an exact refresh from the level-l tempered law."""
     u = rng.random()
     if u < config.theta:
-        return rwm_step(target, ladder, level, x, config, rng)
+        return rwm_step(target, ladder, level, x, config, rng, energy)
     if not target.has_exact_sampler:
         raise MissingExactSamplerError("limit IR kernel needs an exact tempered sampler")
     y = target.sample_tempered(ladder.temperature(level), rng)

@@ -50,11 +50,16 @@ def level_rng(seed: int, level: int) -> np.random.Generator:
 
 @dataclass
 class LadderState:
-    """Joint state (current states, reservoirs of levels 0..K-1, iteration)."""
+    """Joint state (current states, reservoirs of levels 0..K-1, iteration).
+
+    ``energies[l]`` is ``target.energy(states[l])`` or ``None`` (not yet
+    evaluated); whoever replaces a state sets its energy to ``None``.
+    """
 
     states: list
     reservoirs: list
     rngs: list
+    energies: list
     iteration: int = 0
 
 
@@ -79,7 +84,8 @@ def init_ladder_state(target, ladder, seed: int, initial_states=None,
         for level, res in enumerate(reservoirs):
             res.push(states[level])
     rngs = [level_rng(seed, level) for level in range(n_levels)]
-    return LadderState(states=states, reservoirs=reservoirs, rngs=rngs)
+    return LadderState(states=states, reservoirs=reservoirs, rngs=rngs,
+                       energies=[None] * n_levels)
 
 
 def ladder_step(state: LadderState, target, ladder, configs, scheme: str):
@@ -94,23 +100,26 @@ def ladder_step(state: LadderState, target, ladder, configs, scheme: str):
         adaptive = ir_adaptive_step
     else:
         raise ValueError(f"scheme must be 'ee' or 'ir', got {scheme!r}")
-    outcomes = [rwm_step(target, ladder, 0, state.states[0], configs[0], state.rngs[0])]
+    states, energies, reservoirs, rngs = state.states, state.energies, state.reservoirs, state.rngs
+    outcomes = [rwm_step(target, ladder, 0, states[0], configs[0], rngs[0], energies[0])]
     for level in range(1, ladder.n_levels):
         outcomes.append(
             adaptive(
                 target,
                 ladder,
                 level,
-                state.states[level],
-                state.reservoirs[level - 1],
+                states[level],
+                reservoirs[level - 1],
                 configs[level],
-                state.rngs[level],
+                rngs[level],
+                energies[level],
             )
         )
     for level, out in enumerate(outcomes):
-        state.states[level] = out.next
-        if level < len(state.reservoirs):
-            state.reservoirs[level].push(out.next)
+        states[level] = out.next
+        energies[level] = out.energy
+        if level < len(reservoirs):
+            reservoirs[level].push(out.next)
     state.iteration += 1
     return outcomes
 
@@ -231,11 +240,12 @@ def run_single(target, ladder, config: KernelConfig, kind: str, n_iterations: in
     kernel = {"rwm": rwm_step, "ee_limit": limit_ee_step, "ir_limit": limit_ir_step}[kind]
     rng = level_rng(seed, level)
     x = target.initial_state()
+    energy = None
 
     def step():
-        nonlocal x
-        out = kernel(target, ladder, level, x, config, rng)
-        x = out.next
+        nonlocal x, energy
+        out = kernel(target, ladder, level, x, config, rng, energy)
+        x, energy = out.next, out.energy
         return (out,)
 
     meta = {

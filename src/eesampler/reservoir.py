@@ -123,7 +123,7 @@ class Reservoir:
             new = np.asarray(log_weight(self.samples[done:]), dtype=float)
             if new.shape != (n - done,):
                 raise ValueError(f"log_weight must return {n - done} values, got {new.shape}")
-            if not np.all(np.isfinite(new)):
+            if not np.isfinite(new).all():
                 raise NonFiniteWeightError("resampling log weights must be finite")
             if len(self._lw) < n:
                 size = len(self._buf)
@@ -133,14 +133,14 @@ class Reservoir:
             top = new.max()
             if top > self._shift:
                 self._shift = top
-                np.cumsum(np.exp(self._lw[:n] - top), out=self._cum[:n])
+                np.exp(self._lw[:n] - top).cumsum(out=self._cum[:n])
             else:
                 w = np.exp(new - self._shift)
                 w[0] += self._cum[done - 1]
-                np.cumsum(w, out=self._cum[done:n])
+                w.cumsum(out=self._cum[done:n])
             self._weighted = n
         cdf = self._cum[:n]
-        k = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+        k = int(cdf.searchsorted(rng.random() * cdf[-1], side="right"))
         return self._item(min(k, n - 1))
 
     def empirical_distribution(self, state_count: int) -> np.ndarray:

@@ -13,6 +13,7 @@ tempered samplers, which the limiting-kernel samplers require.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,7 +205,7 @@ class TemperatureLadder:
         return self.thetas[level - 1]
 
     def _check_level(self, level: int):
-        if not 0 <= level <= self.top_level:
+        if not 0 <= level < len(self.temperatures):
             raise ValueError(f"level must be in [0, {self.top_level}], got {level}")
 
 
@@ -218,13 +219,18 @@ def make_finite_target(energies) -> FiniteTarget:
     return FiniteTarget(energies)
 
 
+def checked_energy(target, x) -> float:
+    """E(x) from ``target.energy``, rejecting a NaN or infinite value."""
+    e = target.energy(x)
+    if not math.isfinite(e):
+        raise ValueError(f"non-finite energy at state {x!r}")
+    return e
+
+
 def tempered_log_density(target, ladder: TemperatureLadder, level: int, x) -> float:
     """Unnormalized log density -E(x)/t_level (additive constant unspecified)."""
-    ladder._check_level(level)
-    e = target.energy(x)
-    if not np.isfinite(e):
-        raise ValueError(f"non-finite energy at state {x!r}")
-    return -e / ladder.temperatures[level]
+    t = ladder.temperature(level)
+    return -checked_energy(target, x) / t
 
 
 def importance_log_weight(target, ladder: TemperatureLadder, level: int, x) -> float:
@@ -234,10 +240,7 @@ def importance_log_weight(target, ladder: TemperatureLadder, level: int, x) -> f
     against the level-l one; it is strictly decreasing in E(x).
     """
     coeff = importance_coefficient(ladder, level)
-    e = target.energy(x)
-    if not np.isfinite(e):
-        raise ValueError(f"non-finite energy at state {x!r}")
-    return -e * coeff
+    return -checked_energy(target, x) * coeff
 
 
 def importance_coefficient(ladder: TemperatureLadder, level: int) -> float:

@@ -522,6 +522,24 @@ def test_mse_harness_results_independent_of_worker_count():
     assert np.array_equal(seq.mse, par.mse)
 
 
+def test_mse_harness_pool_has_no_more_workers_than_tasks(pool_sizes):
+    specs, estimands = finite_specs()
+    serial = mse_harness(specs, estimands, replications=3, iterations=200, master_seed=27)
+    for jobs in (64, 4):
+        table = mse_harness(specs, estimands, replications=3, iterations=200, master_seed=27,
+                            jobs=jobs)
+        assert np.array_equal(table.mse, serial.mse)
+    mse_harness(specs[:1], estimands, replications=1, iterations=200, master_seed=27, jobs=2)
+    assert pool_sizes == [6, 4]  # 2 samplers x 3 replications; a single task runs in-process
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_mse_harness_rejects_jobs_below_one(jobs):
+    specs, estimands = finite_specs()
+    with pytest.raises(ValueError, match="jobs"):
+        mse_harness(specs, estimands, replications=2, iterations=50, master_seed=28, jobs=jobs)
+
+
 def test_iid_sampler_mse_matches_closed_form():
     sigma = np.array([[0.96, 2.44], [2.44, 7.04]])
     target = make_gaussian_target(sigma)

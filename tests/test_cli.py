@@ -155,6 +155,22 @@ def test_table1_smoke_and_csv_roundtrip(tmp_path, capsys):
     assert mse_value == mse_value
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "abc"])
+def test_table1_rejects_jobs_below_one_before_any_output(tmp_path, capsys, jobs):
+    path = finite_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["table1", path, "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_table1_pool_is_sized_by_its_tasks(tmp_path, pool_sizes):
+    path = finite_config(tmp_path, iterations=50, replications=2)
+    assert main(["table1", path, "--jobs", "64"]) == 0
+    assert pool_sizes == [10]  # 5 samplers x 2 replications
+
+
 def test_oracle_report_matches_direct_computation(tmp_path):
     cfg = {
         "target": "finite",

@@ -22,6 +22,7 @@ from eesampler import (
     stationary_distribution,
     theta_lower_bound,
 )
+from eesampler.targets import GaussianTarget
 
 SIGMA = np.array([[0.96, 2.44], [2.44, 7.04]])
 
@@ -336,3 +337,35 @@ def test_kernel_config_validation():
     bad_rows = np.array([[0.5, 0.4], [0.0, 1.0]])
     with pytest.raises(ValueError):
         KernelConfig(theta=0.5, base_matrix=bad_rows)
+
+
+class NanEnergyTarget(GaussianTarget):
+    """A Gaussian whose scalar energy is NaN everywhere (batch energies stay finite)."""
+
+    def energy(self, x):
+        super().energy(x)
+        return float("nan")
+
+
+@pytest.mark.parametrize(
+    "kind, theta",
+    [("rwm", 1.0), ("ee", 1.0), ("ee", 0.0), ("ir", 1.0), ("ir", 0.0),
+     ("ee_limit", 1.0), ("ee_limit", 0.0), ("ir_limit", 1.0)],
+)
+def test_fresh_non_finite_energy_raises_even_with_a_carried_energy(kind, theta):
+    target = NanEnergyTarget(np.eye(2))
+    ladder = TemperatureLadder((2.0, 1.0), (0.5,))
+    config = KernelConfig(theta=theta, proposal_covariance=np.eye(2))
+    res = Reservoir(dimension=2)
+    res.push(np.ones(2))
+    rng = np.random.default_rng(8)
+    x = np.zeros(2)
+    steps = {
+        "rwm": lambda: rwm_step(target, ladder, 1, x, config, rng, 0.0),
+        "ee": lambda: ee_adaptive_step(target, ladder, 1, x, res, config, rng, 0.0),
+        "ir": lambda: ir_adaptive_step(target, ladder, 1, x, res, config, rng, 0.0),
+        "ee_limit": lambda: limit_ee_step(target, ladder, 1, x, config, rng, 0.0),
+        "ir_limit": lambda: limit_ir_step(target, ladder, 1, x, config, rng, 0.0),
+    }
+    with pytest.raises(ValueError, match="non-finite energy"):
+        steps[kind]()

@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eesampler.ladder as ladder_module
 from eesampler import (
     KernelConfig,
     TemperatureLadder,
@@ -20,7 +22,16 @@ from eesampler import (
     run_single,
     tempered_log_density,
 )
-from eesampler.ladder import BRANCH_CODES
+from eesampler.cli import load_config
+from eesampler.kernels import (
+    ee_adaptive_step,
+    ir_adaptive_step,
+    limit_ee_step,
+    limit_ir_step,
+    rwm_step,
+)
+from eesampler.ladder import ADAPTIVE_KINDS, BRANCH_CODES, SINGLE_KINDS
+from eesampler.targets import GaussianTarget
 
 SIGMA = np.array([[0.96, 2.44], [2.44, 7.04]])
 
@@ -134,7 +145,7 @@ def test_run_single_rwm_matches_manual_metropolis():
         if math.log(rng.random()) < lar:
             x = y
         states.append(x.copy())
-    assert np.allclose(traj.states[0], np.array(states), atol=0.0)
+    assert np.array_equal(traj.states[0], np.array(states))
 
 
 def test_limit_ir_theta_zero_has_no_autocorrelation():
@@ -218,3 +229,100 @@ def test_trajectory_csv_roundtrip(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "1" and first[1] == "0"
     assert int(first[2]) == traj.states[0][0]
+
+
+# --- the energy handoff between steps --------------------------------------------
+
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+KERNEL_NAMES = {
+    "rwm": "rwm_step",
+    "ee": "ee_adaptive_step",
+    "ir": "ir_adaptive_step",
+    "ee_limit": "limit_ee_step",
+    "ir_limit": "limit_ir_step",
+}
+HANDOFF_CASES = [
+    (config, kind)
+    for config in ("gaussian_table1.yaml", "finite_5state.yaml")
+    for kind in ADAPTIVE_KINDS + SINGLE_KINDS
+]
+
+
+def reference_run(kind, target, ladder, configs, n, seed):
+    """States, branches and accepted flags of ``run_sampler`` rebuilt with
+    ``energy=None`` at every step, so every step evaluates E(x) afresh."""
+    outcomes = []
+    if kind in ADAPTIVE_KINDS:
+        adaptive = ee_adaptive_step if kind == "ee" else ir_adaptive_step
+        state = init_ladder_state(target, ladder, seed)
+        for _ in range(n):
+            outs = [rwm_step(target, ladder, 0, state.states[0], configs[0], state.rngs[0])]
+            for level in range(1, ladder.n_levels):
+                outs.append(adaptive(target, ladder, level, state.states[level],
+                                     state.reservoirs[level - 1], configs[level],
+                                     state.rngs[level]))
+            for level, out in enumerate(outs):
+                state.states[level] = out.next
+                if level < len(state.reservoirs):
+                    state.reservoirs[level].push(out.next)
+            outcomes.append(outs)
+    else:
+        kernel = {"rwm": rwm_step, "ee_limit": limit_ee_step, "ir_limit": limit_ir_step}[kind]
+        level = ladder.top_level
+        rng = level_rng(seed, level)
+        x = target.initial_state()
+        for _ in range(n):
+            out = kernel(target, ladder, level, x, configs[-1], rng)
+            x = out.next
+            outcomes.append([out])
+    states = [np.array([outs[level].next for outs in outcomes]) for level in range(len(outcomes[0]))]
+    branches = np.array([[BRANCH_CODES[o.branch] for o in outs] for outs in outcomes])
+    accepted = np.array([[o.accepted for o in outs] for outs in outcomes])
+    return states, branches, accepted
+
+
+@pytest.mark.parametrize("config_name, kind", HANDOFF_CASES)
+def test_carried_energies_keep_every_trajectory_bit_for_bit(monkeypatch, config_name, kind):
+    cfg = load_config(CONFIGS / config_name)
+    target, ladder, configs = cfg.target, cfg.ladder, cfg.configs
+    carried = []
+
+    def checked(kernel):
+        def step(target, ladder, level, x, *rest):
+            energy = rest[-1]
+            assert energy is None or energy == target.energy(x)
+            out = kernel(target, ladder, level, x, *rest)
+            assert out.energy is None or out.energy == target.energy(out.next)
+            carried.append(energy is not None)
+            return out
+        return step
+
+    name = KERNEL_NAMES[kind]
+    monkeypatch.setattr(ladder_module, name, checked(getattr(ladder_module, name)))
+    if kind in ADAPTIVE_KINDS:
+        monkeypatch.setattr(ladder_module, "rwm_step", checked(ladder_module.rwm_step))
+    n, seed = 300, 5
+    traj = run_sampler(kind, target, ladder, configs, n, seed)
+    states, branches, accepted = reference_run(kind, target, ladder, configs, n, seed)
+    for mine, ref in zip(traj.states, states):
+        assert np.array_equal(mine, ref)
+    assert np.array_equal(traj.branches, branches)
+    assert np.array_equal(traj.accepted, accepted)
+    assert len(carried) == n * traj.n_levels
+    if target.kind != "finite" or kind in ("ee", "ee_limit"):
+        assert sum(carried) > n // 4  # the handoff is exercised, not bypassed
+
+
+def test_rwm_evaluates_one_energy_per_proposal(monkeypatch):
+    calls = []
+    energy = GaussianTarget.energy
+
+    def counting(self, x):
+        calls.append(1)
+        return energy(self, x)
+
+    monkeypatch.setattr(GaussianTarget, "energy", counting)
+    cfg = load_config(CONFIGS / "gaussian_table1.yaml")
+    n = 500
+    run_sampler("rwm", cfg.target, cfg.ladder, cfg.configs, n, seed=3)
+    assert len(calls) == n + 1
