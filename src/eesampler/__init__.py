@@ -15,7 +15,6 @@ from .analysis import (
     ee_limit_clt_variance,
     ee_pair_scaled_sums,
     gamma_covariance,
-    gamma_covariance_matrix,
     mse_harness,
     poisson_solve,
     replication_seed,
@@ -50,7 +49,6 @@ from .ladder import (
 from .reservoir import EmptyReservoirError, NonFiniteWeightError, Reservoir
 from .targets import (
     GaussianTarget,
-    MissingExactSamplerError,
     TemperatureLadder,
     importance_log_weight,
     make_finite_target,

@@ -199,16 +199,6 @@ def gamma_covariance(model0: FiniteChainModel, f, g=None) -> float:
     return float(model0.stationary @ (uf * ug - (m @ uf) * (m @ ug)))
 
 
-def gamma_covariance_matrix(model0: FiniteChainModel, h: np.ndarray) -> np.ndarray:
-    """Gamma(x, y) over all pairs of rows of an H matrix (rows as functions)."""
-    h = np.asarray(h, dtype=float)
-    pi0 = model0.stationary
-    hc = h - (h @ pi0)[:, None]
-    u = poisson_solve(model0, hc.T)  # columns are U_x
-    mu = model0.matrix @ u
-    return u.T @ (pi0[:, None] * u) - mu.T @ (pi0[:, None] * mu)
-
-
 @dataclass(frozen=True)
 class VarianceReport:
     """The variance decomposition of the two-level equi-energy scheme.
@@ -326,9 +316,9 @@ def ee_pair_scaled_sums(p0, p1, theta: float, log_r, f, n_steps: int,
         sums = np.zeros(r)
         rows = np.arange(r)
         for n in range(1, n_steps + 1):
-            s0 = (cum0[s0] < rng.random(r)[:, None]).sum(axis=1)
+            s0 = (cum0[s0] <= rng.random(r)[:, None]).sum(axis=1)
             exchange = rng.random(r) >= theta
-            local_next = (cum1[s1] < rng.random(r)[:, None]).sum(axis=1)
+            local_next = (cum1[s1] <= rng.random(r)[:, None]).sum(axis=1)
             if n == 1:
                 s1 = local_next
             else:

@@ -12,11 +12,12 @@ One executable with four subcommands:
   instance, optionally cross-checked by replicated simulation.
 
 Configs are flat YAML files; every key is documented in the README and
-in the bundled files under demos/configs/.  A digest of the parsed
-config is embedded in every metadata sidecar, and CSV output is
-byte-identical across repeated invocations (timestamps only live in the
-sidecars).  If a command fails after its output directory was created, a
-FAILED sentinel file with the error is left there.
+in the bundled files under demos/configs/, and any other key is a config
+error.  A digest of the parsed config is embedded in every metadata
+sidecar, and CSV output is byte-identical across repeated invocations
+(timestamps only live in the sidecars).  If a command fails after its
+output directory was created, a FAILED sentinel file with the error is
+left there.
 """
 
 from __future__ import annotations
@@ -108,6 +109,13 @@ def _jobs(text) -> int:
     return jobs
 
 
+def _check_keys(raw: dict, known: frozenset):
+    """Reject a key the loader does not read, so a misspelt key cannot pass unnoticed."""
+    for key in raw:
+        if key not in known:
+            _fail(key, "unknown key")
+
+
 def _out_dir(raw, out_override) -> Path:
     out = raw.get("out", "results") if out_override is None else out_override
     return _checked("out", Path, out)
@@ -147,7 +155,6 @@ class RunConfig:
     seed: int
     burn_in: int
     out: Path
-    include_initial_state: bool
 
 
 def _build_target(raw):
@@ -198,8 +205,16 @@ def _finite_bases(raw, n, log_weights) -> list:
     return [_checked("proposal_matrix", metropolis_matrix, proposal, lw) for lw in log_weights]
 
 
+RUN_KEYS = frozenset((
+    "target", "covariance", "energies", "temperatures", "theta", "proposal_scale",
+    "move_prob", "proposal_matrix", "kernel", "iterations", "replications", "burn_in",
+    "seed", "out", "lambdas", "kappas",
+))
+
+
 def load_config(path, kernel_override=None, seed_override=None, out_override=None) -> RunConfig:
     raw = load_raw_config(path)
+    _check_keys(raw, RUN_KEYS)
     kernel = kernel_override or raw.get("kernel")
     if kernel is not None and kernel not in ADAPTIVE_KINDS + SINGLE_KINDS:
         _fail("kernel", f"must be one of {ADAPTIVE_KINDS + SINGLE_KINDS}, got {kernel!r}")
@@ -211,10 +226,6 @@ def load_config(path, kernel_override=None, seed_override=None, out_override=Non
         kwargs = {"base_matrices": _finite_bases(raw, target.state_count, log_weights)}
     else:
         kwargs = {"proposal_covariance": proposal_scale**2 * np.eye(target.dimension)}
-        if "ir_proposal_scale" in raw:
-            kwargs["ir_proposal_covariance"] = (
-                _positive_scale(raw, "ir_proposal_scale") ** 2 * np.eye(target.dimension)
-            )
     configs = ladder_configs(ladder, single_theta=single_theta, **kwargs)
     seed = seed_override if seed_override is not None else raw.get("seed")
     _int_at_least("seed", seed, 0)
@@ -223,9 +234,6 @@ def load_config(path, kernel_override=None, seed_override=None, out_override=Non
     if burn_in >= iterations:
         _fail("burn_in", f"must be below iterations={iterations}")
     replications = _int_at_least("replications", raw.get("replications", 1), 1)
-    include_initial_state = raw.get("include_initial_state", False)
-    if not isinstance(include_initial_state, bool):
-        _fail("include_initial_state", f"must be true or false, got {include_initial_state!r}")
     return RunConfig(
         raw=raw,
         target=target,
@@ -237,7 +245,6 @@ def load_config(path, kernel_override=None, seed_override=None, out_override=Non
         seed=seed,
         burn_in=burn_in,
         out=_out_dir(raw, out_override),
-        include_initial_state=include_initial_state,
     )
 
 
@@ -340,11 +347,8 @@ def cmd_run(args) -> int:
         _fail("kernel", "required for the run command (config key or --kernel)")
 
     def work():
-        traj = run_sampler(
-            config.kernel, config.target, config.ladder, config.configs,
-            config.iterations, config.seed,
-            include_initial_state=config.include_initial_state,
-        )
+        traj = run_sampler(config.kernel, config.target, config.ladder, config.configs,
+                           config.iterations, config.seed)
         csv_path = config.out / "trajectory.csv"
         traj.to_csv(csv_path)
         diagnostics = {
@@ -423,8 +427,16 @@ def cmd_table1(args) -> int:
 # --- the finite-instance oracle command ----------------------------------------
 
 
+ORACLE_KEYS = frozenset((
+    "target", "energies0", "energies1", "energies", "temperatures", "theta", "move_prob",
+    "proposal_matrix", "p0", "p1", "f", "seed", "out", "crosscheck_replications",
+    "crosscheck_iterations",
+))
+
+
 def load_oracle_config(path, seed_override=None, out_override=None) -> dict:
     raw = load_raw_config(path)
+    _check_keys(raw, ORACLE_KEYS)
     if raw.get("target", "finite") != "finite":
         _fail("target", "the oracle command works on finite targets")
     if "energies0" in raw or "energies1" in raw:

@@ -39,7 +39,6 @@ from functools import cached_property
 import numpy as np
 
 from .targets import (
-    MissingExactSamplerError,
     _as_spd_matrix,
     _pinned_cumsum,
     checked_energy,
@@ -79,15 +78,13 @@ class KernelConfig:
     ``theta`` is the probability of the local branch in mixture kernels
     (it may be 0 for limiting kernels, giving pure refresh; the adaptive
     ladder requires theta > 0 and enforces that at ladder level).
-    ``ir_proposal_covariance`` optionally gives the inner kernel of the
-    importance-resampling move its own proposal; by default that kernel
-    is the same random walk.
+    The importance-resampling move advances its resampled state by the
+    same local kernel.
     """
 
     theta: float = 1.0
     proposal_covariance: np.ndarray | None = None
     base_matrix: np.ndarray | None = None
-    ir_proposal_covariance: np.ndarray | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
@@ -95,9 +92,6 @@ class KernelConfig:
         if self.proposal_covariance is not None:
             cov = _as_spd_matrix(self.proposal_covariance, "proposal covariance")
             object.__setattr__(self, "proposal_covariance", cov)
-        if self.ir_proposal_covariance is not None:
-            cov = _as_spd_matrix(self.ir_proposal_covariance, "resampling-move proposal covariance")
-            object.__setattr__(self, "ir_proposal_covariance", cov)
         if self.base_matrix is not None:
             base = _check_stochastic(np.array(self.base_matrix, dtype=float))
             object.__setattr__(self, "base_matrix", base)
@@ -107,12 +101,6 @@ class KernelConfig:
         if self.proposal_covariance is None:
             raise ValueError("no proposal covariance configured for a continuous target")
         return np.linalg.cholesky(self.proposal_covariance)
-
-    @cached_property
-    def _ir_chol(self) -> np.ndarray:
-        if self.ir_proposal_covariance is None:
-            return self._proposal_chol
-        return np.linalg.cholesky(self.ir_proposal_covariance)
 
     @cached_property
     def _base_cum(self) -> np.ndarray:
@@ -155,18 +143,20 @@ def rwm_step(target, ladder, level, x, config: KernelConfig, rng, energy=None) -
         raise ValueError(
             f"proposal dimension {chol.shape[0]} does not match state dimension {x.shape[0]}"
         )
-    return _metropolis_move(target, ladder.temperature(level), x, energy, chol, rng)
-
-
-def _metropolis_move(target, t, x, ex, chol, rng) -> StepOutcome:
-    """Random-walk Metropolis at temperature t from x, whose energy is ex (or None)."""
+    t = ladder.temperature(level)
     y = x + chol @ rng.standard_normal(len(x))
     ey = checked_energy(target, y)
-    if ex is None:
-        ex = checked_energy(target, x)
-    if math.log(rng.random()) < (-ey / t) - (-ex / t):
+    if energy is None:
+        energy = checked_energy(target, x)
+    if _log_uniform(rng) < (-ey / t) - (-energy / t):
         return StepOutcome(y, LOCAL, True, ey)
-    return StepOutcome(x, LOCAL, False, ex)
+    return StepOutcome(x, LOCAL, False, energy)
+
+
+def _log_uniform(rng) -> float:
+    """log u for u = ``rng.random()``, which can be exactly 0.0 (then log u = -inf)."""
+    u = rng.random()
+    return math.log(u) if u > 0.0 else -math.inf
 
 
 def _exchange_move(target, ladder, level, x, ex, y, rng) -> StepOutcome:
@@ -176,7 +166,7 @@ def _exchange_move(target, ladder, level, x, ex, y, rng) -> StepOutcome:
     ey = checked_energy(target, y)
     if ex is None:
         ex = checked_energy(target, x)
-    if math.log(rng.random()) < (-ey * c) - (-ex * c):
+    if _log_uniform(rng) < (-ey * c) - (-ex * c):
         return StepOutcome(y, EXCHANGE, True, ey)
     return StepOutcome(x, EXCHANGE, False, ex)
 
@@ -211,11 +201,7 @@ def ir_adaptive_step(target, ladder, level, x, reservoir, config: KernelConfig, 
     y = reservoir.sample_weighted(
         lambda xs: importance_log_weights_many(target, ladder, level, xs), rng
     )
-    if target.kind == "finite":
-        z = _draw_row(config._base_cum[int(y)], rng)
-        return StepOutcome(z, RESAMPLE, True)
-    t = ladder.temperature(level)
-    inner = _metropolis_move(target, t, np.asarray(y, dtype=float), None, config._ir_chol, rng)
+    inner = rwm_step(target, ladder, level, y, config, rng)
     inner.branch = RESAMPLE
     return inner
 
@@ -227,8 +213,6 @@ def limit_ee_step(target, ladder, level, x, config: KernelConfig, rng,
     u = rng.random()
     if u < config.theta:
         return rwm_step(target, ladder, level, x, config, rng, energy)
-    if not target.has_exact_sampler:
-        raise MissingExactSamplerError("limit EE kernel needs an exact tempered sampler")
     y = target.sample_tempered(ladder.temperature(level - 1), rng)
     return _exchange_move(target, ladder, level, x, energy, y, rng)
 
@@ -240,8 +224,6 @@ def limit_ir_step(target, ladder, level, x, config: KernelConfig, rng,
     u = rng.random()
     if u < config.theta:
         return rwm_step(target, ladder, level, x, config, rng, energy)
-    if not target.has_exact_sampler:
-        raise MissingExactSamplerError("limit IR kernel needs an exact tempered sampler")
     y = target.sample_tempered(ladder.temperature(level), rng)
     return StepOutcome(y, RESAMPLE, True)
 

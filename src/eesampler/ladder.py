@@ -63,13 +63,11 @@ class LadderState:
     iteration: int = 0
 
 
-def init_ladder_state(target, ladder, seed: int, initial_states=None,
-                      include_initial_state: bool = False) -> LadderState:
+def init_ladder_state(target, ladder, seed: int, initial_states=None) -> LadderState:
     """Fresh ladder state at iteration 0.
 
-    ``include_initial_state`` seeds each reservoir with the level's
-    initial state; the default (off) matches the recursion started from
-    the zero measure, where pushes begin at iteration 1.
+    Every reservoir starts empty, as the recursion does from the zero
+    measure: pushes begin at iteration 1.
     """
     n_levels = ladder.n_levels
     if initial_states is None:
@@ -80,9 +78,6 @@ def init_ladder_state(target, ladder, seed: int, initial_states=None,
             raise ValueError(f"need {n_levels} initial states, got {len(states)}")
     dim = None if target.kind == "finite" else target.dimension
     reservoirs = [Reservoir(dimension=dim) for _ in range(n_levels - 1)]
-    if include_initial_state:
-        for level, res in enumerate(reservoirs):
-            res.push(states[level])
     rngs = [level_rng(seed, level) for level in range(n_levels)]
     return LadderState(states=states, reservoirs=reservoirs, rngs=rngs,
                        energies=[None] * n_levels)
@@ -202,13 +197,13 @@ def _record(target, n_levels, n_iterations, step):
 
 
 def run_ladder(target, ladder, configs, scheme: str, n_iterations: int, seed: int,
-               initial_states=None, include_initial_state: bool = False) -> Trajectory:
+               initial_states=None) -> Trajectory:
     """Run the full adaptive ladder; deterministic given (arguments, seed)."""
     if ladder.thetas is None:
         raise ValueError("adaptive ladder runs need thetas on the temperature ladder")
     if len(configs) != ladder.n_levels:
         raise ValueError(f"need {ladder.n_levels} kernel configs, got {len(configs)}")
-    state = init_ladder_state(target, ladder, seed, initial_states, include_initial_state)
+    state = init_ladder_state(target, ladder, seed, initial_states)
     recorded = _record(
         target, ladder.n_levels, n_iterations,
         lambda: ladder_step(state, target, ladder, configs, scheme),
@@ -217,7 +212,6 @@ def run_ladder(target, ladder, configs, scheme: str, n_iterations: int, seed: in
         "scheme": scheme,
         "temperatures": list(ladder.temperatures),
         "thetas": list(ladder.thetas),
-        "include_initial_state": include_initial_state,
     }
     return Trajectory(scheme, *recorded, seed, meta)
 
@@ -257,8 +251,7 @@ def run_single(target, ladder, config: KernelConfig, kind: str, n_iterations: in
     return Trajectory(kind, *_record(target, 1, n_iterations, step), seed, meta)
 
 
-def ladder_configs(ladder, proposal_covariance=None, base_matrices=None,
-                   ir_proposal_covariance=None, single_theta=None):
+def ladder_configs(ladder, proposal_covariance=None, base_matrices=None, single_theta=None):
     """Per-level kernel configs consistent with a ladder.
 
     Level 0 gets theta = 1 (it never mixes); adaptive levels take their
@@ -279,24 +272,19 @@ def ladder_configs(ladder, proposal_covariance=None, base_matrices=None,
                 theta=theta,
                 proposal_covariance=proposal_covariance,
                 base_matrix=None if base_matrices is None else base_matrices[level],
-                ir_proposal_covariance=ir_proposal_covariance,
             )
         )
     return tuple(configs)
 
 
-def run_sampler(kind: str, target, ladder, configs, n_iterations: int, seed: int,
-                include_initial_state: bool = False) -> Trajectory:
+def run_sampler(kind: str, target, ladder, configs, n_iterations: int, seed: int) -> Trajectory:
     """Uniform entry point over the five sampler kinds.
 
     Adaptive kinds run the full ladder; the others run a single chain at
     the coldest level with the last config.
     """
     if kind in ADAPTIVE_KINDS:
-        return run_ladder(
-            target, ladder, configs, kind, n_iterations, seed,
-            include_initial_state=include_initial_state,
-        )
+        return run_ladder(target, ladder, configs, kind, n_iterations, seed)
     if kind in SINGLE_KINDS:
         return run_single(target, ladder, configs[-1], kind, n_iterations, seed)
     raise ValueError(f"unknown sampler kind {kind!r}")

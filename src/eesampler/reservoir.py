@@ -18,8 +18,6 @@ forgetting or weight clipping: all raw states are kept.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 
@@ -150,16 +148,3 @@ class Reservoir:
         if self._count == 0:
             raise EmptyReservoirError("empirical distribution of an empty reservoir")
         return np.bincount(self.samples, minlength=state_count) / self._count
-
-    def to_csv(self, path) -> None:
-        """Dump the stored states, one row per sample (debugging aid)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            if self.dimension is None:
-                writer.writerow(["state"])
-                for s in self.samples:
-                    writer.writerow([int(s)])
-            else:
-                writer.writerow([f"x{i}" for i in range(self.dimension)])
-                for row in self.samples:
-                    writer.writerow([repr(float(v)) for v in row])

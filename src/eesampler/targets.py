@@ -19,10 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class MissingExactSamplerError(RuntimeError):
-    """Raised when an operation needs an exact tempered sampler and none exists."""
-
-
 def _as_spd_matrix(covariance, what: str = "covariance") -> np.ndarray:
     """A float copy of ``covariance``, checked symmetric positive definite."""
     cov = np.array(covariance, dtype=float)
@@ -68,10 +64,6 @@ class GaussianTarget:
         self._precision = np.linalg.inv(self.covariance)
         self._chol = np.linalg.cholesky(self.covariance)
 
-    @property
-    def has_exact_sampler(self) -> bool:
-        return True
-
     def energy(self, x) -> float:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
@@ -110,10 +102,6 @@ class FiniteTarget:
             raise ValueError("energies must all be finite")
         self.energies = energies
         self.state_count = energies.size
-
-    @property
-    def has_exact_sampler(self) -> bool:
-        return True
 
     def energy(self, x) -> float:
         s = int(x)

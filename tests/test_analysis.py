@@ -16,7 +16,6 @@ from eesampler import (
     ee_limit_matrix,
     ee_pair_scaled_sums,
     gamma_covariance,
-    gamma_covariance_matrix,
     ladder_configs,
     make_finite_target,
     make_gaussian_target,
@@ -292,18 +291,6 @@ def test_gamma_matches_level_zero_simulation():
     assert abs(sample_var - gamma) < 3.0 * se + 0.02 * gamma
 
 
-def test_gamma_matrix_agrees_with_pairwise_values():
-    rng = np.random.default_rng(10)
-    model0 = FiniteChainModel(random_chain(rng, 4))
-    h = rng.normal(size=(4, 4))
-    gm = gamma_covariance_matrix(model0, h)
-    for x in range(4):
-        for y in range(4):
-            assert gm[x, y] == pytest.approx(
-                gamma_covariance(model0, h[x], h[y]), abs=1e-10
-            )
-
-
 def test_report_theta_one_degenerates_to_sigma_star():
     rng = np.random.default_rng(11)
     e = rng.normal(size=5)
@@ -466,6 +453,30 @@ def test_pair_simulator_timing_contract():
     )
     # S_2 = f(X_1^(1)) + f(X_2^(1)) = f(2) + f(X_1^(0)) = 4 + f(1)
     assert np.all(scaled == (4.0 + 2.0) / np.sqrt(2.0))
+
+
+class ZeroUniforms:
+    """Generator stub whose every uniform is 0.0 and every integer is the lowest allowed."""
+
+    def random(self, size=None):
+        return np.zeros(size)
+
+    def integers(self, low, high=None, size=None):
+        return np.full(size, low)
+
+
+def test_pair_simulator_draws_no_massless_state_at_a_zero_uniform(monkeypatch):
+    # at u = 0.0 the flip chain must still flip (1, 0, 1, 0: the sum of
+    # f = (1, -1) is 0); a left search stays on state 0, which has no mass
+    # in its row, and gives 4 / sqrt(4) = 2
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: ZeroUniforms())
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with np.errstate(divide="ignore"):  # log 0 of the unused exchange test
+        scaled = ee_pair_scaled_sums(
+            flip, flip, theta=0.5, log_r=np.zeros(2), f=np.array([1.0, -1.0]),
+            n_steps=4, replications=3, seed=1,
+        )
+    assert list(scaled) == [0.0, 0.0, 0.0]
 
 
 def test_pair_simulator_theta_one_matches_single_chain_variance():

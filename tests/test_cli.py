@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from eesampler import FiniteChainModel, ee_limit_clt_variance, ee_limit_matrix
 from eesampler.cli import load_config, load_oracle_config, main, oracle_report
 
-REPO_CONFIGS = "demos/configs"
+REPO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def write_config(tmp_path, name, mapping):
@@ -373,14 +374,16 @@ MALFORMED_KEYS = [
     (gaussian_config, {"theta": [0.5, 0.5, "a"]}, "theta"),
     (gaussian_config, {"temperatures": [4, "x", 1]}, "temperatures"),
     (gaussian_config, {"proposal_scale": "abc"}, "proposal_scale"),
-    (gaussian_config, {"ir_proposal_scale": "abc"}, "ir_proposal_scale"),
     (gaussian_config, {"proposal_scale": 1e308}, "proposal_scale"),
+    # ir_proposal_scale and include_initial_state are no longer config keys:
+    # any value of either is an unknown-key error
+    (gaussian_config, {"ir_proposal_scale": "abc"}, "ir_proposal_scale"),
     (gaussian_config, {"ir_proposal_scale": 1e308}, "ir_proposal_scale"),
     (gaussian_config, {"ir_proposal_scale": -1}, "ir_proposal_scale"),
+    (gaussian_config, {"include_initial_state": "no"}, "include_initial_state"),
     (gaussian_config, {"lambdas": 3, "kappas": 3}, "lambdas"),
     (gaussian_config, {"out": None}, "out"),
     (gaussian_config, {"out": 5}, "out"),
-    (gaussian_config, {"include_initial_state": "no"}, "include_initial_state"),
     (finite_config, {"move_prob": 0}, "move_prob"),
     (finite_config, {"move_prob": "abc"}, "move_prob"),
     (finite_config, {"proposal_matrix": "abc"}, "proposal_matrix"),
@@ -410,6 +413,29 @@ def test_malformed_key_is_a_config_error(tmp_path, capsys, make, overrides, key)
         assert not (tmp_path / "out").exists()
 
 
+UNKNOWN_KEYS = [
+    (bundled, key, value)
+    for bundled in ("gaussian_table1", "finite_5state", "oracle_5state")
+    for key, value in (("thetaa", 0.9), ("ir_proposal_scale", 3), ("include_initial_state", True))
+] + [("oracle_5state", "kernel", "ee")]
+
+
+@pytest.mark.parametrize("bundled, key, value", UNKNOWN_KEYS,
+                         ids=[f"{bundled}-{key}" for bundled, key, _ in UNKNOWN_KEYS])
+def test_unknown_key_is_a_config_error(tmp_path, capsys, bundled, key, value):
+    base = yaml.safe_load((REPO_CONFIGS / f"{bundled}.yaml").read_text())
+    path = write_config(tmp_path, "config.yaml", {**base, key: value})
+    message = f"config key '{key}': unknown key"
+    assert main(["validate", path]) == 1
+    assert message in capsys.readouterr().err
+    for command in ("oracle",) if bundled == "oracle_5state" else ("run", "table1"):
+        out = tmp_path / command
+        assert main([command, path, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()  # rejected before the output directory is made
+
+
+# the two removed keys stay in the pool, where they exercise the unknown-key error
 DOCUMENTED_KEYS = (
     "target", "covariance", "energies", "temperatures", "theta", "proposal_scale",
     "ir_proposal_scale", "move_prob", "proposal_matrix", "kernel", "iterations",

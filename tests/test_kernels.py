@@ -4,7 +4,6 @@ import pytest
 from eesampler import (
     KappaTooLargeError,
     KernelConfig,
-    MissingExactSamplerError,
     Reservoir,
     TemperatureLadder,
     acceptance_matrix,
@@ -294,23 +293,28 @@ def test_limit_ee_gaussian_second_moments():
         assert abs(sq[:, j].mean() - truth) < 4.0 * se
 
 
-def test_limit_kernels_require_exact_sampler():
-    class NoSampler:
-        kind = "continuous"
-        dimension = 2
-        has_exact_sampler = False
+class ZeroUniform:
+    """Generator stub whose every uniform is 0.0 (the smallest value ``random()``
+    returns) and every standard normal is 1."""
 
-        def energy(self, x):
-            return float(np.sum(np.asarray(x) ** 2)) / 2.0
+    def random(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
 
-    target = NoSampler()
+    def standard_normal(self, size=None):
+        return 1.0 if size is None else np.ones(size)
+
+
+def test_metropolis_and_exchange_moves_accept_at_a_zero_uniform():
+    # u = 0.0 is log u = -inf, which accepts both uphill proposals
+    # (math.log(0.0) raises instead)
+    target = make_gaussian_target(SIGMA)
     ladder = TemperatureLadder((2.0, 1.0), (0.5,))
-    config = KernelConfig(theta=1e-12, proposal_covariance=np.eye(2))
-    rng = np.random.default_rng(12)
-    with pytest.raises(MissingExactSamplerError):
-        limit_ee_step(target, ladder, 1, np.zeros(2), config, rng)
-    with pytest.raises(MissingExactSamplerError):
-        limit_ir_step(target, ladder, 1, np.zeros(2), config, rng)
+    config = KernelConfig(theta=0.0, proposal_covariance=np.eye(2))
+    local = rwm_step(target, ladder, 1, np.zeros(2), config, ZeroUniform())
+    assert local.accepted and list(local.next) == [1.0, 1.0]
+    exchange = limit_ee_step(target, ladder, 1, np.zeros(2), config, ZeroUniform())
+    assert exchange.branch == "exchange" and exchange.accepted
+    assert list(exchange.next) == list(np.sqrt(2.0) * np.linalg.cholesky(SIGMA) @ np.ones(2))
 
 
 def test_theta_lower_bound_values_and_limits():

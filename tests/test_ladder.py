@@ -91,12 +91,6 @@ def test_reservoir_counts_track_iteration():
             assert res.count == n
 
 
-def test_include_initial_state_knob():
-    target, ladder, configs = finite_ladder()
-    state = init_ladder_state(target, ladder, seed=1, include_initial_state=True)
-    assert all(res.count == 1 for res in state.reservoirs)
-
-
 def test_run_ladder_deterministic():
     target, ladder, configs = finite_ladder()
     a = run_ladder(target, ladder, configs, "ir", 400, seed=9)

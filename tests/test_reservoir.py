@@ -151,17 +151,6 @@ def test_states_are_copies_not_views():
     assert r.samples[0, 1] == 2.0
 
 
-def test_csv_dump(tmp_path):
-    r = Reservoir(dimension=2)
-    r.push(np.array([0.1, 0.2]))
-    r.push(np.array([0.3, 0.4]))
-    path = tmp_path / "res.csv"
-    r.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x0,x1"
-    assert [float(v) for v in lines[1].split(",")] == [0.1, 0.2]
-
-
 def reference_cdf(samples, log_weight):
     """The full recompute: weight every stored state at the current max."""
     lw = np.asarray(log_weight(samples), dtype=float)
