@@ -10,18 +10,20 @@ H_x(y), the covariance form Gamma, and the resulting variance report
 coefficient 2, and the coefficient-4 CLT variance that replicated runs
 contradict, kept until the benchmark stops reading it).
 
-The empirical side has batch means, a fast finite-chain simulator, a
+The empirical side has batch means, a finite-chain simulator, a
 replicated two-level equi-energy simulator (vectorized across
-replications) used to cross-check the second-moment limit, and the
-mean-squared-error replication harness that the table experiment runs
-on.  Replication r of the harness derives its seed from (master seed, r)
-and the result does not depend on how replications are scheduled.
+replications, with no stored history) used to cross-check the
+second-moment limit, and the mean-squared-error replication harness that
+the table experiment runs on.  Both simulators step through exact
+transition tables: one lookup per chain-step gives the same next state
+as the inverse-CDF draw from the matrix row.  Replication r of the
+harness derives its seed from (master seed, r) and the result does not
+depend on how replications are scheduled.
 """
 
 from __future__ import annotations
 
 import csv
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -37,6 +39,11 @@ STATIONARY_RESIDUAL_TOL = 1e-10
 # replications per seeded block of the pair simulator; the block size fixes
 # which generator drives each replication, so changing it changes the results
 PAIR_CHUNK = 500
+# iterations per block of the pair simulator; each block draws its variates with
+# one generator call per kind, so changing it changes the results too
+PAIR_BLOCK = 128
+# most entries (8 bytes each) the pair simulator's transition tables may hold
+PAIR_TABLE_LIMIT = 2**23
 
 
 class ReducibleChainError(ValueError):
@@ -270,17 +277,72 @@ def batch_means_variance(values, batch_count: int) -> tuple[float, float]:
     return estimate, std_err
 
 
+def _distinct(values) -> np.ndarray:
+    """Sorted distinct entries of ``values``, like ``np.unique``, which imports
+    ``numpy.ma`` on first use (tens of ms on every ``validate``)."""
+    v = np.sort(values, axis=None)
+    return v[np.concatenate(([True], v[1:] != v[:-1]))]
+
+
+def _transition_table(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's inverse-CDF draw from one lookup.
+
+    ``cum`` is a pinned cumulative matrix (see ``_pinned_cumsum``).  Returns
+    (b, table): b holds the sorted distinct entries of ``cum`` and
+    table[q, s] = searchsorted(cum[s], b[q-1], "right"), with row 0 all zero.
+    Every entry of ``cum`` is in b, so for u in [0, 1) and
+    q = searchsorted(b, u, "right"), table[q, s] equals
+    searchsorted(cum[s], u, "right") for every current state s at once: the
+    same next state as the direct draw, by integer lookup alone.
+    """
+    b = _distinct(cum)
+    table = np.zeros((b.size, cum.shape[0]), dtype=np.intp)
+    for s, row in enumerate(cum):
+        table[1:, s] = row.searchsorted(b[:-1], side="right")
+    return b, table
+
+
+def _check_state(name: str, x: int, n: int):
+    if not 0 <= x < n:
+        raise ValueError(f"{name} must be a state in [0, {n}), got {x}")
+
+
 def simulate_matrix_chain(matrix, n_steps: int, seed: int, x0: int = 0) -> np.ndarray:
     """Trajectory of a finite chain driven by an explicit matrix."""
-    rows = [list(row) for row in _pinned_cumsum(_check_stochastic(matrix))]
+    b, table = _transition_table(_pinned_cumsum(_check_stochastic(matrix)))
+    n = table.shape[1]
+    _check_state("x0", x0, n)
     rng = np.random.default_rng(seed)
-    us = rng.random(n_steps)
-    out = np.empty(n_steps, dtype=np.int64)
+    codes = (b.searchsorted(rng.random(n_steps), side="right") * n).tolist()
+    flat = table.ravel().tolist()
+    out = []
     x = x0
-    for i in range(n_steps):
-        x = bisect_right(rows[x], us[i])
-        out[i] = x
-    return out
+    for code in codes:
+        x = flat[code + x]
+        out.append(x)
+    return np.array(out, dtype=np.int64)
+
+
+def check_pair_table_size(p0, p1, log_r):
+    """Raise ValueError if ``ee_pair_scaled_sums``'s tables would pass ``PAIR_TABLE_LIMIT``.
+
+    For S states, each level's table has a row of S entries per distinct
+    entry of its pinned cumulative matrix (at most S^2), and the exchange
+    moves add S (D + 1) rows for D distinct values of ``log_r``: about
+    2 S^3 entries at worst, for dense matrices and distinct weights.
+    """
+    n = np.shape(p0)[0]
+    rows = sum(_distinct(_pinned_cumsum(np.asarray(p, dtype=float))).size for p in (p0, p1))
+    entries = n * (rows + n * (_distinct(log_r).size + 1))
+    if entries > PAIR_TABLE_LIMIT:
+        raise ValueError(f"the pair simulator's transition tables would hold {entries} "
+                         f"entries, more than {PAIR_TABLE_LIMIT}; use fewer states")
+
+
+def _visits(path: np.ndarray, n: int) -> np.ndarray:
+    """Visits to each of ``n`` states per column of ``path``, shape (columns, n)."""
+    r = path.shape[1]
+    return np.bincount((path + np.arange(r) * n).ravel(), minlength=r * n).reshape(r, n)
 
 
 def ee_pair_scaled_sums(p0, p1, theta: float, log_r, f, n_steps: int,
@@ -297,38 +359,85 @@ def ee_pair_scaled_sums(p0, p1, theta: float, log_r, f, n_steps: int,
     and iteration 1 is forced local.
 
     Replications are processed in chunks of ``PAIR_CHUNK`` (chunk c
-    seeded by spawn key (c,) of the master seed), so memory stays bounded.
+    seeded by spawn key (c,) of the master seed), and iterations in blocks
+    of ``PAIR_BLOCK``, each drawing its variates with one generator call
+    per kind.  Each level advances by one gather per step from a
+    transition table (``_transition_table``; the exchange moves add rows
+    "to y from every state whose log_r ranks below a").  The proposal
+    X_{j+1}, j ~ U{0..n-2}, is read from per-replication level-0 visit
+    counts by an integer inverse CDF, or from the current block, so no
+    history is stored.
     """
-    cum0 = _pinned_cumsum(_check_stochastic(p0))
-    cum1 = _pinned_cumsum(_check_stochastic(p1))
-    history_dtype = np.min_scalar_type(cum0.shape[0] - 1)
+    m0, m1 = _check_stochastic(p0), _check_stochastic(p1)
+    n = m0.shape[0]
+    if m1.shape != m0.shape:
+        raise ValueError(f"p0 and p1 must have the same shape, got {m0.shape} and {m1.shape}")
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError(f"theta must lie in [0, 1], got {theta}")
     log_r = np.asarray(log_r, dtype=float)
     f = np.asarray(f, dtype=float)
+    for name, values in (("log_r", log_r), ("f", f)):
+        if values.shape != (n,) or not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be {n} finite values, got shape {values.shape}")
+    if n_steps < 1 or replications < 1:
+        raise ValueError(f"n_steps and replications must be positive, got {n_steps}, {replications}")
+    _check_state("x0", x0, n)
+    _check_state("x1", x1, n)
+    check_pair_table_size(m0, m1, log_r)
+    b0, table0 = _transition_table(_pinned_cumsum(m0))
+    b1, table1 = _transition_table(_pinned_cumsum(m1))
+    # exchange row (y, a) moves to y from every state whose log_r has rank < a;
+    # a = #{k : log v < log_r[y] - levels[k]} is a prefix count, because
+    # log_r[y] - levels[k] does not increase with k, so the rule is exactly
+    # log v < log_r[y] - log_r[x]
+    levels = _distinct(log_r)
+    rank = levels.searchsorted(log_r)
+    states = np.arange(n)
+    exchange_rows = np.where(rank < np.arange(levels.size + 1)[:, None], states[:, None, None],
+                             states)
+    flat0 = table0.ravel()
+    flat1 = np.concatenate([table1, exchange_rows.reshape(-1, n)]).ravel()
+    first_exchange_row = b1.size + states * (levels.size + 1)
+    gaps = (log_r[:, None] - levels).T
     out = np.empty(replications)
     done = 0
     chunk_index = 0
     while done < replications:
         r = min(PAIR_CHUNK, replications - done)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
-        s0 = np.full(r, x0, dtype=np.int64)
-        s1 = np.full(r, x1, dtype=np.int64)
-        hist = np.empty((n_steps, r), dtype=history_dtype)
-        sums = np.zeros(r)
+        s0 = np.full(r, x0, dtype=np.intp)
+        s1 = np.full(r, x1, dtype=np.intp)
+        visits0 = np.zeros((r, n), dtype=np.int64)
+        visits1 = np.zeros((r, n), dtype=np.int64)
         rows = np.arange(r)
-        for n in range(1, n_steps + 1):
-            s0 = (cum0[s0] <= rng.random(r)[:, None]).sum(axis=1)
-            exchange = rng.random(r) >= theta
-            local_next = (cum1[s1] <= rng.random(r)[:, None]).sum(axis=1)
-            if n == 1:
-                s1 = local_next
-            else:
-                j = rng.integers(0, n - 1, size=r)
-                y = hist[j, rows].astype(np.int64)
-                accept = np.log(rng.random(r)) < log_r[y] - log_r[s1]
-                s1 = np.where(exchange, np.where(accept, y, s1), local_next)
-            hist[n - 1] = s0
-            sums += f[s1]
-        out[done : done + r] = sums / np.sqrt(n_steps)
+        for start in range(0, n_steps, PAIR_BLOCK):
+            length = min(PAIR_BLOCK, n_steps - start)
+            step = np.arange(start + 1, start + length + 1)[:, None]
+            u0, u1, u_branch, u_accept = rng.random((4, length, r))
+            j = rng.integers(0, np.maximum(step - 1, 1), size=(length, r))
+            code0 = b0.searchsorted(u0, side="right") * n
+            path0 = np.empty((length, r), dtype=np.intp)
+            for i in range(length):
+                s0 = flat0.take(code0[i] + s0, out=path0[i])
+            # X_{j+1}: the first `start` level-0 states are tallied in visits0,
+            # the rest are this block's path0
+            tallied = np.zeros_like(j)
+            for below in visits0.cumsum(axis=1)[:, :-1].T:
+                tallied += below <= j
+            y = np.where(j < start, tallied, path0[np.clip(j - start, 0, length - 1), rows])
+            log_v = np.log(u_accept)
+            a = np.zeros_like(j)
+            for gap in gaps:
+                a += log_v < gap[y]
+            exchange = (u_branch >= theta) & (step >= 2)
+            code1 = np.where(exchange, first_exchange_row[y] + a,
+                             b1.searchsorted(u1, side="right")) * n
+            path1 = np.empty((length, r), dtype=np.intp)
+            for i in range(length):
+                s1 = flat1.take(code1[i] + s1, out=path1[i])
+            visits0 += _visits(path0, n)
+            visits1 += _visits(path1, n)
+        out[done : done + r] = visits1 @ f / np.sqrt(n_steps)
         done += r
         chunk_index += 1
     return out

@@ -40,6 +40,7 @@ from .analysis import (
     MomentEstimand,
     SamplerSpec,
     TableEstimand,
+    check_pair_table_size,
     ee_limit_clt_variance,
     ee_pair_scaled_sums,
     mse_harness,
@@ -165,6 +166,9 @@ def _build_target(raw):
         key, make = "energies", make_finite_target
     else:
         _fail("target", f"must be 'gaussian' or 'finite', got {kind!r}")
+    for family, keys in TARGET_KEYS.items():
+        for stray in sorted(keys & raw.keys()) if family != kind else ():
+            _fail(stray, f"applies to {family} targets only, not to {kind} ones")
     if key not in raw:
         _fail(key, f"required for {kind} targets")
     return _checked(key, make, raw[key])
@@ -205,11 +209,15 @@ def _finite_bases(raw, n, log_weights) -> list:
     return [_checked("proposal_matrix", metropolis_matrix, proposal, lw) for lw in log_weights]
 
 
+# the run keys that belong to one target family
+TARGET_KEYS = {
+    "gaussian": frozenset(("covariance", "proposal_scale")),
+    "finite": frozenset(("energies", "move_prob", "proposal_matrix")),
+}
 RUN_KEYS = frozenset((
-    "target", "covariance", "energies", "temperatures", "theta", "proposal_scale",
-    "move_prob", "proposal_matrix", "kernel", "iterations", "replications", "burn_in",
+    "target", "temperatures", "theta", "kernel", "iterations", "replications", "burn_in",
     "seed", "out", "lambdas", "kappas",
-))
+)).union(*TARGET_KEYS.values())
 
 
 def load_config(path, kernel_override=None, seed_override=None, out_override=None) -> RunConfig:
@@ -220,11 +228,11 @@ def load_config(path, kernel_override=None, seed_override=None, out_override=Non
         _fail("kernel", f"must be one of {ADAPTIVE_KINDS + SINGLE_KINDS}, got {kernel!r}")
     target = _build_target(raw)
     ladder, single_theta = _build_ladder(raw, kernel)
-    proposal_scale = _positive_scale(raw, "proposal_scale")
     if target.kind == "finite":
         log_weights = [-target.energies / t for t in ladder.temperatures]
         kwargs = {"base_matrices": _finite_bases(raw, target.state_count, log_weights)}
     else:
+        proposal_scale = _positive_scale(raw, "proposal_scale")
         kwargs = {"proposal_covariance": proposal_scale**2 * np.eye(target.dimension)}
     configs = ladder_configs(ladder, single_theta=single_theta, **kwargs)
     seed = seed_override if seed_override is not None else raw.get("seed")
@@ -314,7 +322,9 @@ def _guarded(outdir: Path, work):
 
 
 def _is_oracle_config(raw: dict) -> bool:
-    return any(key in raw for key in ("energies0", "energies1", "f", "p0", "p1"))
+    """Whether the oracle loader reads more of ``raw``'s keys than the run loader,
+    so that the loader chosen names the stray keys, whichever side they are on."""
+    return len(raw.keys() & ORACLE_KEYS) > len(raw.keys() & RUN_KEYS)
 
 
 def cmd_validate(args) -> int:
@@ -470,6 +480,7 @@ def load_oracle_config(path, seed_override=None, out_override=None) -> dict:
     reps = raw.get("crosscheck_replications")
     if reps is not None:  # the cross-check reports a sample variance, which needs two
         _int_at_least("crosscheck_replications", reps, 2)
+        _checked("crosscheck_replications", check_pair_table_size, p0, p1, e0 - e1)
     return {
         "raw": raw,
         "e0": e0,

@@ -493,6 +493,87 @@ def test_pair_simulator_theta_one_matches_single_chain_variance():
     assert abs(sample_var - truth) < 3.0 * se + 0.03 * truth
 
 
+def test_pair_simulator_matches_the_exact_three_step_law():
+    # three iterations on three states: the level-1 sum takes finitely many
+    # values, whose law is enumerated over level-0 paths and level-1 moves;
+    # this checks the uniform draw from the level-0 history, the acceptance
+    # rule and the timing contract together
+    from collections import defaultdict
+
+    from scipy import stats
+
+    p0 = np.array([[0.2, 0.5, 0.3], [0.4, 0.1, 0.5], [0.3, 0.3, 0.4]])
+    p1 = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
+    log_r = np.array([0.0, -0.7, 0.9])
+    theta, x0, x1 = 0.4, 1, 2
+    f = np.array([1.0, 4.0, 16.0])  # distinct visit counts give distinct sums
+    accept = acceptance_matrix(log_r)
+
+    def level_one_law(x, history):
+        if not history:  # iteration 1 is forced local
+            return p1[x]
+        law = theta * p1[x]
+        for y in history:
+            w = (1.0 - theta) / len(history)
+            law[y] += w * accept[x, y]
+            law[x] += w * (1.0 - accept[x, y])
+        return law
+
+    exact = defaultdict(float)
+    for a in range(3):  # X_1 of level 0
+        for b in range(3):  # X_2 of level 0; X_3 is never proposed
+            w0 = p0[x0, a] * p0[a, b]
+            for y1, w1 in enumerate(level_one_law(x1, [])):
+                for y2, w2 in enumerate(level_one_law(y1, [a])):
+                    for y3, w3 in enumerate(level_one_law(y2, [a, b])):
+                        exact[f[y1] + f[y2] + f[y3]] += w0 * w1 * w2 * w3
+    assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
+    reps = 20_000
+    scaled = ee_pair_scaled_sums(p0, p1, theta, log_r, f, n_steps=3, replications=reps,
+                                 seed=2718, x0=x0, x1=x1)
+    sums = np.round(scaled * np.sqrt(3.0))
+    values = sorted(exact)
+    observed = np.array([np.sum(sums == v) for v in values])
+    assert observed.sum() == reps  # no impossible sum
+    expected = reps * np.array([exact[v] for v in values])
+    rare = expected < 5.0
+    if rare.any():  # pooled into one cell
+        observed = np.append(observed[~rare], observed[rare].sum())
+        expected = np.append(expected[~rare], expected[rare].sum())
+    _, p_value = stats.chisquare(observed, expected)
+    assert p_value > 1e-3
+
+
+FIVE_STATE = metropolis_matrix(neighbor_proposal(5), -np.arange(5.0))
+PAIR_ARGS = dict(p0=FIVE_STATE, p1=FIVE_STATE, theta=0.5, log_r=np.zeros(5), f=np.zeros(5),
+                 n_steps=10, replications=3, seed=1)
+MALFORMED_PAIR_ARGS = {
+    "theta 1.7": {"theta": 1.7},
+    "theta -0.5": {"theta": -0.5},
+    "theta nan": {"theta": float("nan")},
+    "log_r of 7": {"log_r": np.zeros(7)},
+    "f of 9": {"f": np.zeros(9)},
+    "p0 of 3 states": {"p0": metropolis_matrix(neighbor_proposal(3), np.zeros(3))},
+    "nan in log_r": {"log_r": np.array([0.0, np.nan, 0.0, 0.0, 0.0])},
+    "nan in f": {"f": np.array([0.0, 0.0, np.nan, 0.0, 0.0])},
+    "no steps": {"n_steps": 0},
+    "no replications": {"replications": 0},
+    "x0 past the states": {"x0": 5},
+    "negative x1": {"x1": -1},
+    "tables past the limit": {  # 300 states with distinct log weights: about 2.7e7 entries
+        "p0": metropolis_matrix(neighbor_proposal(300), np.zeros(300)),
+        "p1": metropolis_matrix(neighbor_proposal(300), np.zeros(300)),
+        "log_r": np.linspace(0.0, 1.0, 300), "f": np.zeros(300),
+    },
+}
+
+
+@pytest.mark.parametrize("changes", MALFORMED_PAIR_ARGS.values(), ids=MALFORMED_PAIR_ARGS)
+def test_pair_simulator_rejects_malformed_inputs(changes):
+    with pytest.raises(ValueError):
+        ee_pair_scaled_sums(**{**PAIR_ARGS, **changes})
+
+
 # --- replication harness --------------------------------------------------------
 
 

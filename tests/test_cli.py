@@ -369,6 +369,20 @@ def test_oracle_runs_on_instances_past_127_states(tmp_path, energies):
         assert np.isfinite(float(values[key]))
 
 
+def test_crosscheck_past_the_table_limit_is_a_config_error(tmp_path, capsys):
+    # 300 states with distinct log weights need about 2.7e7 table entries
+    energies = [0.01 * i for i in range(300)]
+    path = oracle_config(tmp_path, energies0=energies, energies1=[2.0 * e for e in energies],
+                         f=[0.0] * 300)
+    for command in ("validate", "oracle"):
+        assert main([command, path]) == 1
+        assert "config key 'crosscheck_replications'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    path = oracle_config(tmp_path, energies0=energies, energies1=[2.0 * e for e in energies],
+                         f=[0.0] * 300, crosscheck_replications=None)
+    assert main(["validate", path]) == 0
+
+
 MALFORMED_KEYS = [
     (gaussian_config, {"theta": "abc"}, "theta"),
     (gaussian_config, {"theta": [0.5, 0.5, "a"]}, "theta"),
@@ -433,6 +447,44 @@ def test_unknown_key_is_a_config_error(tmp_path, capsys, bundled, key, value):
         assert main([command, path, "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()  # rejected before the output directory is made
+
+
+OTHER_FAMILY_KEYS = [
+    ("finite_5state", "covariance", [[1.0]], "gaussian"),
+    ("finite_5state", "proposal_scale", 5.0, "gaussian"),
+    ("gaussian_table1", "move_prob", 0.3, "finite"),
+    ("gaussian_table1", "energies", [0.0, 1.0], "finite"),
+    ("gaussian_table1", "proposal_matrix", [[1.0]], "finite"),
+]
+
+
+@pytest.mark.parametrize("bundled, key, value, family", OTHER_FAMILY_KEYS,
+                         ids=[f"{bundled}-{key}" for bundled, key, _, _ in OTHER_FAMILY_KEYS])
+def test_key_of_the_other_target_family_is_a_config_error(tmp_path, capsys, bundled, key,
+                                                          value, family):
+    base = yaml.safe_load((REPO_CONFIGS / f"{bundled}.yaml").read_text())
+    path = write_config(tmp_path, "config.yaml", {**base, key: value})
+    message = f"config key '{key}': applies to {family} targets only"
+    assert main(["validate", path]) == 1
+    assert message in capsys.readouterr().err
+    for command in ("run", "table1"):
+        out = tmp_path / command
+        assert main([command, path, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("f", [1.0, 2.0]), ("p0", [[1.0]])])
+def test_validate_names_a_stray_oracle_key_in_a_sampler_config(tmp_path, capsys, key, value):
+    # one stray key must not switch validate to the oracle loader, which would
+    # blame a key of the sampler config; UNKNOWN_KEYS covers the other direction
+    base = yaml.safe_load((REPO_CONFIGS / "gaussian_table1.yaml").read_text())
+    path = write_config(tmp_path, "config.yaml", {**base, key: value})
+    message = f"config key '{key}': unknown key"
+    assert main(["validate", path]) == 1
+    assert message in capsys.readouterr().err
+    assert main(["run", path, "--out", str(tmp_path / "run")]) == 1
+    assert message in capsys.readouterr().err
 
 
 # the two removed keys stay in the pool, where they exercise the unknown-key error
