@@ -551,6 +551,8 @@ def mse_harness(samplers, estimands, replications: int, iterations: int,
     """
     if replications < 1 or iterations < 1:
         raise ValueError("replications and iterations must be positive")
+    if not 0 <= burn_in < iterations:
+        raise ValueError(f"burn_in must lie in [0, {iterations}), got {burn_in}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     samplers = list(samplers)

@@ -178,6 +178,8 @@ def _build_ladder(raw, kernel):
     """The temperature ladder, and the theta of a limit kernel run with theta 0 (else None)."""
     temps = _float_list("temperatures", raw.get("temperatures"))
     ladder = _checked("temperatures", TemperatureLadder, temps)
+    if len(temps) < 2:  # every sampler but rwm needs a hotter level
+        _fail("temperatures", f"need at least two temperatures, got {len(temps)}")
     theta = raw.get("theta", 0.5)
     if isinstance(theta, list):
         thetas = _float_list("theta", theta)

@@ -19,10 +19,13 @@ Conventions shared by all mixture kernels:
 
 Energy contract: every step kernel takes an optional ``energy`` of the
 current state x, which must be exactly ``target.energy(x)`` or ``None``
-(then the step evaluates it).  ``StepOutcome.energy`` is E(next) when the
-step evaluated it, else ``None``, so a caller that passes each outcome's
-energy into the next step evaluates E once per proposal.  Every energy a
-step evaluates comes from ``target.energy`` and is checked finite.
+(then the step evaluates it).  ``StepOutcome.energy`` is E(next); only the
+exact refresh of ``limit_ir_step`` leaves it ``None``.  A reservoir draw
+comes with the energy stored at its push, so a caller that passes each
+outcome's energy into the next step, and pushes it with the state,
+evaluates E once per local or inner proposal and once per exact draw of
+``limit_ee_step``, never at a reservoir draw.  Every energy a step
+evaluates comes from ``target.energy`` and is checked finite.
 
 On finite targets the "random walk Metropolis" base kernel is a single
 row draw from a caller-supplied stochastic matrix with the right
@@ -43,7 +46,6 @@ from .targets import (
     _pinned_cumsum,
     checked_energy,
     importance_coefficient,
-    importance_log_weights_many,
 )
 
 STOCHASTIC_ATOL = 1e-12
@@ -59,8 +61,8 @@ class KappaTooLargeError(ValueError):
 class StepOutcome:
     """Result of one kernel step, with diagnostics for rate reporting.
 
-    ``energy`` is ``target.energy(next)`` when the step evaluated it, else
-    ``None``.
+    ``energy`` is ``target.energy(next)``, or ``None`` after an exact
+    refresh of ``limit_ir_step``.
     """
 
     next: object
@@ -136,7 +138,7 @@ def rwm_step(target, ladder, level, x, config: KernelConfig, rng, energy=None) -
     """
     if target.kind == "finite":
         y = _draw_row(config._base_cum[int(x)], rng)
-        return StepOutcome(y, LOCAL, True)
+        return StepOutcome(y, LOCAL, True, checked_energy(target, y))
     x = np.asarray(x, dtype=float)
     chol = config._proposal_chol
     if chol.shape[0] != x.shape[0]:
@@ -159,11 +161,10 @@ def _log_uniform(rng) -> float:
     return math.log(u) if u > 0.0 else -math.inf
 
 
-def _exchange_move(target, ladder, level, x, ex, y, rng) -> StepOutcome:
-    """Move from x (energy ex, or None) to the proposed y with probability
-    min(1, r(y)/r(x))."""
+def _exchange_move(target, ladder, level, x, ex, y, ey, rng) -> StepOutcome:
+    """Move from x (energy ex, or None) to the proposed y (energy ey) with
+    probability min(1, r(y)/r(x))."""
     c = importance_coefficient(ladder, level)
-    ey = checked_energy(target, y)
     if ex is None:
         ex = checked_energy(target, x)
     if _log_uniform(rng) < (-ey * c) - (-ex * c):
@@ -183,7 +184,8 @@ def ee_adaptive_step(target, ladder, level, x, reservoir, config: KernelConfig, 
     u = rng.random()
     if u < config.theta or reservoir.count == 0:
         return rwm_step(target, ladder, level, x, config, rng, energy)
-    return _exchange_move(target, ladder, level, x, energy, reservoir.sample_uniform(rng), rng)
+    y, ey = reservoir.sample_uniform(rng)
+    return _exchange_move(target, ladder, level, x, energy, y, ey, rng)
 
 
 def ir_adaptive_step(target, ladder, level, x, reservoir, config: KernelConfig, rng,
@@ -198,10 +200,8 @@ def ir_adaptive_step(target, ladder, level, x, reservoir, config: KernelConfig, 
     u = rng.random()
     if u < config.theta or reservoir.count == 0:
         return rwm_step(target, ladder, level, x, config, rng, energy)
-    y = reservoir.sample_weighted(
-        lambda xs: importance_log_weights_many(target, ladder, level, xs), rng
-    )
-    inner = rwm_step(target, ladder, level, y, config, rng)
+    y, ey = reservoir.sample_weighted(importance_coefficient(ladder, level), rng)
+    inner = rwm_step(target, ladder, level, y, config, rng, ey)
     inner.branch = RESAMPLE
     return inner
 
@@ -214,7 +214,7 @@ def limit_ee_step(target, ladder, level, x, config: KernelConfig, rng,
     if u < config.theta:
         return rwm_step(target, ladder, level, x, config, rng, energy)
     y = target.sample_tempered(ladder.temperature(level - 1), rng)
-    return _exchange_move(target, ladder, level, x, energy, y, rng)
+    return _exchange_move(target, ladder, level, x, energy, y, checked_energy(target, y), rng)
 
 
 def limit_ir_step(target, ladder, level, x, config: KernelConfig, rng,

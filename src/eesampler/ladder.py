@@ -114,7 +114,7 @@ def ladder_step(state: LadderState, target, ladder, configs, scheme: str):
         states[level] = out.next
         energies[level] = out.energy
         if level < len(reservoirs):
-            reservoirs[level].push(out.next)
+            reservoirs[level].push(out.next, out.energy)
     state.iteration += 1
     return outcomes
 
@@ -203,6 +203,9 @@ def run_ladder(target, ladder, configs, scheme: str, n_iterations: int, seed: in
         raise ValueError("adaptive ladder runs need thetas on the temperature ladder")
     if len(configs) != ladder.n_levels:
         raise ValueError(f"need {ladder.n_levels} kernel configs, got {len(configs)}")
+    thetas = [config.theta for config in configs[1:]]  # what the kernels read
+    if not all(0.0 < theta <= 1.0 for theta in thetas):
+        raise ValueError(f"adaptive levels need theta in (0, 1], got {thetas}")
     state = init_ladder_state(target, ladder, seed, initial_states)
     recorded = _record(
         target, ladder.n_levels, n_iterations,
@@ -211,7 +214,7 @@ def run_ladder(target, ladder, configs, scheme: str, n_iterations: int, seed: in
     meta = {
         "scheme": scheme,
         "temperatures": list(ladder.temperatures),
-        "thetas": list(ladder.thetas),
+        "thetas": thetas,
     }
     return Trajectory(scheme, *recorded, seed, meta)
 

@@ -7,16 +7,20 @@ the zero measure.  The zero measure itself has no sampling semantics, so
 drawing from an empty reservoir is an error; adaptive kernels route
 around it by taking their local branch until the first push.
 
-Weighted resampling caches each state's log weight and the running
-cumulative sum of the max-shifted exponentiated weights, so a draw
-weights only the states pushed since the previous weighted draw and then
-bisects the cumulative sum: amortised O(log n) per draw, and log weights
-of any magnitude are safe.  The cumulative sum is rebuilt at the new
-shift only when a state sets a new record weight.  No thinning,
+Every state is stored with its energy E(x), and every draw returns the
+pair, so a kernel never evaluates E at a drawn state.  A weighted draw
+weights each state by exp(-c E(x)) for the reservoir's one coefficient c.
+It caches the running cumulative sum of the max-shifted weights, so a
+draw weights only the states pushed since the previous weighted draw and
+then bisects the cumulative sum: amortised O(log n) per draw, and log
+weights of any magnitude are safe.  The cumulative sum is rebuilt at the
+new shift only when a state sets a new record weight.  No thinning,
 forgetting or weight clipping: all raw states are kept.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -30,7 +34,7 @@ class NonFiniteWeightError(ValueError):
 
 
 class Reservoir:
-    """Append-only store of states with uniform and weighted resampling.
+    """Append-only store of states and their energies, with uniform and weighted resampling.
 
     Parameters
     ----------
@@ -46,10 +50,11 @@ class Reservoir:
             self._buf = np.empty(16, dtype=np.int64)
         else:
             self._buf = np.empty((16, dimension), dtype=float)
-        # weighted-draw cache: log weights and the prefix sums of
-        # exp(_lw - _shift) of the first _weighted states
-        self._lw = np.empty(0)
-        self._cum = np.empty(0)
+        self._energy = np.empty(16)
+        # weighted-draw cache: the coefficient c of the weighted draws and the
+        # prefix sums of exp(-c * energy - _shift) of the first _weighted states
+        self._coefficient = None
+        self._cum = np.empty(16)
         self._weighted = 0
         self._shift = -np.inf
 
@@ -64,27 +69,30 @@ class Reservoir:
         view.flags.writeable = False
         return view
 
-    def push(self, x) -> None:
-        """Append one state (never mutated afterwards)."""
-        if self._count == len(self._buf):
-            grown = np.empty(
-                (2 * len(self._buf),) + self._buf.shape[1:], dtype=self._buf.dtype
+    def push(self, x, energy) -> None:
+        """Append one state (never mutated afterwards) with its finite energy E(x)."""
+        if energy is None or not math.isfinite(energy):
+            raise ValueError(f"a pushed state needs a finite energy, got {energy!r}")
+        n = self._count
+        if n == len(self._buf):
+            self._buf, self._energy, self._cum = (
+                np.concatenate((a[:n], np.empty_like(a)))
+                for a in (self._buf, self._energy, self._cum)
             )
-            grown[: self._count] = self._buf[: self._count]
-            self._buf = grown
         if self.dimension is None:
-            self._buf[self._count] = int(x)
+            self._buf[n] = int(x)
         else:
             x = np.asarray(x, dtype=float)
             if x.shape != (self.dimension,):
                 raise ValueError(f"state must have shape ({self.dimension},), got {x.shape}")
-            self._buf[self._count] = x
-        self._count += 1
+            self._buf[n] = x
+        self._energy[n] = energy
+        self._count = n + 1
 
-    def _item(self, k: int):
-        if self.dimension is None:
-            return int(self._buf[k])
-        return self._buf[k].copy()
+    def _item(self, k: int) -> tuple:
+        """The k-th state (a copy) and its energy."""
+        x = int(self._buf[k]) if self.dimension is None else self._buf[k].copy()
+        return x, float(self._energy[k])
 
     def empirical_mean(self, f=None):
         """Mean of f over the stored states (f vectorized; identity if None)."""
@@ -93,49 +101,44 @@ class Reservoir:
         values = self.samples if f is None else np.asarray(f(self.samples))
         return values.mean(axis=0)
 
-    def sample_uniform(self, rng):
-        """One stored state, each with probability 1/count."""
+    def sample_uniform(self, rng) -> tuple:
+        """One stored (state, energy) pair, each with probability 1/count."""
         if self._count == 0:
             raise EmptyReservoirError("cannot draw from an empty reservoir")
         return self._item(int(rng.integers(self._count)))
 
-    def sample_weighted(self, log_weight, rng):
-        """One stored state with probability proportional to exp(log_weight).
+    def sample_weighted(self, coefficient: float, rng) -> tuple:
+        """One stored (state, energy) pair, with probability proportional to
+        exp(-coefficient * energy).
 
-        ``log_weight`` maps a stacked block of states to one finite value
-        per state, and must be the same row-wise function for the life of
-        the reservoir: each state is weighted once, at the first weighted
-        draw after its push, and its log weight is cached.  The cumulative
-        sum of exp(log weight - running max) is extended by the new states,
-        or rebuilt at the new shift when one of them sets a record, so the
-        prefix floats equal a per-call ``cumsum(exp(lw - lw.max()))`` bit
-        for bit.  A draw then bisects it with one ``rng.random()``:
-        amortised O(log n) per draw.  A draw that raises leaves the cache
-        unchanged.
+        Every weighted draw from one reservoir must pass the same coefficient
+        (``ValueError`` otherwise): each state is weighted once, at the first
+        weighted draw after its push.  The cumulative sum of exp(log weight -
+        running max) is extended by the new states, or rebuilt at the new
+        shift when one of them sets a record, so the prefix floats equal a
+        per-call ``cumsum(exp(lw - lw.max()))`` bit for bit.  A draw then
+        bisects it with one ``rng.random()``: amortised O(log n) per draw.
+        A draw that raises leaves the cache unchanged.
         """
         n = self._count
         if n == 0:
             raise EmptyReservoirError("cannot draw from an empty reservoir")
+        if self._coefficient is not None and coefficient != self._coefficient:
+            raise ValueError(f"weighted by coefficient {self._coefficient!r}, got {coefficient!r}")
         done = self._weighted
         if done < n:
-            new = np.asarray(log_weight(self.samples[done:]), dtype=float)
-            if new.shape != (n - done,):
-                raise ValueError(f"log_weight must return {n - done} values, got {new.shape}")
+            new = -coefficient * self._energy[done:n]
             if not np.isfinite(new).all():
                 raise NonFiniteWeightError("resampling log weights must be finite")
-            if len(self._lw) < n:
-                size = len(self._buf)
-                self._lw = np.concatenate((self._lw[:done], np.empty(size - done)))
-                self._cum = np.concatenate((self._cum[:done], np.empty(size - done)))
-            self._lw[done:n] = new
             top = new.max()
             if top > self._shift:
                 self._shift = top
-                np.exp(self._lw[:n] - top).cumsum(out=self._cum[:n])
+                np.exp(-coefficient * self._energy[:n] - top).cumsum(out=self._cum[:n])
             else:
                 w = np.exp(new - self._shift)
                 w[0] += self._cum[done - 1]
                 w.cumsum(out=self._cum[done:n])
+            self._coefficient = coefficient
             self._weighted = n
         cdf = self._cum[:n]
         k = int(cdf.searchsorted(rng.random() * cdf[-1], side="right"))

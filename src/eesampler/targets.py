@@ -70,11 +70,6 @@ class GaussianTarget:
             raise ValueError(f"state must have shape ({self.dimension},), got {x.shape}")
         return 0.5 * float(x @ self._precision @ x)
 
-    def energy_many(self, xs) -> np.ndarray:
-        """Energies of a batch of states, shape (n, d) -> (n,)."""
-        xs = np.asarray(xs, dtype=float)
-        return 0.5 * ((xs @ self._precision) * xs).sum(axis=1)
-
     def sample_tempered(self, temperature: float, rng, size=None):
         """Exact draw(s) from the tempered law N(0, t*Sigma)."""
         if temperature <= 0:
@@ -108,9 +103,6 @@ class FiniteTarget:
         if not 0 <= s < self.state_count:
             raise ValueError(f"state {s} out of range [0, {self.state_count})")
         return float(self.energies[s])
-
-    def energy_many(self, xs) -> np.ndarray:
-        return self.energies[np.asarray(xs, dtype=int)]
 
     def tempered_probabilities(self, temperature: float) -> np.ndarray:
         """Normalized tempered law: probabilities proportional to exp(-E/t)."""
@@ -237,9 +229,3 @@ def importance_coefficient(ladder: TemperatureLadder, level: int) -> float:
         raise ValueError("level 0 has no importance weight (no hotter level)")
     ladder._check_level(level)
     return 1.0 / ladder.temperatures[level] - 1.0 / ladder.temperatures[level - 1]
-
-
-def importance_log_weights_many(target, ladder: TemperatureLadder, level: int, xs) -> np.ndarray:
-    """Vectorized ``importance_log_weight`` over a batch of states."""
-    coeff = importance_coefficient(ladder, level)
-    return -coeff * target.energy_many(xs)

@@ -632,6 +632,14 @@ def test_mse_harness_rejects_jobs_below_one(jobs):
         mse_harness(specs, estimands, replications=2, iterations=50, master_seed=28, jobs=jobs)
 
 
+@pytest.mark.parametrize("burn_in", [-5, 300, 301])
+def test_mse_harness_rejects_burn_in_outside_the_run(burn_in):
+    specs, estimands = finite_specs()
+    with pytest.raises(ValueError, match="burn_in"):
+        mse_harness(specs, estimands, replications=2, iterations=300, master_seed=29,
+                    burn_in=burn_in)
+
+
 def test_iid_sampler_mse_matches_closed_form():
     sigma = np.array([[0.96, 2.44], [2.44, 7.04]])
     target = make_gaussian_target(sigma)

@@ -387,6 +387,8 @@ MALFORMED_KEYS = [
     (gaussian_config, {"theta": "abc"}, "theta"),
     (gaussian_config, {"theta": [0.5, 0.5, "a"]}, "theta"),
     (gaussian_config, {"temperatures": [4, "x", 1]}, "temperatures"),
+    (gaussian_config, {"temperatures": [1]}, "temperatures"),
+    (gaussian_config, {"temperatures": [1], "kernel": "rwm"}, "temperatures"),
     (gaussian_config, {"proposal_scale": "abc"}, "proposal_scale"),
     (gaussian_config, {"proposal_scale": 1e308}, "proposal_scale"),
     # ir_proposal_scale and include_initial_state are no longer config keys:
@@ -402,6 +404,7 @@ MALFORMED_KEYS = [
     (finite_config, {"move_prob": "abc"}, "move_prob"),
     (finite_config, {"proposal_matrix": "abc"}, "proposal_matrix"),
     (finite_config, {"proposal_matrix": [[0.5, 0.5], [0.5, 0.5]]}, "proposal_matrix"),
+    (finite_config, {"temperatures": [1]}, "temperatures"),
     (oracle_config, {"move_prob": 0}, "move_prob"),
     (oracle_config, {"move_prob": "abc"}, "move_prob"),
     (oracle_config, {"f": "abc"}, "f"),
@@ -422,7 +425,13 @@ def test_malformed_key_is_a_config_error(tmp_path, capsys, make, overrides, key)
     err = capsys.readouterr().err
     assert f"config key '{key}'" in err and "Traceback" not in err
     if make is oracle_config:
-        assert main(["oracle", path]) == 1
+        commands = ("oracle",)
+    elif key in ("lambdas", "kappas"):
+        commands = ()  # read by validate's theta-bound report only
+    else:
+        commands = ("run", "table1")
+    for command in commands:
+        assert main([command, path]) == 1
         assert f"config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

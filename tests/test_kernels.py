@@ -81,7 +81,7 @@ def test_theta_one_makes_every_mixture_kernel_local():
     target, ladder, bases, _ = finite_setup(theta=1.0)
     config = KernelConfig(theta=1.0, base_matrix=bases[1])
     res = Reservoir()
-    res.push(0)
+    res.push(0, target.energy(0))
     rng = np.random.default_rng(2)
     for _ in range(300):
         assert ee_adaptive_step(target, ladder, 1, 1, res, config, rng).branch == "local"
@@ -94,7 +94,7 @@ def test_ee_downhill_exchange_always_accepted():
     target, ladder, bases, _ = finite_setup()
     config = KernelConfig(theta=1e-12, base_matrix=bases[1])
     res = Reservoir()
-    res.push(0)  # E(0) < E(2): the importance ratio favors the proposal
+    res.push(0, target.energy(0))  # E(0) < E(2): the importance ratio favors the proposal
     rng = np.random.default_rng(3)
     for _ in range(200):
         out = ee_adaptive_step(target, ladder, 1, 2, res, config, rng)
@@ -108,7 +108,7 @@ def test_ee_rejected_exchange_holds_the_current_state():
     target, ladder, bases, _ = finite_setup(energies=(0.0, 0.5, 60.0))
     config = KernelConfig(theta=1e-12, base_matrix=bases[1])
     res = Reservoir()
-    res.push(2)
+    res.push(2, target.energy(2))
     rng = np.random.default_rng(21)
     for _ in range(200):
         out = ee_adaptive_step(target, ladder, 1, 0, res, config, rng)
@@ -130,7 +130,7 @@ def test_ee_frozen_reservoir_matches_matrix_row():
     target, ladder, bases, configs = finite_setup()
     res = Reservoir()
     for s in (0, 1, 1, 2, 0):
-        res.push(s)
+        res.push(s, target.energy(s))
     mu = res.empirical_distribution(3)
     frozen = finite_kernel_matrix("ee_frozen", target, ladder, 1, bases[1], 0.5, mu=mu)
     rng = np.random.default_rng(5)
@@ -150,7 +150,7 @@ def test_ir_frozen_reservoir_matches_matrix_row():
     target, ladder, bases, configs = finite_setup()
     res = Reservoir()
     for s in (0, 1, 1, 2, 0):
-        res.push(s)
+        res.push(s, target.energy(s))
     mu = res.empirical_distribution(3)
     frozen = finite_kernel_matrix("ir_frozen", target, ladder, 1, bases[1], 0.5, mu=mu)
     rng = np.random.default_rng(6)
@@ -172,7 +172,7 @@ def test_ir_single_point_reservoir_starts_inner_move_there():
     config = KernelConfig(theta=1e-12, proposal_covariance=1e-24 * np.eye(2))
     res = Reservoir(dimension=2)
     y = np.array([2.5, -1.0])
-    res.push(y)
+    res.push(y, target.energy(y))
     rng = np.random.default_rng(7)
     for _ in range(100):
         out = ir_adaptive_step(target, ladder, 1, np.zeros(2), res, config, rng)
@@ -184,7 +184,7 @@ def test_branch_frequency_matches_theta():
     target, ladder, bases, _ = finite_setup(theta=0.7)
     config = KernelConfig(theta=0.7, base_matrix=bases[1])
     res = Reservoir()
-    res.push(0)
+    res.push(0, target.energy(0))
     rng = np.random.default_rng(8)
     n = 100_000
     local = 0
@@ -344,7 +344,7 @@ def test_kernel_config_validation():
 
 
 class NanEnergyTarget(GaussianTarget):
-    """A Gaussian whose scalar energy is NaN everywhere (batch energies stay finite)."""
+    """A Gaussian whose energy is NaN everywhere."""
 
     def energy(self, x):
         super().energy(x)
@@ -353,15 +353,15 @@ class NanEnergyTarget(GaussianTarget):
 
 @pytest.mark.parametrize(
     "kind, theta",
-    [("rwm", 1.0), ("ee", 1.0), ("ee", 0.0), ("ir", 1.0), ("ir", 0.0),
+    [("rwm", 1.0), ("ee", 1.0), ("ir", 1.0), ("ir", 0.0),
      ("ee_limit", 1.0), ("ee_limit", 0.0), ("ir_limit", 1.0)],
 )
 def test_fresh_non_finite_energy_raises_even_with_a_carried_energy(kind, theta):
     target = NanEnergyTarget(np.eye(2))
     ladder = TemperatureLadder((2.0, 1.0), (0.5,))
     config = KernelConfig(theta=theta, proposal_covariance=np.eye(2))
-    res = Reservoir(dimension=2)
-    res.push(np.ones(2))
+    res = Reservoir(dimension=2)  # a push needs a finite energy: the plain Gaussian's
+    res.push(np.ones(2), GaussianTarget(np.eye(2)).energy(np.ones(2)))
     rng = np.random.default_rng(8)
     x = np.zeros(2)
     steps = {

@@ -204,6 +204,18 @@ def test_run_ladder_requires_thetas():
         run_ladder(target, ladder, configs, "ee", 10, seed=0)
 
 
+def test_run_ladder_takes_thetas_from_the_configs():
+    target = make_gaussian_target(np.eye(2))
+    ladder = TemperatureLadder((2.0, 1.0), (0.5,))
+    configs = ladder_configs(ladder, proposal_covariance=np.eye(2), single_theta=0.8)
+    traj = run_ladder(target, ladder, configs, "ee", 10, seed=0)
+    assert traj.metadata["thetas"] == [0.8]
+    # theta 0 would never take the local branch on a non-empty reservoir
+    configs = ladder_configs(ladder, proposal_covariance=np.eye(2), single_theta=0.0)
+    with pytest.raises(ValueError, match="adaptive levels need theta in"):
+        run_ladder(target, ladder, configs, "ee", 10, seed=0)
+
+
 def test_run_sampler_dispatch():
     target, ladder, configs = finite_ladder()
     adaptive = run_sampler("ee", target, ladder, configs, 50, seed=3)
@@ -258,7 +270,7 @@ def reference_run(kind, target, ladder, configs, n, seed):
             for level, out in enumerate(outs):
                 state.states[level] = out.next
                 if level < len(state.reservoirs):
-                    state.reservoirs[level].push(out.next)
+                    state.reservoirs[level].push(out.next, target.energy(out.next))
             outcomes.append(outs)
     else:
         kernel = {"rwm": rwm_step, "ee_limit": limit_ee_step, "ir_limit": limit_ir_step}[kind]
@@ -320,3 +332,25 @@ def test_rwm_evaluates_one_energy_per_proposal(monkeypatch):
     n = 500
     run_sampler("rwm", cfg.target, cfg.ladder, cfg.configs, n, seed=3)
     assert len(calls) == n + 1
+
+
+@pytest.mark.parametrize("scheme", ADAPTIVE_KINDS)
+def test_energy_is_evaluated_once_per_local_or_inner_proposal(monkeypatch, scheme):
+    calls = []
+    energy = GaussianTarget.energy
+
+    def counting(self, x):
+        calls.append(1)
+        return energy(self, x)
+
+    monkeypatch.setattr(GaussianTarget, "energy", counting)
+    target = make_gaussian_target(SIGMA)
+    ladder = TemperatureLadder((4.0, 1.0), (0.5,))
+    configs = ladder_configs(ladder, proposal_covariance=np.eye(2))
+    traj = run_ladder(target, ladder, configs, scheme, 400, seed=6)
+    # an exchange proposal and a resampled state carry the energy stored with
+    # them in the reservoir; each level also evaluates its initial state once
+    proposals = (traj.branches != BRANCH_CODES["exchange"]).sum()  # local or inner
+    assert len(calls) == proposals + ladder.n_levels
+    drawn = "exchange" if scheme == "ee" else "resample"
+    assert traj.branch_fraction(1, drawn) > 0.3

@@ -8,25 +8,36 @@ from eesampler import EmptyReservoirError, NonFiniteWeightError, Reservoir
 def test_first_push_defines_point_mass():
     r = Reservoir(dimension=2)
     x = np.array([1.5, -0.5])
-    r.push(x)
+    r.push(x, 0.75)
     assert r.count == 1
     rng = np.random.default_rng(0)
     for _ in range(10):
-        assert np.array_equal(r.sample_uniform(rng), x)
+        drawn, energy = r.sample_uniform(rng)
+        assert np.array_equal(drawn, x) and energy == 0.75
+        drawn, energy = r.sample_weighted(2.0, rng)
+        assert np.array_equal(drawn, x) and energy == 0.75
+
+
+@pytest.mark.parametrize("energy", [None, np.nan, np.inf, -np.inf])
+def test_push_rejects_a_missing_or_non_finite_energy(energy):
+    r = Reservoir()
+    with pytest.raises(ValueError, match="finite energy"):
+        r.push(0, energy)
+    assert r.count == 0
 
 
 def test_push_same_state_twice_keeps_full_mass_there():
     r = Reservoir()
-    r.push(3)
-    r.push(3)
+    r.push(3, 1.0)
+    r.push(3, 1.0)
     assert r.count == 2
     assert r.empirical_distribution(5)[3] == 1.0
 
 
 def test_two_point_empirical_mean():
     r = Reservoir(dimension=1)
-    r.push(np.array([2.0]))
-    r.push(np.array([4.0]))
+    r.push(np.array([2.0]), 2.0)
+    r.push(np.array([4.0]), 8.0)
     f = lambda xs: xs[:, 0] ** 2
     assert r.empirical_mean(f) == pytest.approx((4.0 + 16.0) / 2.0)
 
@@ -37,7 +48,7 @@ def test_empirical_mean_matches_direct_recomputation_exactly():
     pushed = []
     for _ in range(257):  # crosses the buffer-doubling boundary
         x = rng.normal(size=3)
-        r.push(x)
+        r.push(x, 0.5 * float(x @ x))
         pushed.append(x)
     direct = np.stack(pushed).mean(axis=0)
     assert np.array_equal(r.empirical_mean(), direct)
@@ -47,10 +58,10 @@ def test_empirical_mean_matches_direct_recomputation_exactly():
 def test_uniform_sampling_frequencies():
     r = Reservoir()
     for s in range(4):
-        r.push(s)
+        r.push(s, float(s))
     rng = np.random.default_rng(2)
     n = 100_000
-    draws = np.array([r.sample_uniform(rng) for _ in range(n)])
+    draws = np.array([r.sample_uniform(rng)[0] for _ in range(n)])
     counts = np.bincount(draws, minlength=4)
     _, p_value = stats.chisquare(counts, np.full(4, n / 4))
     assert p_value > 0.001
@@ -58,11 +69,11 @@ def test_uniform_sampling_frequencies():
 
 def test_two_element_frequencies_within_four_se():
     r = Reservoir()
-    r.push(0)
-    r.push(1)
+    r.push(0, 0.0)
+    r.push(1, 1.0)
     rng = np.random.default_rng(3)
     n = 100_000
-    freq = np.mean([r.sample_uniform(rng) for _ in range(n)])
+    freq = np.mean([r.sample_uniform(rng)[0] for _ in range(n)])
     se = np.sqrt(0.25 / n)
     assert abs(freq - 0.5) < 4.0 * se
 
@@ -70,10 +81,10 @@ def test_two_element_frequencies_within_four_se():
 def test_equal_weights_behave_uniformly():
     r = Reservoir()
     for s in range(3):
-        r.push(s)
+        r.push(s, -5.0)
     rng = np.random.default_rng(4)
     n = 60_000
-    draws = np.array([r.sample_weighted(lambda xs: np.full(len(xs), 5.0), rng) for _ in range(n)])
+    draws = np.array([r.sample_weighted(1.0, rng)[0] for _ in range(n)])
     counts = np.bincount(draws, minlength=3)
     _, p_value = stats.chisquare(counts, np.full(3, n / 3))
     assert p_value > 0.001
@@ -81,13 +92,13 @@ def test_equal_weights_behave_uniformly():
 
 def test_weighted_frequencies_match_explicit_normalization():
     r = Reservoir()
-    for s in range(3):
-        r.push(s)
     log_w = np.log(np.array([1.0, 2.0, 3.0]))
+    for s in range(3):
+        r.push(s, -log_w[s])
     expected = np.array([1.0, 2.0, 3.0]) / 6.0  # normalized by direct summation
     rng = np.random.default_rng(5)
     n = 100_000
-    draws = np.array([r.sample_weighted(lambda xs: log_w[xs], rng) for _ in range(n)])
+    draws = np.array([r.sample_weighted(1.0, rng)[0] for _ in range(n)])
     counts = np.bincount(draws, minlength=3)
     _, p_value = stats.chisquare(counts, expected * n)
     assert p_value > 0.001
@@ -95,11 +106,11 @@ def test_weighted_frequencies_match_explicit_normalization():
 
 def test_dominant_log_weight_never_overflows():
     r = Reservoir()
-    for s in range(3):
-        r.push(s)
     log_w = np.array([0.0, 10.0, 710.0])  # exp(710) overflows a float64
+    for s in range(3):
+        r.push(s, -log_w[s])
     rng = np.random.default_rng(6)
-    draws = [r.sample_weighted(lambda xs: log_w[xs], rng) for _ in range(10_000)]
+    draws = [r.sample_weighted(1.0, rng)[0] for _ in range(10_000)]
     assert set(draws) == {2}
 
 
@@ -110,9 +121,9 @@ def test_draws_reproducible_and_shift_invariant():
     def draw_sequence(shift, seed):
         r = Reservoir()
         for s in range(5):
-            r.push(s)
+            r.push(s, -(log_w[s] + shift))
         rng = np.random.default_rng(seed)
-        return [r.sample_weighted(lambda xs: log_w[xs] + shift, rng) for _ in range(200)]
+        return [r.sample_weighted(1.0, rng)[0] for _ in range(200)]
 
     assert draw_sequence(0.0, 42) == draw_sequence(0.0, 42)
     assert draw_sequence(0.0, 42) == draw_sequence(123.456, 42)
@@ -125,40 +136,41 @@ def test_empty_reservoir_errors():
     with pytest.raises(EmptyReservoirError):
         r.sample_uniform(rng)
     with pytest.raises(EmptyReservoirError):
-        r.sample_weighted(lambda xs: np.zeros(len(xs)), rng)
+        r.sample_weighted(1.0, rng)
     with pytest.raises(EmptyReservoirError):
         r.empirical_mean()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_non_finite_weights_rejected():
     r = Reservoir()
-    r.push(0)
-    r.push(1)
+    r.push(0, 0.0)
+    r.push(1, -1e308)  # finite, but -c * E overflows for c = 10
     rng = np.random.default_rng(8)
     with pytest.raises(NonFiniteWeightError):
-        r.sample_weighted(lambda xs: np.array([0.0, np.inf]), rng)
+        r.sample_weighted(10.0, rng)
 
 
 def test_states_are_copies_not_views():
     r = Reservoir(dimension=2)
     x = np.array([1.0, 2.0])
-    r.push(x)
+    r.push(x, 2.5)
     x[0] = 99.0  # caller-side mutation must not reach the stored state
     rng = np.random.default_rng(9)
-    drawn = r.sample_uniform(rng)
+    drawn, _ = r.sample_uniform(rng)
     assert drawn[0] == 1.0
     drawn[1] = -5.0  # and mutating a drawn copy must not corrupt the store
     assert r.samples[0, 1] == 2.0
 
 
-def reference_cdf(samples, log_weight):
+def reference_cdf(energies, coefficient):
     """The full recompute: weight every stored state at the current max."""
-    lw = np.asarray(log_weight(samples), dtype=float)
+    lw = -coefficient * np.asarray(energies, dtype=float)
     return np.cumsum(np.exp(lw - lw.max()))
 
 
-def reference_draw(samples, log_weight, rng):
-    cdf = reference_cdf(samples, log_weight)
+def reference_draw(energies, coefficient, rng):
+    cdf = reference_cdf(energies, coefficient)
     k = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
     return min(k, len(cdf) - 1)
 
@@ -175,15 +187,14 @@ def record_table(n_rows, seed):
     return table
 
 
+# energies -2 * table at coefficient 0.5 give back the table's log weights exactly
+COEFFICIENT = 0.5
+
+
 @pytest.mark.parametrize("dimension", [None, 2])
 def test_weighted_draws_match_full_recompute(dimension):
     table = record_table(1300, seed=11)
-    if dimension is None:
-        log_weight = lambda xs: table[xs]
-        index_of = lambda s: s
-    else:
-        log_weight = lambda xs: table[xs[:, 0].astype(int)]
-        index_of = lambda s: int(s[0])
+    energies = -table / COEFFICIENT
     schedule = np.random.default_rng(12)
     rng_cached, rng_ref = np.random.default_rng(13), np.random.default_rng(13)
     r = Reservoir(dimension)
@@ -192,48 +203,49 @@ def test_weighted_draws_match_full_recompute(dimension):
         # zero pushes between draws happen too: a draw with nothing new to weight
         for _ in range(min(int(schedule.integers(0, 12)), len(table) - r.count)):
             k = r.count
-            r.push(k if dimension is None else np.array([k, -0.5 * k]))
+            r.push(k if dimension is None else np.array([k, -0.5 * k]), energies[k])
         if r.count == 0:
             continue
         for _ in range(int(schedule.integers(1, 4))):
-            cached.append(index_of(r.sample_weighted(log_weight, rng_cached)))
-            ref.append(reference_draw(r.samples, log_weight, rng_ref))
+            state, energy = r.sample_weighted(COEFFICIENT, rng_cached)
+            k = state if dimension is None else int(state[0])
+            assert energy == energies[k]
+            cached.append(k)
+            ref.append(reference_draw(energies[: r.count], COEFFICIENT, rng_ref))
         # a differing last bit almost never changes an index, so compare the
         # cached prefix sums themselves
-        assert np.array_equal(r._cum[: r.count], reference_cdf(r.samples, log_weight))
+        assert np.array_equal(r._cum[: r.count], reference_cdf(energies[: r.count], COEFFICIENT))
     assert r.count == 1300  # crossed every doubling from 16 to 2048 rows
     assert cached == ref
     assert len(set(cached[-50:])) > 1  # near-dominant rows keep the tail informative
 
 
-def test_each_state_is_weighted_once_and_errors_leave_the_cache_intact():
+def test_a_draw_that_raises_leaves_the_cache_intact():
     table = record_table(1300, seed=21)
-    handed = []
-
-    def counting(xs):
-        handed.append(len(xs))
-        return table[xs]
-
-    def poisoned(xs):
-        out = table[xs].copy()
-        out[-1] = np.inf
-        return out
-
+    energies = -table / COEFFICIENT
     schedule = np.random.default_rng(22)
     rng_cached, rng_ref = np.random.default_rng(23), np.random.default_rng(23)
     r = Reservoir()
     for step in range(400):
         pushes = min(int(schedule.integers(0, 7)), len(table) - r.count)
         for _ in range(pushes):
-            r.push(r.count)
+            r.push(r.count, energies[r.count])
         if r.count == 0:
             continue
         if step % 37 == 5 and pushes:  # the failing draws see unweighted rows
-            with pytest.raises(NonFiniteWeightError):
-                r.sample_weighted(poisoned, rng_cached)
-            with pytest.raises(ValueError):
-                r.sample_weighted(lambda xs: table[xs][:-1], rng_cached)
-        drawn = r.sample_weighted(counting, rng_cached)
-        assert drawn == reference_draw(r.samples, lambda xs: table[xs], rng_ref)
+            with pytest.raises(ValueError, match="coefficient"):
+                r.sample_weighted(2 * COEFFICIENT, rng_cached)
+        drawn, _ = r.sample_weighted(COEFFICIENT, rng_cached)
+        assert drawn == reference_draw(energies[: r.count], COEFFICIENT, rng_ref)
     assert r.count > 1000
-    assert sum(handed) == r.count
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_first_weighted_draw_that_raises_fixes_no_coefficient():
+    r = Reservoir()
+    r.push(0, 0.0)
+    r.push(1, -1e308)
+    rng = np.random.default_rng(24)
+    with pytest.raises(NonFiniteWeightError):
+        r.sample_weighted(10.0, rng)
+    assert r.sample_weighted(1.0, rng)[0] == 1
