@@ -24,8 +24,9 @@ from eesampler import (
 SIGMA = np.array([[0.96, 2.44], [2.44, 7.04]])
 
 target = make_gaussian_target(SIGMA)
-ladder = TemperatureLadder((10.0, 5.0, 2.0, 1.0), thetas=(0.5, 0.5, 0.5))
-configs = ladder_configs(ladder, proposal_covariance=np.eye(2))
+ladder = TemperatureLadder((10.0, 5.0, 2.0, 1.0))
+# one local-move probability theta per adaptive level (level 0 never mixes)
+configs = ladder_configs(ladder, (0.5, 0.5, 0.5), proposal_covariance=np.eye(2))
 
 n = 50_000
 print(f"running the equi-energy ladder for {n} iterations ...")

@@ -52,7 +52,7 @@ from .kernels import (
     neighbor_proposal,
     theta_lower_bound,
 )
-from .ladder import ADAPTIVE_KINDS, SINGLE_KINDS, ladder_configs, run_sampler
+from .ladder import ADAPTIVE_KINDS, SINGLE_KINDS, check_adaptive_thetas, ladder_configs, run_sampler
 from .targets import TemperatureLadder, make_finite_target, make_gaussian_target
 
 TABLE1_KINDS = ("rwm", "ir", "ir_limit", "ee", "ee_limit")
@@ -66,10 +66,10 @@ def _fail(key: str, message: str):
     raise ConfigError(f"config key '{key}': {message}")
 
 
-def _checked(key: str, build, *args):
-    """``build(*args)``, with any conversion or domain error reported under ``key``."""
+def _checked(key: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with any conversion or domain error reported under ``key``."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except (TypeError, ValueError, OverflowError) as exc:
         _fail(key, str(exc))
 
@@ -174,23 +174,16 @@ def _build_target(raw):
     return _checked(key, make, raw[key])
 
 
-def _build_ladder(raw, kernel):
-    """The temperature ladder, and the theta of a limit kernel run with theta 0 (else None)."""
+def _build_ladder(raw):
+    """The temperature ladder, and one theta per adaptive level."""
     temps = _float_list("temperatures", raw.get("temperatures"))
     ladder = _checked("temperatures", TemperatureLadder, temps)
     if len(temps) < 2:  # every sampler but rwm needs a hotter level
         _fail("temperatures", f"need at least two temperatures, got {len(temps)}")
     theta = raw.get("theta", 0.5)
     if isinstance(theta, list):
-        thetas = _float_list("theta", theta)
-    else:
-        thetas = [_float("theta", theta)] * (len(temps) - 1)
-    if kernel in SINGLE_KINDS and 0.0 in thetas:
-        # theta 0 (pure refresh) suits only the limit kernels, which take their theta
-        # directly; the ladder's (0, 1] rule still checks the other entries
-        _checked("theta", TemperatureLadder, temps, [th or 1.0 for th in thetas])
-        return ladder, thetas[-1]
-    return _checked("theta", TemperatureLadder, temps, thetas), None
+        return ladder, _float_list("theta", theta)
+    return ladder, [_float("theta", theta)] * (len(temps) - 1)
 
 
 def _state_matrix(key, value, n) -> np.ndarray:
@@ -229,14 +222,16 @@ def load_config(path, kernel_override=None, seed_override=None, out_override=Non
     if kernel is not None and kernel not in ADAPTIVE_KINDS + SINGLE_KINDS:
         _fail("kernel", f"must be one of {ADAPTIVE_KINDS + SINGLE_KINDS}, got {kernel!r}")
     target = _build_target(raw)
-    ladder, single_theta = _build_ladder(raw, kernel)
+    ladder, thetas = _build_ladder(raw)
     if target.kind == "finite":
         log_weights = [-target.energies / t for t in ladder.temperatures]
         kwargs = {"base_matrices": _finite_bases(raw, target.state_count, log_weights)}
     else:
         proposal_scale = _positive_scale(raw, "proposal_scale")
         kwargs = {"proposal_covariance": proposal_scale**2 * np.eye(target.dimension)}
-    configs = ladder_configs(ladder, single_theta=single_theta, **kwargs)
+    configs = _checked("theta", ladder_configs, ladder, thetas, **kwargs)
+    if kernel not in SINGLE_KINDS:  # an adaptive (or unnamed) kernel cannot run at theta 0
+        _checked("theta", check_adaptive_thetas, configs)
     seed = seed_override if seed_override is not None else raw.get("seed")
     _int_at_least("seed", seed, 0)
     burn_in = _int_at_least("burn_in", raw.get("burn_in", 0), 0)
@@ -258,15 +253,17 @@ def load_config(path, kernel_override=None, seed_override=None, out_override=Non
     )
 
 
-def theta_bound_report(raw, temps, thetas):
+def theta_bound_report(raw, temps, configs):
     """Per-level theta lower bounds for user-supplied drift parameters.
 
-    Returns (lines, warnings); silent when lambdas/kappas are absent.
+    Returns (lines, warnings) on each ``configs[l].theta``; silent when both keys are absent.
     """
-    lambdas = raw.get("lambdas")
-    kappas = raw.get("kappas")
-    if lambdas is None or kappas is None:
+    lambdas, kappas = raw.get("lambdas"), raw.get("kappas")
+    if lambdas is None and kappas is None:
         return [], []
+    if lambdas is None or kappas is None:
+        key, other = ("lambdas", "kappas") if kappas is None else ("kappas", "lambdas")
+        _fail(key, f"has no effect without {other}")
     lambdas, kappas = _float_list("lambdas", lambdas), _float_list("kappas", kappas)
     n_adaptive = len(temps) - 1
     if len(lambdas) != n_adaptive or len(kappas) != n_adaptive:
@@ -278,7 +275,7 @@ def theta_bound_report(raw, temps, thetas):
             bound = theta_lower_bound(lam, kap, temps[level], temps[level - 1])
         except ValueError as exc:  # KappaTooLargeError included
             _fail("kappas", f"level {level}: {exc}")
-        theta = thetas[level - 1]
+        theta = configs[level].theta
         status = "ok" if theta > bound else "below bound"
         lines.append(
             f"level {level}: theta={theta:.4f}, lower bound {bound:.4f} "
@@ -333,15 +330,12 @@ def cmd_validate(args) -> int:
     raw = load_raw_config(args.config)
     if _is_oracle_config(raw):
         cfg = load_oracle_config(args.config)
+        oracle_report(cfg)  # an instance it cannot price is a config error
         print(f"config {args.config}: valid oracle instance (digest {config_digest(raw)})")
         print(f"  states: {cfg['e0'].size}, theta: {cfg['theta']}")
         return 0
     config = load_config(args.config)
-    lines, warnings = theta_bound_report(
-        config.raw,
-        config.ladder.temperatures,
-        config.ladder.thetas or (config.configs[-1].theta,) * (config.ladder.n_levels - 1),
-    )
+    lines, warnings = theta_bound_report(config.raw, config.ladder.temperatures, config.configs)
     print(f"config {args.config}: valid (digest {config_digest(raw)})")
     print(f"  target: {config.raw['target']}, levels: {config.ladder.n_levels}, "
           f"iterations: {config.iterations}, replications: {config.replications}")
@@ -403,8 +397,7 @@ def _table1_estimands(config):
 
 def cmd_table1(args) -> int:
     config = load_config(args.config, seed_override=args.seed, out_override=args.out)
-    if config.ladder.thetas is None:
-        _fail("theta", "adaptive samplers need theta in (0, 1]")
+    _checked("theta", check_adaptive_thetas, config.configs)  # table1 runs ee and ir too
 
     def work():
         specs = [
@@ -454,6 +447,8 @@ def load_oracle_config(path, seed_override=None, out_override=None) -> dict:
     if "energies0" in raw or "energies1" in raw:
         if not ("energies0" in raw and "energies1" in raw):
             _fail("energies0", "energies0 and energies1 must be given together")
+        for stray in sorted({"energies", "temperatures"} & raw.keys()):
+            _fail(stray, "has no effect beside energies0/energies1")
         e0 = _checked("energies0", make_finite_target, raw["energies0"]).energies
         e1 = _checked("energies1", make_finite_target, raw["energies1"]).energies
         if e0.shape != e1.shape:
@@ -480,6 +475,8 @@ def load_oracle_config(path, seed_override=None, out_override=None) -> dict:
     seed = seed_override if seed_override is not None else raw.get("seed", 0)
     _int_at_least("seed", seed, 0)
     reps = raw.get("crosscheck_replications")
+    if reps is None and "crosscheck_iterations" in raw:
+        _fail("crosscheck_iterations", "has no effect without crosscheck_replications")
     if reps is not None:  # the cross-check reports a sample variance, which needs two
         _int_at_least("crosscheck_replications", reps, 2)
         _checked("crosscheck_replications", check_pair_table_size, p0, p1, e0 - e1)
@@ -501,14 +498,22 @@ def load_oracle_config(path, seed_override=None, out_override=None) -> dict:
 
 
 def oracle_report(cfg) -> tuple:
-    """VarianceReport for an oracle config, plus the two chain models."""
+    """VarianceReport for an oracle config, plus the limit-kernel model and log r.
+
+    A failure is a config error of the key behind the failing level's matrix;
+    Poisson solves blame level 0 (the limit kernel is reducible only at theta 1).
+    """
+    raw = cfg["raw"]
+    proposal = "proposal_matrix" if "proposal_matrix" in raw else "move_prob"
+    key0, key1 = (key if key in raw else proposal for key in ("p0", "p1"))
     pi0 = make_finite_target(cfg["e0"]).tempered_probabilities(1.0)
     pi1 = make_finite_target(cfg["e1"]).tempered_probabilities(1.0)
     log_r = cfg["e0"] - cfg["e1"]
-    model0 = FiniteChainModel(cfg["p0"], pi0)
-    limit = FiniteChainModel(ee_limit_matrix(cfg["p1"], pi0, log_r, cfg["theta"]), pi1)
-    report = ee_limit_clt_variance(model0, limit, cfg["theta"], cfg["f"], log_r=log_r)
-    return report, model0, limit, log_r
+    model0 = _checked(key0, FiniteChainModel, cfg["p0"], pi0)
+    limit_matrix = ee_limit_matrix(cfg["p1"], pi0, log_r, cfg["theta"])
+    limit = _checked(key1, FiniteChainModel, limit_matrix, pi1)
+    report = _checked(key0, ee_limit_clt_variance, model0, limit, cfg["theta"], cfg["f"], log_r)
+    return report, limit, log_r
 
 
 def format_variance_report(report, theta, crosscheck=None) -> str:
@@ -530,9 +535,9 @@ def format_variance_report(report, theta, crosscheck=None) -> str:
 
 def cmd_oracle(args) -> int:
     cfg = load_oracle_config(args.config, seed_override=args.seed, out_override=args.out)
+    report, limit, log_r = oracle_report(cfg)
 
     def work():
-        report, model0, limit, log_r = oracle_report(cfg)
         crosscheck = None
         if cfg["crosscheck_replications"] is not None:
             reps = cfg["crosscheck_replications"]

@@ -77,9 +77,9 @@ class KernelConfig:
 
     ``proposal_covariance`` drives the Gaussian random-walk proposal on
     continuous targets; ``base_matrix`` replaces it on finite targets.
-    ``theta`` is the probability of the local branch in mixture kernels
-    (it may be 0 for limiting kernels, giving pure refresh; the adaptive
-    ladder requires theta > 0 and enforces that at ladder level).
+    ``theta``, the probability of the local branch in mixture kernels, lives
+    here only.  It may be 0 (pure refresh for the limiting kernels); an
+    adaptive level needs (0, 1], which ``ladder.check_adaptive_thetas`` checks.
     The importance-resampling move advances its resampled state by the
     same local kernel.
     """

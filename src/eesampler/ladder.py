@@ -199,13 +199,9 @@ def _record(target, n_levels, n_iterations, step):
 def run_ladder(target, ladder, configs, scheme: str, n_iterations: int, seed: int,
                initial_states=None) -> Trajectory:
     """Run the full adaptive ladder; deterministic given (arguments, seed)."""
-    if ladder.thetas is None:
-        raise ValueError("adaptive ladder runs need thetas on the temperature ladder")
     if len(configs) != ladder.n_levels:
         raise ValueError(f"need {ladder.n_levels} kernel configs, got {len(configs)}")
-    thetas = [config.theta for config in configs[1:]]  # what the kernels read
-    if not all(0.0 < theta <= 1.0 for theta in thetas):
-        raise ValueError(f"adaptive levels need theta in (0, 1], got {thetas}")
+    thetas = check_adaptive_thetas(configs)
     state = init_ladder_state(target, ladder, seed, initial_states)
     recorded = _record(
         target, ladder.n_levels, n_iterations,
@@ -254,30 +250,35 @@ def run_single(target, ladder, config: KernelConfig, kind: str, n_iterations: in
     return Trajectory(kind, *_record(target, 1, n_iterations, step), seed, meta)
 
 
-def ladder_configs(ladder, proposal_covariance=None, base_matrices=None, single_theta=None):
-    """Per-level kernel configs consistent with a ladder.
+def ladder_configs(ladder, thetas, proposal_covariance=None, base_matrices=None):
+    """Per-level kernel configs for a ladder, one theta per adaptive level.
 
-    Level 0 gets theta = 1 (it never mixes); adaptive levels take their
-    theta from the ladder.  ``single_theta`` overrides every level's
-    theta, which is how the single-kernel runs (where the ladder carries
-    no thetas) get configured.
+    Level 0 gets theta = 1 (it never mixes) and level l >= 1 gets
+    ``thetas[l - 1]``.  ``KernelConfig`` checks each theta lies in [0, 1];
+    an adaptive run also needs them in (0, 1] (``check_adaptive_thetas``).
     """
-    configs = []
-    for level in range(ladder.n_levels):
-        if single_theta is not None:
-            theta = single_theta
-        elif level == 0:
-            theta = 1.0
-        else:
-            theta = ladder.theta(level)
-        configs.append(
-            KernelConfig(
-                theta=theta,
-                proposal_covariance=proposal_covariance,
-                base_matrix=None if base_matrices is None else base_matrices[level],
-            )
+    thetas = (1.0, *thetas)
+    if len(thetas) != ladder.n_levels:
+        raise ValueError(f"need one theta per adaptive level: expected {ladder.n_levels - 1}, "
+                         f"got {len(thetas) - 1}")
+    return tuple(
+        KernelConfig(
+            theta=float(theta),
+            proposal_covariance=proposal_covariance,
+            base_matrix=None if base_matrices is None else base_matrices[level],
         )
-    return tuple(configs)
+        for level, theta in enumerate(thetas)
+    )
+
+
+def check_adaptive_thetas(configs) -> list:
+    """The thetas of ``configs[1:]``, checked to lie in (0, 1]: at theta 0 an
+    adaptive level would never move locally, only copy its hotter chain."""
+    thetas = [config.theta for config in configs[1:]]
+    for theta in thetas:
+        if not 0.0 < theta <= 1.0:
+            raise ValueError(f"adaptive levels need theta in (0, 1], got {theta}")
+    return thetas
 
 
 def run_sampler(kind: str, target, ladder, configs, n_iterations: int, seed: int) -> Trajectory:

@@ -129,14 +129,12 @@ class TemperatureLadder:
     """Strictly decreasing temperatures t_0 > ... > t_K = 1.
 
     Level 0 is the hottest chain (a plain Markov chain in the adaptive
-    schemes); level K is the distribution of interest.  ``thetas`` holds
-    the local-move probabilities theta_1..theta_K of the adaptive levels
-    and may be omitted when only temperatures are needed (single-kernel
-    runs configure theta directly on the kernel).
+    schemes); level K is the distribution of interest.  The ladder holds
+    temperatures only: each level's local-move probability theta is a
+    kernel parameter and lives on that level's ``KernelConfig``.
     """
 
     temperatures: tuple
-    thetas: tuple | None = None
 
     def __post_init__(self):
         temps = tuple(float(t) for t in self.temperatures)
@@ -152,17 +150,6 @@ class TemperatureLadder:
                 )
         if temps[-1] != 1.0:
             raise ValueError(f"coldest temperature must be exactly 1, got {temps[-1]}")
-        if self.thetas is not None:
-            thetas = tuple(float(th) for th in self.thetas)
-            object.__setattr__(self, "thetas", thetas)
-            if len(thetas) != len(temps) - 1:
-                raise ValueError(
-                    f"need one theta per adaptive level: expected {len(temps) - 1}, "
-                    f"got {len(thetas)}"
-                )
-            for th in thetas:
-                if not 0.0 < th <= 1.0:
-                    raise ValueError(f"every theta must lie in (0, 1], got {th}")
 
     @property
     def n_levels(self) -> int:
@@ -176,13 +163,6 @@ class TemperatureLadder:
     def temperature(self, level: int) -> float:
         self._check_level(level)
         return self.temperatures[level]
-
-    def theta(self, level: int) -> float:
-        if self.thetas is None:
-            raise ValueError("this ladder has no thetas configured")
-        if not 1 <= level <= self.top_level:
-            raise ValueError(f"theta is defined for levels 1..{self.top_level}, got {level}")
-        return self.thetas[level - 1]
 
     def _check_level(self, level: int):
         if not 0 <= level < len(self.temperatures):

@@ -53,7 +53,7 @@ WELL_THETA = 0.5
 
 def five_state_instance():
     target = make_finite_target(FIVE_STATE_ENERGIES)
-    ladder = TemperatureLadder(FIVE_STATE_TEMPS, (0.5,))
+    ladder = TemperatureLadder(FIVE_STATE_TEMPS)
     bases = [
         metropolis_matrix(neighbor_proposal(5), -FIVE_STATE_ENERGIES / t)
         for t in FIVE_STATE_TEMPS
@@ -73,8 +73,8 @@ def well_instance():
 def test_criterion_1_table_reproduction():
     """Five-sampler MSE experiment reproduces the reported pattern."""
     target = make_gaussian_target(SIGMA)
-    ladder = TemperatureLadder((10.0, 5.0, 2.0, 1.0), (0.5, 0.5, 0.5))
-    configs = ladder_configs(ladder, proposal_covariance=np.eye(2))
+    ladder = TemperatureLadder((10.0, 5.0, 2.0, 1.0))
+    configs = ladder_configs(ladder, (0.5, 0.5, 0.5), proposal_covariance=np.eye(2))
     estimands = [
         MomentEstimand("E[X1]", 0.0, component=0, power=1),
         MomentEstimand("E[X2]", 0.0, component=1, power=1),
@@ -254,7 +254,7 @@ def test_criterion_6_cautionary_inequality():
 def test_criterion_7_law_of_large_numbers():
     """Adaptive-EE ergodic averages match tempered expectations at every level."""
     target, ladder, bases = five_state_instance()
-    configs = ladder_configs(ladder, base_matrices=bases)
+    configs = ladder_configs(ladder, (0.5,), base_matrices=bases)
     n = 1_000_000
     traj = run_ladder(target, ladder, configs, "ee", n, seed=77)
     states = np.arange(5, dtype=float)

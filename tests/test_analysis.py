@@ -580,12 +580,12 @@ def test_pair_simulator_rejects_malformed_inputs(changes):
 def finite_specs():
     energies = (0.0, 0.4, 0.9, 1.5, 2.2)
     target = make_finite_target(energies)
-    ladder = TemperatureLadder((2.0, 1.0), (0.5,))
+    ladder = TemperatureLadder((2.0, 1.0))
     bases = [
         metropolis_matrix(neighbor_proposal(5), -np.asarray(energies) / t)
         for t in (2.0, 1.0)
     ]
-    configs = ladder_configs(ladder, base_matrices=bases)
+    configs = ladder_configs(ladder, (0.5,), base_matrices=bases)
     pi = target.tempered_probabilities(1.0)
     estimand = TableEstimand("mean_state", float(pi @ np.arange(5)), tuple(range(5)))
     specs = [
@@ -670,12 +670,12 @@ def test_theta_one_makes_adaptive_and_plain_samplers_comparable():
     # cold chain is the same kernel as the baseline (up to seed schedule)
     energies = (0.0, 0.4, 0.9, 1.5, 2.2)
     target = make_finite_target(energies)
-    ladder = TemperatureLadder((2.0, 1.0), (1.0,))
+    ladder = TemperatureLadder((2.0, 1.0))
     bases = [
         metropolis_matrix(neighbor_proposal(5), -np.asarray(energies) / t)
         for t in (2.0, 1.0)
     ]
-    configs = ladder_configs(ladder, base_matrices=bases)
+    configs = ladder_configs(ladder, (1.0,), base_matrices=bases)
     pi = target.tempered_probabilities(1.0)
     estimand = TableEstimand("mean_state", float(pi @ np.arange(5)), tuple(range(5)))
     specs = [

@@ -83,13 +83,26 @@ def test_limit_kernel_theta_error_names_the_bad_entry(tmp_path, capsys):
     # theta 0 is allowed for a limit kernel, so the message must point at the 2
     path = gaussian_config(tmp_path, kernel="rwm", theta=[0, 2, 0.5])
     assert main(["validate", path]) == 1
-    assert "config key 'theta': every theta must lie in (0, 1], got 2.0" in capsys.readouterr().err
+    assert "config key 'theta': theta must lie in [0, 1], got 2.0" in capsys.readouterr().err
 
 
-def test_theta_zero_allowed_for_limit_kernels(tmp_path):
+def test_theta_zero_allowed_for_limit_kernels(tmp_path, capsys):
     path = gaussian_config(tmp_path, theta=0.0, kernel="ir_limit")
     config = load_config(path)
     assert config.configs[-1].theta == 0.0
+    # table1 runs the adaptive samplers too, which need theta in (0, 1]
+    assert main(["table1", path]) == 1
+    assert "config key 'theta'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_reports_the_theta_each_level_runs_with(tmp_path, capsys):
+    path = gaussian_config(tmp_path, kernel="ir_limit", theta=[0, 0.5, 0.5],
+                           lambdas=[0.5, 0.5, 0.5], kappas=[0.025, 0.075, 0.125])
+    assert main(["validate", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    level1 = next(line for line in lines if "level 1:" in line)
+    assert "theta=0.0000" in level1 and level1.endswith("-> below bound")
 
 
 def test_run_writes_deterministic_csv(tmp_path):
@@ -270,8 +283,8 @@ def test_oracle_against_independent_model_construction(tmp_path):
 
 
 def test_failure_sentinel_on_midrun_error(tmp_path, capsys):
-    # p1 is stochastic but not stationary for energies1: passes parsing,
-    # fails when the limiting kernel model is assembled
+    # p1 is stochastic but not stationary for energies1: the variance report
+    # cannot be priced, so validate and oracle refuse it before any output
     bad_p1 = [[0.5, 0.5, 0.0], [0.2, 0.6, 0.2], [0.0, 0.5, 0.5]]
     cfg = {
         "target": "finite",
@@ -284,10 +297,19 @@ def test_failure_sentinel_on_midrun_error(tmp_path, capsys):
         "out": str(tmp_path / "bad"),
     }
     path = write_config(tmp_path, "bad.yaml", cfg)
+    for command in ("validate", "oracle"):
+        assert main([command, path]) == 1
+        err = capsys.readouterr().err
+        assert "config key 'p1'" in err and "residual" in err
+    assert not (tmp_path / "bad").exists()
+    # a failure once the output directory exists leaves a FAILED sentinel there
+    del cfg["p1"]
+    path = write_config(tmp_path, "bad.yaml", cfg)
+    (tmp_path / "bad" / "variance_report.txt").mkdir(parents=True)
     assert main(["oracle", path]) == 1
     sentinel = tmp_path / "bad" / "FAILED"
     assert sentinel.exists()
-    assert "residual" in sentinel.read_text()
+    assert "variance_report.txt" in sentinel.read_text()
 
 
 def test_unreadable_and_malformed_configs(tmp_path, capsys):
@@ -383,6 +405,13 @@ def test_crosscheck_past_the_table_limit_is_a_config_error(tmp_path, capsys):
     assert main(["validate", path]) == 0
 
 
+# three-state instances whose variance report cannot be priced
+THREE_STATES = {"energies0": [0.0, 0.5, 1.0], "energies1": [0.0, 0.5, 1.0], "f": [1.0, 0.0, -1.0]}
+IDENTITY_3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]  # reducible
+UNIFORM_3 = [[1 / 3] * 3] * 3  # stationary law uniform, not the tempered one
+WEIGHTS_3 = np.exp(-np.array(THREE_STATES["energies0"]))
+IID_3 = np.tile(WEIGHTS_3 / WEIGHTS_3.sum(), (3, 1)).tolist()  # stationary for the tempered law
+
 MALFORMED_KEYS = [
     (gaussian_config, {"theta": "abc"}, "theta"),
     (gaussian_config, {"theta": [0.5, 0.5, "a"]}, "theta"),
@@ -398,6 +427,8 @@ MALFORMED_KEYS = [
     (gaussian_config, {"ir_proposal_scale": -1}, "ir_proposal_scale"),
     (gaussian_config, {"include_initial_state": "no"}, "include_initial_state"),
     (gaussian_config, {"lambdas": 3, "kappas": 3}, "lambdas"),
+    (gaussian_config, {"lambdas": [0.5, 0.5, 0.5]}, "lambdas"),
+    (gaussian_config, {"kappas": [0.025, 0.075, 0.125]}, "kappas"),
     (gaussian_config, {"out": None}, "out"),
     (gaussian_config, {"out": 5}, "out"),
     (finite_config, {"move_prob": 0}, "move_prob"),
@@ -412,6 +443,17 @@ MALFORMED_KEYS = [
     (oracle_config, {"p0": [[1]]}, "p0"),
     (oracle_config, {"crosscheck_iterations": "abc"}, "crosscheck_iterations"),
     (oracle_config, {"crosscheck_iterations": -3}, "crosscheck_iterations"),
+    (oracle_config, {"crosscheck_replications": None, "crosscheck_iterations": 50},
+     "crosscheck_iterations"),
+    (oracle_config, {"temperatures": [7, 3, 1]}, "temperatures"),
+    (oracle_config, {"energies": [9, 9]}, "energies"),
+    (oracle_config, {**THREE_STATES, "p0": IDENTITY_3}, "p0"),
+    (oracle_config, {**THREE_STATES, "p0": UNIFORM_3}, "p0"),
+    (oracle_config, {**THREE_STATES, "p0": IID_3, "p1": UNIFORM_3}, "p1"),
+    (oracle_config, {**THREE_STATES, "proposal_matrix": IDENTITY_3}, "proposal_matrix"),
+    # two wells the nearest-neighbor Metropolis chain cannot cross in floating point
+    (oracle_config, {**THREE_STATES, "energies0": [0.0, 1e3, 0.0], "energies1": [0.0, 1e3, 0.0]},
+     "move_prob"),
 ]
 
 

@@ -28,7 +28,7 @@ SIGMA = np.array([[0.96, 2.44], [2.44, 7.04]])
 
 def finite_setup(energies=(0.0, 0.6, 1.5), temps=(2.0, 1.0), theta=0.5):
     target = make_finite_target(energies)
-    ladder = TemperatureLadder(temps, (theta,) * (len(temps) - 1))
+    ladder = TemperatureLadder(temps)
     bases = [
         metropolis_matrix(
             neighbor_proposal(target.state_count),
@@ -168,7 +168,7 @@ def test_ir_frozen_reservoir_matches_matrix_row():
 
 def test_ir_single_point_reservoir_starts_inner_move_there():
     target = make_gaussian_target(np.eye(2))
-    ladder = TemperatureLadder((2.0, 1.0), (0.5,))
+    ladder = TemperatureLadder((2.0, 1.0))
     config = KernelConfig(theta=1e-12, proposal_covariance=1e-24 * np.eye(2))
     res = Reservoir(dimension=2)
     y = np.array([2.5, -1.0])
@@ -277,7 +277,7 @@ def test_limit_ir_theta_zero_draws_iid():
 
 def test_limit_ee_gaussian_second_moments():
     target = make_gaussian_target(SIGMA)
-    ladder = TemperatureLadder((10.0, 5.0, 2.0, 1.0), (0.5, 0.5, 0.5))
+    ladder = TemperatureLadder((10.0, 5.0, 2.0, 1.0))
     config = KernelConfig(theta=0.5, proposal_covariance=np.eye(2))
     rng = np.random.default_rng(11)
     n, burn = 400_000, 10_000
@@ -308,7 +308,7 @@ def test_metropolis_and_exchange_moves_accept_at_a_zero_uniform():
     # u = 0.0 is log u = -inf, which accepts both uphill proposals
     # (math.log(0.0) raises instead)
     target = make_gaussian_target(SIGMA)
-    ladder = TemperatureLadder((2.0, 1.0), (0.5,))
+    ladder = TemperatureLadder((2.0, 1.0))
     config = KernelConfig(theta=0.0, proposal_covariance=np.eye(2))
     local = rwm_step(target, ladder, 1, np.zeros(2), config, ZeroUniform())
     assert local.accepted and list(local.next) == [1.0, 1.0]
@@ -358,7 +358,7 @@ class NanEnergyTarget(GaussianTarget):
 )
 def test_fresh_non_finite_energy_raises_even_with_a_carried_energy(kind, theta):
     target = NanEnergyTarget(np.eye(2))
-    ladder = TemperatureLadder((2.0, 1.0), (0.5,))
+    ladder = TemperatureLadder((2.0, 1.0))
     config = KernelConfig(theta=theta, proposal_covariance=np.eye(2))
     res = Reservoir(dimension=2)  # a push needs a finite energy: the plain Gaussian's
     res.push(np.ones(2), GaussianTarget(np.eye(2)).energy(np.ones(2)))

@@ -38,19 +38,19 @@ SIGMA = np.array([[0.96, 2.44], [2.44, 7.04]])
 
 def finite_ladder(energies=(0.0, 0.4, 0.9, 1.5, 2.2), temps=(4.0, 2.0, 1.0), theta=0.5):
     target = make_finite_target(energies)
-    ladder = TemperatureLadder(temps, (theta,) * (len(temps) - 1))
+    ladder = TemperatureLadder(temps)
     bases = [
         metropolis_matrix(neighbor_proposal(target.state_count), -np.asarray(energies) / t)
         for t in temps
     ]
-    configs = ladder_configs(ladder, base_matrices=bases)
+    configs = ladder_configs(ladder, (theta,) * (len(temps) - 1), base_matrices=bases)
     return target, ladder, configs
 
 
 def test_zero_adaptive_levels_is_plain_rwm():
     target = make_gaussian_target(np.eye(2))
-    ladder = TemperatureLadder((1.0,), ())
-    configs = ladder_configs(ladder, proposal_covariance=np.eye(2))
+    ladder = TemperatureLadder((1.0,))
+    configs = ladder_configs(ladder, (), proposal_covariance=np.eye(2))
     traj = run_ladder(target, ladder, configs, "ee", 500, seed=5)
     single = run_single(target, ladder, configs[0], "rwm", 500, seed=5, level=0)
     assert np.array_equal(traj.states[0], single.states[0])
@@ -67,9 +67,9 @@ def test_exchange_at_step_two_reads_only_the_first_hot_state():
     # the classic order-of-update bug: pushing before advancing would let
     # the level-1 step at n=2 see X_2^(0) (or the initial state)
     target = make_finite_target([0.0] * 5)  # equal energies: exchanges always accepted
-    ladder = TemperatureLadder((2.0, 1.0), (1e-9,))
+    ladder = TemperatureLadder((2.0, 1.0))
     base = neighbor_proposal(5)  # uniform target: the proposal is already stationary
-    configs = ladder_configs(ladder, base_matrices=[base, base])
+    configs = ladder_configs(ladder, (1e-9,), base_matrices=[base, base])
     exchanges = 0
     for seed in range(300):
         traj = run_ladder(
@@ -103,8 +103,8 @@ def test_run_ladder_deterministic():
 
 def test_paper_setup_runs_and_has_full_shape():
     target = make_gaussian_target(SIGMA)
-    ladder = TemperatureLadder((10.0, 5.0, 2.0, 1.0), (0.5, 0.5, 0.5))
-    configs = ladder_configs(ladder, proposal_covariance=np.eye(2))
+    ladder = TemperatureLadder((10.0, 5.0, 2.0, 1.0))
+    configs = ladder_configs(ladder, (0.5, 0.5, 0.5), proposal_covariance=np.eye(2))
     traj = run_ladder(target, ladder, configs, "ee", 2000, seed=42)
     assert traj.n_levels == 4
     assert all(level.shape == (2000, 2) for level in traj.states)
@@ -114,8 +114,8 @@ def test_paper_setup_runs_and_has_full_shape():
 
 def test_level_zero_trace_matches_single_rwm_run():
     target = make_gaussian_target(SIGMA)
-    ladder = TemperatureLadder((10.0, 5.0, 2.0, 1.0), (0.5, 0.5, 0.5))
-    configs = ladder_configs(ladder, proposal_covariance=np.eye(2))
+    ladder = TemperatureLadder((10.0, 5.0, 2.0, 1.0))
+    configs = ladder_configs(ladder, (0.5, 0.5, 0.5), proposal_covariance=np.eye(2))
     traj = run_ladder(target, ladder, configs, "ee", 300, seed=77)
     single = run_single(target, ladder, configs[0], "rwm", 300, seed=77, level=0)
     assert np.array_equal(traj.states[0], single.states[0])
@@ -156,7 +156,7 @@ def test_limit_ir_theta_zero_has_no_autocorrelation():
 def test_limit_ee_occupation_matches_stationary_law():
     energies = (0.0, 0.5, 1.1, 2.0, 3.2)
     target = make_finite_target(energies)
-    ladder = TemperatureLadder((2.0, 1.0), (0.5,))
+    ladder = TemperatureLadder((2.0, 1.0))
     base = metropolis_matrix(neighbor_proposal(5), -np.asarray(energies))
     config = KernelConfig(theta=0.5, base_matrix=base)
     n = 1_000_000
@@ -196,22 +196,14 @@ def test_run_single_validations():
         run_single(target, ladder, config, "rwm", 0, seed=0)
 
 
-def test_run_ladder_requires_thetas():
-    target = make_gaussian_target(np.eye(2))
-    ladder = TemperatureLadder((2.0, 1.0))  # no thetas
-    configs = (KernelConfig(proposal_covariance=np.eye(2)),) * 2
-    with pytest.raises(ValueError):
-        run_ladder(target, ladder, configs, "ee", 10, seed=0)
-
-
 def test_run_ladder_takes_thetas_from_the_configs():
     target = make_gaussian_target(np.eye(2))
-    ladder = TemperatureLadder((2.0, 1.0), (0.5,))
-    configs = ladder_configs(ladder, proposal_covariance=np.eye(2), single_theta=0.8)
+    ladder = TemperatureLadder((2.0, 1.0))
+    configs = ladder_configs(ladder, (0.8,), proposal_covariance=np.eye(2))
     traj = run_ladder(target, ladder, configs, "ee", 10, seed=0)
     assert traj.metadata["thetas"] == [0.8]
     # theta 0 would never take the local branch on a non-empty reservoir
-    configs = ladder_configs(ladder, proposal_covariance=np.eye(2), single_theta=0.0)
+    configs = ladder_configs(ladder, (0.0,), proposal_covariance=np.eye(2))
     with pytest.raises(ValueError, match="adaptive levels need theta in"):
         run_ladder(target, ladder, configs, "ee", 10, seed=0)
 
@@ -345,8 +337,8 @@ def test_energy_is_evaluated_once_per_local_or_inner_proposal(monkeypatch, schem
 
     monkeypatch.setattr(GaussianTarget, "energy", counting)
     target = make_gaussian_target(SIGMA)
-    ladder = TemperatureLadder((4.0, 1.0), (0.5,))
-    configs = ladder_configs(ladder, proposal_covariance=np.eye(2))
+    ladder = TemperatureLadder((4.0, 1.0))
+    configs = ladder_configs(ladder, (0.5,), proposal_covariance=np.eye(2))
     traj = run_ladder(target, ladder, configs, scheme, 400, seed=6)
     # an exchange proposal and a resampled state carry the energy stored with
     # them in the reservoir; each level also evaluates its initial state once

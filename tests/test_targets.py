@@ -5,10 +5,12 @@ from scipy import stats
 from eesampler import (
     TemperatureLadder,
     importance_log_weight,
+    ladder_configs,
     make_finite_target,
     make_gaussian_target,
     tempered_log_density,
 )
+from eesampler.ladder import check_adaptive_thetas
 
 SIGMA = np.array([[0.96, 2.44], [2.44, 7.04]])
 
@@ -204,15 +206,17 @@ def test_ladder_validation():
         TemperatureLadder((2.0, 1.5))
     with pytest.raises(ValueError):
         TemperatureLadder((2.0, -1.0))
-    with pytest.raises(ValueError):
-        TemperatureLadder((4.0, 2.0, 1.0), (0.5,))
-    with pytest.raises(ValueError):
-        TemperatureLadder((4.0, 2.0, 1.0), (0.5, 0.0))
-    ladder = TemperatureLadder((4.0, 2.0, 1.0), (0.5, 1.0))
-    assert ladder.theta(1) == 0.5
-    assert ladder.theta(2) == 1.0
-    with pytest.raises(ValueError):
-        TemperatureLadder((4.0, 1.0)).theta(1)
+    # theta lives on the kernel configs: one per adaptive level, in (0, 1]
+    ladder = TemperatureLadder((4.0, 2.0, 1.0))
+    with pytest.raises(ValueError, match="one theta per adaptive level"):
+        ladder_configs(ladder, (0.5,))
+    with pytest.raises(ValueError, match="adaptive levels need theta in"):
+        check_adaptive_thetas(ladder_configs(ladder, (0.5, 0.0)))
+    configs = ladder_configs(ladder, (0.5, 1.0))
+    assert [config.theta for config in configs] == [1.0, 0.5, 1.0]
+    assert check_adaptive_thetas(configs) == [0.5, 1.0]
+    with pytest.raises(ValueError, match="one theta per adaptive level"):
+        ladder_configs(TemperatureLadder((4.0, 1.0)), ())
 
 
 def test_target_construction_errors():
