@@ -11,13 +11,16 @@ One executable with four subcommands:
 * ``oracle``   -- the exact two-level variance report on a finite
   instance, optionally cross-checked by replicated simulation.
 
-Configs are flat YAML files; every key is documented in the README and
-in the bundled files under demos/configs/, and any other key is a config
-error.  A digest of the parsed config is embedded in every metadata
-sidecar, and CSV output is byte-identical across repeated invocations
-(timestamps only live in the sidecars).  If a command fails after its
-output directory was created, a FAILED sentinel file with the error is
-left there.
+Configs are flat YAML files with one set of keys and one rule per key,
+documented in the README and in the bundled files under demos/configs/;
+any other key is a config error.  ``oracle`` reads a two-level finite
+sampler config plus the keys in ``ORACLE_KEYS``, which ``run`` and
+``table1`` refuse, and ``validate`` checks a config for ``oracle`` when
+one of those keys is present, else for the samplers.  A digest of the
+parsed config is embedded in every metadata sidecar, and CSV output is
+byte-identical across repeated invocations (timestamps only live in the
+sidecars).  If a command fails after its output directory was created, a
+FAILED sentinel file with the error is left there.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .analysis import (
     mse_harness,
 )
 from .kernels import (
+    KernelConfig,
     _check_stochastic,
     ee_limit_matrix,
     metropolis_matrix,
@@ -84,16 +88,31 @@ def _float_list(key, value) -> list:
     return [_float(key, item) for item in value]
 
 
-def _positive_scale(raw, key) -> float:
-    scale = _float(key, raw.get(key, 1.0))
+# A random-walk step longer than this many proposal standard deviations has
+# probability exp(-50), about 2e-22, in two dimensions (the chi-square tail at
+# 100), so no run of feasible length proposes one.  Such a step reaches energy
+# 0.5 (k s)^2 lambda_max(Sigma^-1) at most, which must be a finite float; the
+# largest absolute row sum of Sigma^-1 stands in for lambda_max, which it
+# bounds, since an eigensolver would add to the process's memory for one check.
+PROPOSAL_SDS = 10.0
+
+
+def _proposal_scale(raw, target) -> float:
+    scale = _float("proposal_scale", raw.get("proposal_scale", 1.0))
     if not (scale > 0.0 and 0.0 < scale * scale < math.inf):
-        _fail(key, f"must be finite and positive, and so must its square; got {scale!r}")
+        _fail("proposal_scale", f"must be finite and positive, and so must its square; got {scale!r}")
+    step = PROPOSAL_SDS * scale
+    stiffest = float(np.abs(np.linalg.inv(target.covariance)).sum(axis=1).max())
+    step_energy = 0.5 * step * step * stiffest  # no float product raises; it overflows to inf
+    if not step_energy < math.inf:
+        _fail("proposal_scale", f"a step of {PROPOSAL_SDS:g} proposal standard deviations "
+                                f"overflows the target's energy ({step_energy})")
     return scale
 
 
-def _int_at_least(key, value, low):
+def _int_at_least(key, value, low, required=True):
     if value is None:
-        _fail(key, "required")
+        return _fail(key, "required") if required else None
     if not isinstance(value, int) or isinstance(value, bool) or value < low:
         _fail(key, f"must be an integer of at least {low}, got {value!r}")
     return value
@@ -108,18 +127,6 @@ def _jobs(text) -> int:
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return jobs
-
-
-def _check_keys(raw: dict, known: frozenset):
-    """Reject a key the loader does not read, so a misspelt key cannot pass unnoticed."""
-    for key in raw:
-        if key not in known:
-            _fail(key, "unknown key")
-
-
-def _out_dir(raw, out_override) -> Path:
-    out = raw.get("out", "results") if out_override is None else out_override
-    return _checked("out", Path, out)
 
 
 def load_raw_config(path) -> dict:
@@ -144,21 +151,42 @@ def config_digest(raw: dict) -> str:
 
 @dataclass
 class RunConfig:
-    """Validated sampler configuration (everything the run commands need)."""
+    """A validated config.  ``levels`` holds each finite level's energies; in the
+    oracle's explicit-law form ``target`` and ``ladder`` are None."""
 
     raw: dict
     target: object
-    ladder: TemperatureLadder
+    ladder: TemperatureLadder | None
+    levels: list | None
     configs: tuple
     kernel: str | None
-    iterations: int
+    iterations: int | None
     replications: int
-    seed: int
+    seed: int | None
     burn_in: int
     out: Path
 
 
-def _build_target(raw):
+# the oracle's additions to a finite sampler config
+ORACLE_KEYS = frozenset((
+    "energies0", "energies1", "p0", "p1", "f", "crosscheck_replications", "crosscheck_iterations",
+))
+# the keys that belong to one target family; every oracle key is a finite one
+TARGET_KEYS = {
+    "gaussian": frozenset(("covariance", "proposal_scale")),
+    "finite": frozenset(("energies", "move_prob", "proposal_matrix")) | ORACLE_KEYS,
+}
+CONFIG_KEYS = frozenset((
+    "target", "temperatures", "theta", "kernel", "iterations", "replications", "burn_in",
+    "seed", "out", "lambdas", "kappas",
+)).union(*TARGET_KEYS.values())
+
+
+def _build_levels(raw):
+    """The target, its temperature ladder and, on a finite target, each level's
+    energies E / t_l.  The oracle's explicit-law form gives two levels' energies
+    and no target or ladder: the shared-kernel well has two equal laws, which
+    no strictly decreasing ladder gives."""
     kind = raw.get("target")
     if kind == "gaussian":
         key, make = "covariance", make_gaussian_target
@@ -169,21 +197,23 @@ def _build_target(raw):
     for family, keys in TARGET_KEYS.items():
         for stray in sorted(keys & raw.keys()) if family != kind else ():
             _fail(stray, f"applies to {family} targets only, not to {kind} ones")
+    if "energies0" in raw or "energies1" in raw:
+        if not ("energies0" in raw and "energies1" in raw):
+            _fail("energies0", "energies0 and energies1 must be given together")
+        for stray in sorted({"energies", "temperatures", "lambdas", "kappas"} & raw.keys()):
+            _fail(stray, "has no effect beside energies0/energies1")
+        e0, e1 = (_checked(key, make, raw[key]).energies for key in ("energies0", "energies1"))
+        if e0.shape != e1.shape:
+            _fail("energies1", f"must have one entry per state like energies0 ({e0.size})")
+        return None, None, [e0, e1]
     if key not in raw:
         _fail(key, f"required for {kind} targets")
-    return _checked(key, make, raw[key])
-
-
-def _build_ladder(raw):
-    """The temperature ladder, and one theta per adaptive level."""
+    target = _checked(key, make, raw[key])
     temps = _float_list("temperatures", raw.get("temperatures"))
     ladder = _checked("temperatures", TemperatureLadder, temps)
     if len(temps) < 2:  # every sampler but rwm needs a hotter level
         _fail("temperatures", f"need at least two temperatures, got {len(temps)}")
-    theta = raw.get("theta", 0.5)
-    if isinstance(theta, list):
-        return ladder, _float_list("theta", theta)
-    return ladder, [_float("theta", theta)] * (len(temps) - 1)
+    return target, ladder, [target.energies / t for t in temps] if kind == "finite" else None
 
 
 def _state_matrix(key, value, n) -> np.ndarray:
@@ -204,53 +234,63 @@ def _finite_bases(raw, n, log_weights) -> list:
     return [_checked("proposal_matrix", metropolis_matrix, proposal, lw) for lw in log_weights]
 
 
-# the run keys that belong to one target family
-TARGET_KEYS = {
-    "gaussian": frozenset(("covariance", "proposal_scale")),
-    "finite": frozenset(("energies", "move_prob", "proposal_matrix")),
-}
-RUN_KEYS = frozenset((
-    "target", "temperatures", "theta", "kernel", "iterations", "replications", "burn_in",
-    "seed", "out", "lambdas", "kappas",
-)).union(*TARGET_KEYS.values())
-
-
-def load_config(path, kernel_override=None, seed_override=None, out_override=None) -> RunConfig:
-    raw = load_raw_config(path)
-    _check_keys(raw, RUN_KEYS)
-    kernel = kernel_override or raw.get("kernel")
-    if kernel is not None and kernel not in ADAPTIVE_KINDS + SINGLE_KINDS:
-        _fail("kernel", f"must be one of {ADAPTIVE_KINDS + SINGLE_KINDS}, got {kernel!r}")
-    target = _build_target(raw)
-    ladder, thetas = _build_ladder(raw)
-    if target.kind == "finite":
-        log_weights = [-target.energies / t for t in ladder.temperatures]
-        kwargs = {"base_matrices": _finite_bases(raw, target.state_count, log_weights)}
+def _parse(raw, kernel, seed, out_override, kinds, required) -> RunConfig:
+    """The rules every config shares, for a command that runs the kernels
+    ``kinds`` and needs the keys ``required`` (from "seed" and "iterations")."""
+    for key in raw:  # so that a misspelt key cannot fall back to a default unnoticed
+        if key not in CONFIG_KEYS:
+            _fail(key, "unknown key")
+    if kernel is not None and kernel not in kinds:
+        _fail("kernel", f"must be one of {kinds}, got {kernel!r}")
+    target, ladder, levels = _build_levels(raw)
+    theta = raw.get("theta", 0.5)
+    if isinstance(theta, list):
+        thetas = _float_list("theta", theta)
     else:
-        proposal_scale = _positive_scale(raw, "proposal_scale")
+        thetas = [_float("theta", theta)] * (1 if ladder is None else ladder.top_level)
+    if levels is None:
+        proposal_scale = _proposal_scale(raw, target)
         kwargs = {"proposal_covariance": proposal_scale**2 * np.eye(target.dimension)}
-    configs = _checked("theta", ladder_configs, ladder, thetas, **kwargs)
+    else:
+        kwargs = {"base_matrices": _finite_bases(raw, levels[0].size, [-e for e in levels])}
+    if ladder is None:  # the explicit-law form: two levels, and level 0 never mixes
+        if len(thetas) != 1:
+            _fail("theta", f"need one theta per adaptive level: expected 1, got {len(thetas)}")
+        configs = tuple(_checked("theta", KernelConfig, value, base_matrix=base)
+                        for value, base in zip((1.0, *thetas), kwargs["base_matrices"]))
+    else:
+        configs = _checked("theta", ladder_configs, ladder, thetas, **kwargs)
     if kernel not in SINGLE_KINDS:  # an adaptive (or unnamed) kernel cannot run at theta 0
         _checked("theta", check_adaptive_thetas, configs)
-    seed = seed_override if seed_override is not None else raw.get("seed")
-    _int_at_least("seed", seed, 0)
+    seed = _int_at_least("seed", raw.get("seed") if seed is None else seed, 0, "seed" in required)
     burn_in = _int_at_least("burn_in", raw.get("burn_in", 0), 0)
-    iterations = _int_at_least("iterations", raw.get("iterations"), 1)
-    if burn_in >= iterations:
+    iterations = _int_at_least("iterations", raw.get("iterations"), 1, "iterations" in required)
+    if iterations is not None and burn_in >= iterations:
         _fail("burn_in", f"must be below iterations={iterations}")
-    replications = _int_at_least("replications", raw.get("replications", 1), 1)
+    out = raw.get("out", "results") if out_override is None else out_override
     return RunConfig(
         raw=raw,
         target=target,
         ladder=ladder,
+        levels=levels,
         configs=configs,
         kernel=kernel,
         iterations=iterations,
-        replications=replications,
+        replications=_int_at_least("replications", raw.get("replications", 1), 1),
         seed=seed,
         burn_in=burn_in,
-        out=_out_dir(raw, out_override),
+        out=_checked("out", Path, out),
     )
+
+
+def load_config(path, kernel_override=None, seed_override=None, out_override=None) -> RunConfig:
+    """A sampler config, for ``run``, ``table1`` and ``validate``."""
+    raw = load_raw_config(path)
+    config = _parse(raw, kernel_override or raw.get("kernel"), seed_override, out_override,
+                    ADAPTIVE_KINDS + SINGLE_KINDS, ("seed", "iterations"))
+    for key in sorted(ORACLE_KEYS & raw.keys()):  # never ignore an explicit p0/p1 silently
+        _fail(key, "is read by the oracle command only")
+    return config
 
 
 def theta_bound_report(raw, temps, configs):
@@ -320,26 +360,21 @@ def _guarded(outdir: Path, work):
 # --- subcommands ----------------------------------------------------------------
 
 
-def _is_oracle_config(raw: dict) -> bool:
-    """Whether the oracle loader reads more of ``raw``'s keys than the run loader,
-    so that the loader chosen names the stray keys, whichever side they are on."""
-    return len(raw.keys() & ORACLE_KEYS) > len(raw.keys() & RUN_KEYS)
-
-
 def cmd_validate(args) -> int:
     raw = load_raw_config(args.config)
-    if _is_oracle_config(raw):
+    if ORACLE_KEYS & raw.keys():  # an oracle-only key makes it an oracle config
         cfg = load_oracle_config(args.config)
         oracle_report(cfg)  # an instance it cannot price is a config error
-        print(f"config {args.config}: valid oracle instance (digest {config_digest(raw)})")
-        print(f"  states: {cfg['e0'].size}, theta: {cfg['theta']}")
-        return 0
-    config = load_config(args.config)
-    lines, warnings = theta_bound_report(config.raw, config.ladder.temperatures, config.configs)
-    print(f"config {args.config}: valid (digest {config_digest(raw)})")
-    print(f"  target: {config.raw['target']}, levels: {config.ladder.n_levels}, "
-          f"iterations: {config.iterations}, replications: {config.replications}")
-    for line in lines:
+        config, verdict = cfg["config"], "valid oracle instance"
+        summary = f"states: {cfg['e0'].size}, theta: {cfg['theta']}"
+    else:
+        config, verdict = load_config(args.config), "valid"
+        summary = (f"target: {raw['target']}, levels: {config.ladder.n_levels}, "
+                   f"iterations: {config.iterations}, replications: {config.replications}")
+    temps = () if config.ladder is None else config.ladder.temperatures  # no ladder, no lambdas
+    lines, warnings = theta_bound_report(raw, temps, config.configs)
+    print(f"config {args.config}: {verdict} (digest {config_digest(raw)})")
+    for line in [summary, *lines]:
         print("  " + line)
     for warning in warnings:
         print("  warning: " + warning)
@@ -432,64 +467,37 @@ def cmd_table1(args) -> int:
 # --- the finite-instance oracle command ----------------------------------------
 
 
-ORACLE_KEYS = frozenset((
-    "target", "energies0", "energies1", "energies", "temperatures", "theta", "move_prob",
-    "proposal_matrix", "p0", "p1", "f", "seed", "out", "crosscheck_replications",
-    "crosscheck_iterations",
-))
-
-
 def load_oracle_config(path, seed_override=None, out_override=None) -> dict:
+    """A finite sampler config with two levels, plus the oracle's keys."""
     raw = load_raw_config(path)
-    _check_keys(raw, ORACLE_KEYS)
-    if raw.get("target", "finite") != "finite":
+    reps = raw.get("crosscheck_replications")
+    config = _parse(raw, raw.get("kernel"), seed_override, out_override, ("ee",),
+                    () if reps is None else ("seed",))  # the cross-check draws variates
+    if config.levels is None:
         _fail("target", "the oracle command works on finite targets")
-    if "energies0" in raw or "energies1" in raw:
-        if not ("energies0" in raw and "energies1" in raw):
-            _fail("energies0", "energies0 and energies1 must be given together")
-        for stray in sorted({"energies", "temperatures"} & raw.keys()):
-            _fail(stray, "has no effect beside energies0/energies1")
-        e0 = _checked("energies0", make_finite_target, raw["energies0"]).energies
-        e1 = _checked("energies1", make_finite_target, raw["energies1"]).energies
-        if e0.shape != e1.shape:
-            _fail("energies1", f"must have one entry per state like energies0 ({e0.size})")
-    else:
-        temps = _float_list("temperatures", raw.get("temperatures"))
-        if len(temps) != 2:
-            _fail("temperatures", "the oracle needs exactly two levels "
-                                  "(or explicit energies0/energies1)")
-        energies = _checked("energies", make_finite_target, raw.get("energies")).energies
-        e0, e1 = energies / temps[0], energies / temps[1]
-        if not (np.all(np.isfinite(e0)) and np.all(np.isfinite(e1))):
-            _fail("temperatures", "energies divided by each temperature must be finite")
+    if len(config.levels) != 2:
+        _fail("temperatures", "the oracle needs exactly two levels "
+                              "(or explicit energies0/energies1)")
+    e0, e1 = config.levels
     n = e0.size
-    theta = _float("theta", raw.get("theta", 0.5))
-    if not 0.0 <= theta <= 1.0:
-        _fail("theta", f"must lie in [0, 1], got {theta}")
-    base0, base1 = _finite_bases(raw, n, [-e0, -e1])
-    p0 = _state_matrix("p0", raw["p0"], n) if "p0" in raw else base0
-    p1 = _state_matrix("p1", raw["p1"], n) if "p1" in raw else base1
+    p0, p1 = (_state_matrix(key, raw[key], n) if key in raw else level.base_matrix
+              for key, level in zip(("p0", "p1"), config.configs))
     f = _checked("f", np.asarray, raw.get("f", np.arange(n, dtype=float)), float)
     if f.shape != (n,) or not np.all(np.isfinite(f)):
         _fail("f", f"must be {n} finite values (one per state), got shape {f.shape}")
-    seed = seed_override if seed_override is not None else raw.get("seed", 0)
-    _int_at_least("seed", seed, 0)
-    reps = raw.get("crosscheck_replications")
     if reps is None and "crosscheck_iterations" in raw:
         _fail("crosscheck_iterations", "has no effect without crosscheck_replications")
     if reps is not None:  # the cross-check reports a sample variance, which needs two
         _int_at_least("crosscheck_replications", reps, 2)
         _checked("crosscheck_replications", check_pair_table_size, p0, p1, e0 - e1)
     return {
-        "raw": raw,
+        "config": config,
         "e0": e0,
         "e1": e1,
-        "theta": theta,
+        "theta": config.configs[1].theta,
         "p0": p0,
         "p1": p1,
         "f": f,
-        "seed": seed,
-        "out": _out_dir(raw, out_override),
         "crosscheck_replications": reps,
         "crosscheck_iterations": _int_at_least(
             "crosscheck_iterations", raw.get("crosscheck_iterations", 100_000), 1
@@ -500,10 +508,11 @@ def load_oracle_config(path, seed_override=None, out_override=None) -> dict:
 def oracle_report(cfg) -> tuple:
     """VarianceReport for an oracle config, plus the limit-kernel model and log r.
 
-    A failure is a config error of the key behind the failing level's matrix;
-    Poisson solves blame level 0 (the limit kernel is reducible only at theta 1).
+    A failure is a config error of the key behind the failing level's matrix:
+    a failed Poisson solve is level 1's when its limit kernel is reducible
+    (which takes theta 1), else level 0's.
     """
-    raw = cfg["raw"]
+    raw = cfg["config"].raw
     proposal = "proposal_matrix" if "proposal_matrix" in raw else "move_prob"
     key0, key1 = (key if key in raw else proposal for key in ("p0", "p1"))
     pi0 = make_finite_target(cfg["e0"]).tempered_probabilities(1.0)
@@ -512,7 +521,11 @@ def oracle_report(cfg) -> tuple:
     model0 = _checked(key0, FiniteChainModel, cfg["p0"], pi0)
     limit_matrix = ee_limit_matrix(cfg["p1"], pi0, log_r, cfg["theta"])
     limit = _checked(key1, FiniteChainModel, limit_matrix, pi1)
-    report = _checked(key0, ee_limit_clt_variance, model0, limit, cfg["theta"], cfg["f"], log_r)
+    try:
+        report = ee_limit_clt_variance(model0, limit, cfg["theta"], cfg["f"], log_r)
+    except ValueError as exc:
+        _checked(key1, FiniteChainModel, limit_matrix)  # raises if the limit kernel is reducible
+        _fail(key0, str(exc))
     return report, limit, log_r
 
 
@@ -535,6 +548,7 @@ def format_variance_report(report, theta, crosscheck=None) -> str:
 
 def cmd_oracle(args) -> int:
     cfg = load_oracle_config(args.config, seed_override=args.seed, out_override=args.out)
+    config = cfg["config"]
     report, limit, log_r = oracle_report(cfg)
 
     def work():
@@ -545,7 +559,7 @@ def cmd_oracle(args) -> int:
             fc = cfg["f"] - limit.stationary @ cfg["f"]
             scaled = ee_pair_scaled_sums(
                 cfg["p0"], cfg["p1"], cfg["theta"], log_r, fc,
-                n_steps=iters, replications=reps, seed=cfg["seed"],
+                n_steps=iters, replications=reps, seed=config.seed,
             )
             var = float(scaled.var(ddof=1))
             crosscheck = {
@@ -555,12 +569,12 @@ def cmd_oracle(args) -> int:
                 "iterations": iters,
             }
         text = format_variance_report(report, cfg["theta"], crosscheck)
-        (cfg["out"] / "variance_report.txt").write_text(text + "\n")
-        _write_metadata(cfg["out"] / "variance_report.meta.json", cfg["raw"], cfg["seed"])
+        (config.out / "variance_report.txt").write_text(text + "\n")
+        _write_metadata(config.out / "variance_report.meta.json", config.raw, config.seed)
         print(text)
-        print(f"\nwrote {cfg['out'] / 'variance_report.txt'}")
+        print(f"\nwrote {config.out / 'variance_report.txt'}")
 
-    return _guarded(cfg["out"], work)
+    return _guarded(config.out, work)
 
 
 def main(argv=None) -> int:

@@ -10,9 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eesampler import FiniteChainModel, ee_limit_clt_variance, ee_limit_matrix
-from eesampler.cli import load_config, load_oracle_config, main, oracle_report
+from eesampler.cli import CONFIG_KEYS, load_config, load_oracle_config, main, oracle_report
 
-REPO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+REPO_CONFIGS = REPO_ROOT / "demos" / "configs"
 
 
 def write_config(tmp_path, name, mapping):
@@ -57,6 +58,38 @@ def test_validate_accepts_bundled_configs():
     assert main(["validate", f"{REPO_CONFIGS}/gaussian_table1.yaml"]) == 0
     assert main(["validate", f"{REPO_CONFIGS}/finite_5state.yaml"]) == 0
     assert main(["validate", f"{REPO_CONFIGS}/oracle_5state.yaml"]) == 0
+    # the finite sampler config is a two-level oracle instance too
+    oracle_report(load_oracle_config(f"{REPO_CONFIGS}/finite_5state.yaml"))
+
+
+def test_oracle_reads_a_finite_sampler_config(tmp_path):
+    # finite_5state is energies E at temperatures [4, 1]: the explicit laws E / 4 and E
+    sampler = yaml.safe_load((REPO_CONFIGS / "finite_5state.yaml").read_text())
+    explicit = {
+        "target": "finite",
+        "energies0": [e / 4 for e in sampler["energies"]],
+        "energies1": sampler["energies"],
+        "theta": sampler["theta"],
+        "move_prob": sampler["move_prob"],
+    }
+    path = write_config(tmp_path, "explicit.yaml", explicit)
+    assert main(["oracle", f"{REPO_CONFIGS}/finite_5state.yaml", "--out", str(tmp_path / "a")]) == 0
+    assert main(["oracle", path, "--out", str(tmp_path / "b")]) == 0
+    report = (tmp_path / "a" / "variance_report.txt").read_bytes()
+    assert report == (tmp_path / "b" / "variance_report.txt").read_bytes()
+    assert b"second_moment_limit" in report
+
+
+@pytest.mark.parametrize("command", ["run", "table1"])
+def test_run_and_table1_refuse_an_oracle_key_by_name(tmp_path, capsys, command):
+    base = yaml.safe_load((REPO_CONFIGS / "finite_5state.yaml").read_text())
+    path = write_config(tmp_path, "config.yaml", {**base, "f": [0.0, 1.0, 0.0, 1.0, 0.0]})
+    assert main(["validate", path]) == 0  # an oracle key makes it an oracle config
+    assert "valid oracle instance" in capsys.readouterr().out
+    out = tmp_path / command
+    assert main([command, path, "--out", str(out)]) == 1
+    assert "config key 'f': is read by the oracle command only" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_reports_theta_bounds(tmp_path, capsys):
@@ -364,6 +397,7 @@ def test_crosscheck_needs_two_replications(tmp_path, capsys):
 
 
 def oracle_config(tmp_path, **overrides):
+    """The bundled well with a short cross-check; an override of None drops the key."""
     cfg = {
         "target": "finite",
         "energies0": [0.0, 2.0, 4.0, 2.0, 0.0],
@@ -376,7 +410,7 @@ def oracle_config(tmp_path, **overrides):
         "out": str(tmp_path / "out"),
     }
     cfg.update(overrides)
-    return write_config(tmp_path, "oracle.yaml", cfg)
+    return write_config(tmp_path, "oracle.yaml", {k: v for k, v in cfg.items() if v is not None})
 
 
 @pytest.mark.parametrize("energies", [[i % 7 for i in range(130)], [0] * 130],
@@ -420,6 +454,9 @@ MALFORMED_KEYS = [
     (gaussian_config, {"temperatures": [1], "kernel": "rwm"}, "temperatures"),
     (gaussian_config, {"proposal_scale": "abc"}, "proposal_scale"),
     (gaussian_config, {"proposal_scale": 1e308}, "proposal_scale"),
+    # the scale's square is finite, but a 10-sd step overflows the energy
+    (gaussian_config, {"covariance": [[1e-10, 0], [0, 1e-10]], "proposal_scale": 1e150},
+     "proposal_scale"),
     # ir_proposal_scale and include_initial_state are no longer config keys:
     # any value of either is an unknown-key error
     (gaussian_config, {"ir_proposal_scale": "abc"}, "ir_proposal_scale"),
@@ -451,6 +488,13 @@ MALFORMED_KEYS = [
     (oracle_config, {**THREE_STATES, "p0": UNIFORM_3}, "p0"),
     (oracle_config, {**THREE_STATES, "p0": IID_3, "p1": UNIFORM_3}, "p1"),
     (oracle_config, {**THREE_STATES, "proposal_matrix": IDENTITY_3}, "proposal_matrix"),
+    # at theta 1 the limit kernel is p1 itself, so its singular Poisson system is level 1's
+    (oracle_config, {**THREE_STATES, "theta": 1, "p0": IID_3, "p1": IDENTITY_3}, "p1"),
+    # the oracle's theta, temperatures and kernel follow the sampler rules
+    (oracle_config, {"theta": 0}, "theta"),
+    (oracle_config, {"kernel": "ir"}, "kernel"),
+    (oracle_config, {"energies0": None, "energies1": None, "energies": [0.0, 2.0, 4.0, 2.0, 0.0],
+                     "temperatures": [1, 4]}, "temperatures"),
     # two wells the nearest-neighbor Metropolis chain cannot cross in floating point
     (oracle_config, {**THREE_STATES, "energies0": [0.0, 1e3, 0.0], "energies1": [0.0, 1e3, 0.0]},
      "move_prob"),
@@ -482,7 +526,7 @@ UNKNOWN_KEYS = [
     (bundled, key, value)
     for bundled in ("gaussian_table1", "finite_5state", "oracle_5state")
     for key, value in (("thetaa", 0.9), ("ir_proposal_scale", 3), ("include_initial_state", True))
-] + [("oracle_5state", "kernel", "ee")]
+]
 
 
 @pytest.mark.parametrize("bundled, key, value", UNKNOWN_KEYS,
@@ -506,6 +550,8 @@ OTHER_FAMILY_KEYS = [
     ("gaussian_table1", "move_prob", 0.3, "finite"),
     ("gaussian_table1", "energies", [0.0, 1.0], "finite"),
     ("gaussian_table1", "proposal_matrix", [[1.0]], "finite"),
+    ("gaussian_table1", "f", [1.0, 2.0], "finite"),
+    ("gaussian_table1", "p0", [[1.0]], "finite"),
 ]
 
 
@@ -525,27 +571,16 @@ def test_key_of_the_other_target_family_is_a_config_error(tmp_path, capsys, bund
         assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value", [("f", [1.0, 2.0]), ("p0", [[1.0]])])
-def test_validate_names_a_stray_oracle_key_in_a_sampler_config(tmp_path, capsys, key, value):
-    # one stray key must not switch validate to the oracle loader, which would
-    # blame a key of the sampler config; UNKNOWN_KEYS covers the other direction
-    base = yaml.safe_load((REPO_CONFIGS / "gaussian_table1.yaml").read_text())
-    path = write_config(tmp_path, "config.yaml", {**base, key: value})
-    message = f"config key '{key}': unknown key"
-    assert main(["validate", path]) == 1
-    assert message in capsys.readouterr().err
-    assert main(["run", path, "--out", str(tmp_path / "run")]) == 1
-    assert message in capsys.readouterr().err
+def test_readme_key_table_lists_every_config_key():
+    readme = (REPO_ROOT / "README.md").read_text()
+    table = readme.split("### Config keys", 1)[1].split("\n\n", 2)[1]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    documented = {key for row in rows for key in row.split("|")[1].split("`")[1::2]}
+    assert documented == CONFIG_KEYS
 
 
 # the two removed keys stay in the pool, where they exercise the unknown-key error
-DOCUMENTED_KEYS = (
-    "target", "covariance", "energies", "temperatures", "theta", "proposal_scale",
-    "ir_proposal_scale", "move_prob", "proposal_matrix", "kernel", "iterations",
-    "replications", "seed", "burn_in", "out", "include_initial_state", "lambdas", "kappas",
-    "energies0", "energies1", "f", "p0", "p1", "crosscheck_replications",
-    "crosscheck_iterations",
-)
+DOCUMENTED_KEYS = (*sorted(CONFIG_KEYS), "ir_proposal_scale", "include_initial_state")
 CONFIG_ERRORS = ("config key '", "cannot read", "cannot parse", "must contain a mapping")
 
 
