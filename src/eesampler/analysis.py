@@ -51,12 +51,13 @@ class ReducibleChainError(ValueError):
 
 
 def _strongly_connected(matrix: np.ndarray) -> bool:
-    # reachability closure by repeated boolean squaring
+    # reachability closure by repeated squaring of the 0/1 matrix; path
+    # counts reach n, so the product is in floats: uint8 counts wrap at 256
     n = matrix.shape[0]
-    reach = (matrix > 0) | np.eye(n, dtype=bool)
+    reach = ((matrix > 0) | np.eye(n, dtype=bool)).astype(float)
     steps = 1
     while steps < n:
-        reach = (reach.astype(np.uint8) @ reach.astype(np.uint8)) > 0
+        reach = ((reach @ reach) > 0).astype(float)
         steps *= 2
     return bool(reach.all())
 
@@ -307,16 +308,15 @@ def _check_state(name: str, x: int, n: int):
         raise ValueError(f"{name} must be a state in [0, {n}), got {x}")
 
 
-def simulate_matrix_chain(matrix, n_steps: int, seed: int, x0: int = 0) -> np.ndarray:
-    """Trajectory of a finite chain driven by an explicit matrix."""
+def simulate_matrix_chain(matrix, n_steps: int, seed: int) -> np.ndarray:
+    """Trajectory of a finite chain driven by an explicit matrix, from state 0."""
     b, table = _transition_table(_pinned_cumsum(_check_stochastic(matrix)))
     n = table.shape[1]
-    _check_state("x0", x0, n)
     rng = np.random.default_rng(seed)
     codes = (b.searchsorted(rng.random(n_steps), side="right") * n).tolist()
     flat = table.ravel().tolist()
     out = []
-    x = x0
+    x = 0
     for code in codes:
         x = flat[code + x]
         out.append(x)

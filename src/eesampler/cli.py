@@ -213,6 +213,11 @@ def _build_levels(raw):
     ladder = _checked("temperatures", TemperatureLadder, temps)
     if len(temps) < 2:  # every sampler but rwm needs a hotter level
         _fail("temperatures", f"need at least two temperatures, got {len(temps)}")
+    # an exact draw y = sqrt(t) L z from N(0, t Sigma) has energy t |z|^2 / 2 whatever
+    # Sigma is; at PROPOSAL_SDS standard deviations that is PROPOSAL_SDS^2 t / 2
+    if kind == "gaussian" and not 0.5 * PROPOSAL_SDS**2 * temps[0] < math.inf:
+        _fail("temperatures", f"an exact draw of {PROPOSAL_SDS:g} standard deviations at "
+                              f"temperature {temps[0]!r} overflows the energy")
     return target, ladder, [target.energies / t for t in temps] if kind == "finite" else None
 
 

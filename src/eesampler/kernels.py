@@ -17,15 +17,10 @@ Conventions shared by all mixture kernels:
 * acceptance ratios are formed in log domain from energy differences,
   never from normalized densities.
 
-Energy contract: every step kernel takes an optional ``energy`` of the
-current state x, which must be exactly ``target.energy(x)`` or ``None``
-(then the step evaluates it).  ``StepOutcome.energy`` is E(next); only the
-exact refresh of ``limit_ir_step`` leaves it ``None``.  A reservoir draw
-comes with the energy stored at its push, so a caller that passes each
-outcome's energy into the next step, and pushes it with the state,
-evaluates E once per local or inner proposal and once per exact draw of
-``limit_ee_step``, never at a reservoir draw.  Every energy a step
-evaluates comes from ``target.energy`` and is checked finite.
+Energy contract: every step kernel takes ``energy``, exactly
+``target.energy(x)`` of the current state x, and returns E(next) as
+``StepOutcome.energy``; it evaluates E (checked finite) only at a state
+that came without one, a local or inner proposal or an exact draw.
 
 On finite targets the "random walk Metropolis" base kernel is a single
 row draw from a caller-supplied stochastic matrix with the right
@@ -61,14 +56,13 @@ class KappaTooLargeError(ValueError):
 class StepOutcome:
     """Result of one kernel step, with diagnostics for rate reporting.
 
-    ``energy`` is ``target.energy(next)``, or ``None`` after an exact
-    refresh of ``limit_ir_step``.
+    ``energy`` is ``target.energy(next)``.
     """
 
     next: object
     branch: str
     accepted: bool
-    energy: float | None = None
+    energy: float
 
 
 @dataclass(frozen=True)
@@ -128,7 +122,7 @@ def _draw_row(cum_row: np.ndarray, rng) -> int:
     return int(cum_row.searchsorted(rng.random(), side="right"))
 
 
-def rwm_step(target, ladder, level, x, config: KernelConfig, rng, energy=None) -> StepOutcome:
+def rwm_step(target, ladder, level, x, config: KernelConfig, rng, energy) -> StepOutcome:
     """One local step at ``level``.
 
     Continuous targets: propose y = x + z with z ~ N(0, proposal
@@ -148,8 +142,6 @@ def rwm_step(target, ladder, level, x, config: KernelConfig, rng, energy=None) -
     t = ladder.temperature(level)
     y = x + chol @ rng.standard_normal(len(x))
     ey = checked_energy(target, y)
-    if energy is None:
-        energy = checked_energy(target, x)
     if _log_uniform(rng) < (-ey / t) - (-energy / t):
         return StepOutcome(y, LOCAL, True, ey)
     return StepOutcome(x, LOCAL, False, energy)
@@ -161,19 +153,17 @@ def _log_uniform(rng) -> float:
     return math.log(u) if u > 0.0 else -math.inf
 
 
-def _exchange_move(target, ladder, level, x, ex, y, ey, rng) -> StepOutcome:
-    """Move from x (energy ex, or None) to the proposed y (energy ey) with
+def _exchange_move(ladder, level, x, ex, y, ey, rng) -> StepOutcome:
+    """Move from x (energy ex) to the proposed y (energy ey) with
     probability min(1, r(y)/r(x))."""
     c = importance_coefficient(ladder, level)
-    if ex is None:
-        ex = checked_energy(target, x)
     if _log_uniform(rng) < (-ey * c) - (-ex * c):
         return StepOutcome(y, EXCHANGE, True, ey)
     return StepOutcome(x, EXCHANGE, False, ex)
 
 
 def ee_adaptive_step(target, ladder, level, x, reservoir, config: KernelConfig, rng,
-                     energy=None) -> StepOutcome:
+                     energy) -> StepOutcome:
     """Equi-energy adaptive step at ``level`` against the level-(l-1) reservoir.
 
     With probability theta takes the local branch; otherwise proposes a
@@ -185,11 +175,11 @@ def ee_adaptive_step(target, ladder, level, x, reservoir, config: KernelConfig, 
     if u < config.theta or reservoir.count == 0:
         return rwm_step(target, ladder, level, x, config, rng, energy)
     y, ey = reservoir.sample_uniform(rng)
-    return _exchange_move(target, ladder, level, x, energy, y, ey, rng)
+    return _exchange_move(ladder, level, x, energy, y, ey, rng)
 
 
 def ir_adaptive_step(target, ladder, level, x, reservoir, config: KernelConfig, rng,
-                     energy=None) -> StepOutcome:
+                     energy) -> StepOutcome:
     """Importance-resampling adaptive step at ``level``.
 
     With probability theta takes the local branch; otherwise resamples a
@@ -206,26 +196,24 @@ def ir_adaptive_step(target, ladder, level, x, reservoir, config: KernelConfig, 
     return inner
 
 
-def limit_ee_step(target, ladder, level, x, config: KernelConfig, rng,
-                  energy=None) -> StepOutcome:
+def limit_ee_step(target, ladder, level, x, config: KernelConfig, rng, energy) -> StepOutcome:
     """Limiting equi-energy kernel: independence MH proposing from the
     exact level-(l-1) tempered law instead of the reservoir."""
     u = rng.random()
     if u < config.theta:
         return rwm_step(target, ladder, level, x, config, rng, energy)
     y = target.sample_tempered(ladder.temperature(level - 1), rng)
-    return _exchange_move(target, ladder, level, x, energy, y, checked_energy(target, y), rng)
+    return _exchange_move(ladder, level, x, energy, y, checked_energy(target, y), rng)
 
 
-def limit_ir_step(target, ladder, level, x, config: KernelConfig, rng,
-                  energy=None) -> StepOutcome:
+def limit_ir_step(target, ladder, level, x, config: KernelConfig, rng, energy) -> StepOutcome:
     """Limiting importance-resampling kernel: mixture of the local kernel
     with an exact refresh from the level-l tempered law."""
     u = rng.random()
     if u < config.theta:
         return rwm_step(target, ladder, level, x, config, rng, energy)
     y = target.sample_tempered(ladder.temperature(level), rng)
-    return StepOutcome(y, RESAMPLE, True)
+    return StepOutcome(y, RESAMPLE, True, checked_energy(target, y))
 
 
 def theta_lower_bound(lambda_l: float, kappa: float, t_l: float, t_prev: float) -> float:

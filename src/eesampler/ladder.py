@@ -35,6 +35,7 @@ from .kernels import (
     rwm_step,
 )
 from .reservoir import Reservoir
+from .targets import checked_energy
 
 BRANCH_CODES = {LOCAL: 0, EXCHANGE: 1, RESAMPLE: 2}
 BRANCH_NAMES = {code: name for name, code in BRANCH_CODES.items()}
@@ -52,8 +53,8 @@ def level_rng(seed: int, level: int) -> np.random.Generator:
 class LadderState:
     """Joint state (current states, reservoirs of levels 0..K-1, iteration).
 
-    ``energies[l]`` is ``target.energy(states[l])`` or ``None`` (not yet
-    evaluated); whoever replaces a state sets its energy to ``None``.
+    ``energies[l]`` is ``target.energy(states[l])``; whoever replaces a state
+    sets its energy too.
     """
 
     states: list
@@ -67,7 +68,8 @@ def init_ladder_state(target, ladder, seed: int, initial_states=None) -> LadderS
     """Fresh ladder state at iteration 0.
 
     Every reservoir starts empty, as the recursion does from the zero
-    measure: pushes begin at iteration 1.
+    measure: pushes begin at iteration 1.  Each initial state's energy is
+    evaluated here, so every step receives the energy of its current state.
     """
     n_levels = ladder.n_levels
     if initial_states is None:
@@ -80,7 +82,7 @@ def init_ladder_state(target, ladder, seed: int, initial_states=None) -> LadderS
     reservoirs = [Reservoir(dimension=dim) for _ in range(n_levels - 1)]
     rngs = [level_rng(seed, level) for level in range(n_levels)]
     return LadderState(states=states, reservoirs=reservoirs, rngs=rngs,
-                       energies=[None] * n_levels)
+                       energies=[checked_energy(target, x) for x in states])
 
 
 def ladder_step(state: LadderState, target, ladder, configs, scheme: str):
@@ -233,7 +235,7 @@ def run_single(target, ladder, config: KernelConfig, kind: str, n_iterations: in
     kernel = {"rwm": rwm_step, "ee_limit": limit_ee_step, "ir_limit": limit_ir_step}[kind]
     rng = level_rng(seed, level)
     x = target.initial_state()
-    energy = None
+    energy = checked_energy(target, x)
 
     def step():
         nonlocal x, energy

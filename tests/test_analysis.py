@@ -50,6 +50,13 @@ def test_doubly_stochastic_has_uniform_stationary():
     assert stationary_distribution(m) == pytest.approx(np.full(3, 1 / 3), abs=1e-13)
 
 
+@pytest.mark.parametrize("n", [255, 256, 512])
+def test_uniform_chain_of_many_states_is_irreducible(n):
+    # the reachability check's path counts reach n: 256 and 512 wrap to 0 in uint8
+    pi = stationary_distribution(np.full((n, n), 1 / n))
+    assert pi == pytest.approx(np.full(n, 1 / n), abs=1e-13)
+
+
 def test_two_state_closed_form():
     a, b = 0.3, 0.12
     m = np.array([[1 - a, a], [b, 1 - b]])

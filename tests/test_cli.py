@@ -452,6 +452,9 @@ MALFORMED_KEYS = [
     (gaussian_config, {"temperatures": [4, "x", 1]}, "temperatures"),
     (gaussian_config, {"temperatures": [1]}, "temperatures"),
     (gaussian_config, {"temperatures": [1], "kernel": "rwm"}, "temperatures"),
+    # an exact draw of 10 sd at t_0 has energy 50 t_0, which overflows
+    (gaussian_config, {"covariance": [[1, 0], [0, 1]], "temperatures": [1.0e308, 1],
+                       "kernel": "ee_limit"}, "temperatures"),
     (gaussian_config, {"proposal_scale": "abc"}, "proposal_scale"),
     (gaussian_config, {"proposal_scale": 1e308}, "proposal_scale"),
     # the scale's square is finite, but a 10-sd step overflows the energy

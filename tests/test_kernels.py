@@ -50,7 +50,7 @@ def test_rwm_accepts_equal_energy_proposals():
     n = 2000
     accepted = 0
     for _ in range(n):
-        out = rwm_step(target, ladder, 0, x, config, rng)
+        out = rwm_step(target, ladder, 0, x, config, rng, target.energy(x))
         accepted += out.accepted
         assert np.abs(out.next - x).max() < 1e-9
     assert accepted / n > 0.999
@@ -63,11 +63,12 @@ def test_rwm_long_run_mean_near_zero():
     rng = np.random.default_rng(1)
     n = 1_000_000
     x = np.zeros(2)
+    energy = target.energy(x)
     total = np.zeros(2)
     first = np.empty(n)
     for i in range(n):
-        out = rwm_step(target, ladder, 0, x, config, rng)
-        x = out.next
+        out = rwm_step(target, ladder, 0, x, config, rng, energy)
+        x, energy = out.next, out.energy
         total += x
         first[i] = x[0]
     mean = total / n
@@ -83,11 +84,12 @@ def test_theta_one_makes_every_mixture_kernel_local():
     res = Reservoir()
     res.push(0, target.energy(0))
     rng = np.random.default_rng(2)
+    e1 = target.energy(1)
     for _ in range(300):
-        assert ee_adaptive_step(target, ladder, 1, 1, res, config, rng).branch == "local"
-        assert ir_adaptive_step(target, ladder, 1, 1, res, config, rng).branch == "local"
-        assert limit_ee_step(target, ladder, 1, 1, config, rng).branch == "local"
-        assert limit_ir_step(target, ladder, 1, 1, config, rng).branch == "local"
+        assert ee_adaptive_step(target, ladder, 1, 1, res, config, rng, e1).branch == "local"
+        assert ir_adaptive_step(target, ladder, 1, 1, res, config, rng, e1).branch == "local"
+        assert limit_ee_step(target, ladder, 1, 1, config, rng, e1).branch == "local"
+        assert limit_ir_step(target, ladder, 1, 1, config, rng, e1).branch == "local"
 
 
 def test_ee_downhill_exchange_always_accepted():
@@ -97,7 +99,7 @@ def test_ee_downhill_exchange_always_accepted():
     res.push(0, target.energy(0))  # E(0) < E(2): the importance ratio favors the proposal
     rng = np.random.default_rng(3)
     for _ in range(200):
-        out = ee_adaptive_step(target, ladder, 1, 2, res, config, rng)
+        out = ee_adaptive_step(target, ladder, 1, 2, res, config, rng, target.energy(2))
         assert out.branch == "exchange"
         assert out.accepted
         assert out.next == 0
@@ -111,7 +113,7 @@ def test_ee_rejected_exchange_holds_the_current_state():
     res.push(2, target.energy(2))
     rng = np.random.default_rng(21)
     for _ in range(200):
-        out = ee_adaptive_step(target, ladder, 1, 0, res, config, rng)
+        out = ee_adaptive_step(target, ladder, 1, 0, res, config, rng, target.energy(0))
         assert out.branch == "exchange"
         assert not out.accepted
         assert out.next == 0
@@ -122,7 +124,7 @@ def test_ee_empty_reservoir_falls_back_to_local():
     rng = np.random.default_rng(4)
     empty = Reservoir()
     for _ in range(200):
-        out = ee_adaptive_step(target, ladder, 1, 0, empty, configs[1], rng)
+        out = ee_adaptive_step(target, ladder, 1, 0, empty, configs[1], rng, target.energy(0))
         assert out.branch == "local"
 
 
@@ -136,9 +138,10 @@ def test_ee_frozen_reservoir_matches_matrix_row():
     rng = np.random.default_rng(5)
     n = 1_000_000
     x = 1
+    energy = target.energy(x)
     counts = np.zeros(3)
     for _ in range(n):
-        counts[ee_adaptive_step(target, ladder, 1, x, res, configs[1], rng).next] += 1
+        counts[ee_adaptive_step(target, ladder, 1, x, res, configs[1], rng, energy).next] += 1
     freq = counts / n
     for s in range(3):
         p = frozen[x, s]
@@ -156,9 +159,10 @@ def test_ir_frozen_reservoir_matches_matrix_row():
     rng = np.random.default_rng(6)
     n = 1_000_000
     x = 1
+    energy = target.energy(x)
     counts = np.zeros(3)
     for _ in range(n):
-        counts[ir_adaptive_step(target, ladder, 1, x, res, configs[1], rng).next] += 1
+        counts[ir_adaptive_step(target, ladder, 1, x, res, configs[1], rng, energy).next] += 1
     freq = counts / n
     for s in range(3):
         p = frozen[x, s]
@@ -175,7 +179,7 @@ def test_ir_single_point_reservoir_starts_inner_move_there():
     res.push(y, target.energy(y))
     rng = np.random.default_rng(7)
     for _ in range(100):
-        out = ir_adaptive_step(target, ladder, 1, np.zeros(2), res, config, rng)
+        out = ir_adaptive_step(target, ladder, 1, np.zeros(2), res, config, rng, 0.0)
         assert out.branch == "resample"
         assert np.abs(out.next - y).max() < 1e-9  # inner kernel barely moves
 
@@ -188,8 +192,9 @@ def test_branch_frequency_matches_theta():
     rng = np.random.default_rng(8)
     n = 100_000
     local = 0
+    e1 = target.energy(1)
     for _ in range(n):
-        local += ee_adaptive_step(target, ladder, 1, 1, res, config, rng).branch == "local"
+        local += ee_adaptive_step(target, ladder, 1, 1, res, config, rng, e1).branch == "local"
     se = np.sqrt(0.7 * 0.3 / n)
     assert abs(local / n - 0.7) < 4.0 * se
 
@@ -266,8 +271,10 @@ def test_limit_ir_theta_zero_draws_iid():
     n = 200_000
     counts = np.zeros(5)
     x = 0
+    energy = target.energy(x)
     for _ in range(n):
-        x = limit_ir_step(target, ladder, 1, x, config, rng).next
+        out = limit_ir_step(target, ladder, 1, x, config, rng, energy)
+        x, energy = out.next, out.energy
         counts[x] += 1
     pi = target.tempered_probabilities(1.0)
     for s in range(5):
@@ -282,9 +289,11 @@ def test_limit_ee_gaussian_second_moments():
     rng = np.random.default_rng(11)
     n, burn = 400_000, 10_000
     x = np.zeros(2)
+    energy = target.energy(x)
     sq = np.zeros((n, 2))
     for i in range(n + burn):
-        x = limit_ee_step(target, ladder, 3, x, config, rng).next
+        out = limit_ee_step(target, ladder, 3, x, config, rng, energy)
+        x, energy = out.next, out.energy
         if i >= burn:
             sq[i - burn] = x**2
     for j, truth in enumerate((SIGMA[0, 0], SIGMA[1, 1])):
@@ -310,9 +319,9 @@ def test_metropolis_and_exchange_moves_accept_at_a_zero_uniform():
     target = make_gaussian_target(SIGMA)
     ladder = TemperatureLadder((2.0, 1.0))
     config = KernelConfig(theta=0.0, proposal_covariance=np.eye(2))
-    local = rwm_step(target, ladder, 1, np.zeros(2), config, ZeroUniform())
+    local = rwm_step(target, ladder, 1, np.zeros(2), config, ZeroUniform(), 0.0)
     assert local.accepted and list(local.next) == [1.0, 1.0]
-    exchange = limit_ee_step(target, ladder, 1, np.zeros(2), config, ZeroUniform())
+    exchange = limit_ee_step(target, ladder, 1, np.zeros(2), config, ZeroUniform(), 0.0)
     assert exchange.branch == "exchange" and exchange.accepted
     assert list(exchange.next) == list(np.sqrt(2.0) * np.linalg.cholesky(SIGMA) @ np.ones(2))
 
@@ -354,7 +363,7 @@ class NanEnergyTarget(GaussianTarget):
 @pytest.mark.parametrize(
     "kind, theta",
     [("rwm", 1.0), ("ee", 1.0), ("ir", 1.0), ("ir", 0.0),
-     ("ee_limit", 1.0), ("ee_limit", 0.0), ("ir_limit", 1.0)],
+     ("ee_limit", 1.0), ("ee_limit", 0.0), ("ir_limit", 1.0), ("ir_limit", 0.0)],
 )
 def test_fresh_non_finite_energy_raises_even_with_a_carried_energy(kind, theta):
     target = NanEnergyTarget(np.eye(2))

@@ -248,17 +248,18 @@ HANDOFF_CASES = [
 
 def reference_run(kind, target, ladder, configs, n, seed):
     """States, branches and accepted flags of ``run_sampler`` rebuilt with
-    ``energy=None`` at every step, so every step evaluates E(x) afresh."""
+    ``target.energy(x)`` evaluated afresh at every step, never carried."""
     outcomes = []
     if kind in ADAPTIVE_KINDS:
         adaptive = ee_adaptive_step if kind == "ee" else ir_adaptive_step
         state = init_ladder_state(target, ladder, seed)
         for _ in range(n):
-            outs = [rwm_step(target, ladder, 0, state.states[0], configs[0], state.rngs[0])]
+            outs = [rwm_step(target, ladder, 0, state.states[0], configs[0], state.rngs[0],
+                             target.energy(state.states[0]))]
             for level in range(1, ladder.n_levels):
-                outs.append(adaptive(target, ladder, level, state.states[level],
-                                     state.reservoirs[level - 1], configs[level],
-                                     state.rngs[level]))
+                x = state.states[level]
+                outs.append(adaptive(target, ladder, level, x, state.reservoirs[level - 1],
+                                     configs[level], state.rngs[level], target.energy(x)))
             for level, out in enumerate(outs):
                 state.states[level] = out.next
                 if level < len(state.reservoirs):
@@ -270,7 +271,7 @@ def reference_run(kind, target, ladder, configs, n, seed):
         rng = level_rng(seed, level)
         x = target.initial_state()
         for _ in range(n):
-            out = kernel(target, ladder, level, x, configs[-1], rng)
+            out = kernel(target, ladder, level, x, configs[-1], rng, target.energy(x))
             x = out.next
             outcomes.append([out])
     states = [np.array([outs[level].next for outs in outcomes]) for level in range(len(outcomes[0]))]
@@ -283,15 +284,15 @@ def reference_run(kind, target, ladder, configs, n, seed):
 def test_carried_energies_keep_every_trajectory_bit_for_bit(monkeypatch, config_name, kind):
     cfg = load_config(CONFIGS / config_name)
     target, ladder, configs = cfg.target, cfg.ladder, cfg.configs
-    carried = []
+    steps = []
 
     def checked(kernel):
         def step(target, ladder, level, x, *rest):
-            energy = rest[-1]
-            assert energy is None or energy == target.energy(x)
+            energy = rest[-1]  # every step carries E(x) in, and E(next) out
+            assert energy == target.energy(x)
             out = kernel(target, ladder, level, x, *rest)
-            assert out.energy is None or out.energy == target.energy(out.next)
-            carried.append(energy is not None)
+            assert out.energy == target.energy(out.next)
+            steps.append(level)
             return out
         return step
 
@@ -306,12 +307,12 @@ def test_carried_energies_keep_every_trajectory_bit_for_bit(monkeypatch, config_
         assert np.array_equal(mine, ref)
     assert np.array_equal(traj.branches, branches)
     assert np.array_equal(traj.accepted, accepted)
-    assert len(carried) == n * traj.n_levels
-    if target.kind != "finite" or kind in ("ee", "ee_limit"):
-        assert sum(carried) > n // 4  # the handoff is exercised, not bypassed
+    assert len(steps) == n * traj.n_levels
 
 
-def test_rwm_evaluates_one_energy_per_proposal(monkeypatch):
+@pytest.fixture
+def energy_calls(monkeypatch):
+    """A list that gains one entry per ``GaussianTarget.energy`` call."""
     calls = []
     energy = GaussianTarget.energy
 
@@ -320,22 +321,27 @@ def test_rwm_evaluates_one_energy_per_proposal(monkeypatch):
         return energy(self, x)
 
     monkeypatch.setattr(GaussianTarget, "energy", counting)
+    return calls
+
+
+def test_rwm_evaluates_one_energy_per_proposal(energy_calls):
     cfg = load_config(CONFIGS / "gaussian_table1.yaml")
     n = 500
     run_sampler("rwm", cfg.target, cfg.ladder, cfg.configs, n, seed=3)
-    assert len(calls) == n + 1
+    assert len(energy_calls) == n + 1
+
+
+def test_ir_limit_evaluates_one_energy_per_step(energy_calls):
+    # a local proposal and an exact refresh each evaluate E once, plus E(x0)
+    cfg = load_config(CONFIGS / "gaussian_table1.yaml")
+    n = 500
+    traj = run_sampler("ir_limit", cfg.target, cfg.ladder, cfg.configs, n, seed=3)
+    assert 0.3 < traj.branch_fraction(0, "resample") < 0.7
+    assert len(energy_calls) == n + 1
 
 
 @pytest.mark.parametrize("scheme", ADAPTIVE_KINDS)
-def test_energy_is_evaluated_once_per_local_or_inner_proposal(monkeypatch, scheme):
-    calls = []
-    energy = GaussianTarget.energy
-
-    def counting(self, x):
-        calls.append(1)
-        return energy(self, x)
-
-    monkeypatch.setattr(GaussianTarget, "energy", counting)
+def test_energy_is_evaluated_once_per_local_or_inner_proposal(energy_calls, scheme):
     target = make_gaussian_target(SIGMA)
     ladder = TemperatureLadder((4.0, 1.0))
     configs = ladder_configs(ladder, (0.5,), proposal_covariance=np.eye(2))
@@ -343,6 +349,6 @@ def test_energy_is_evaluated_once_per_local_or_inner_proposal(monkeypatch, schem
     # an exchange proposal and a resampled state carry the energy stored with
     # them in the reservoir; each level also evaluates its initial state once
     proposals = (traj.branches != BRANCH_CODES["exchange"]).sum()  # local or inner
-    assert len(calls) == proposals + ladder.n_levels
+    assert len(energy_calls) == proposals + ladder.n_levels
     drawn = "exchange" if scheme == "ee" else "resample"
     assert traj.branch_fraction(1, drawn) > 0.3
