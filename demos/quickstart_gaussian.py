@@ -14,16 +14,16 @@ Run from the repository root:
 import numpy as np
 
 from eesampler import (
+    GaussianTarget,
     TemperatureLadder,
     ladder_configs,
-    make_gaussian_target,
     run_ladder,
     run_single,
 )
 
 SIGMA = np.array([[0.96, 2.44], [2.44, 7.04]])
 
-target = make_gaussian_target(SIGMA)
+target = GaussianTarget(SIGMA)
 ladder = TemperatureLadder((10.0, 5.0, 2.0, 1.0))
 # one local-move probability theta per adaptive level (level 0 never mixes)
 configs = ladder_configs(ladder, (0.5, 0.5, 0.5), proposal_covariance=np.eye(2))

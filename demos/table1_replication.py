@@ -18,11 +18,10 @@ import argparse
 import numpy as np
 
 from eesampler import (
+    GaussianTarget,
     MomentEstimand,
-    SamplerSpec,
     TemperatureLadder,
     ladder_configs,
-    make_gaussian_target,
     mse_harness,
 )
 
@@ -32,7 +31,7 @@ parser.add_argument("--jobs", type=int, default=2)
 args = parser.parse_args()
 
 SIGMA = np.array([[0.96, 2.44], [2.44, 7.04]])
-target = make_gaussian_target(SIGMA)
+target = GaussianTarget(SIGMA)
 ladder = TemperatureLadder((10.0, 5.0, 2.0, 1.0))
 # one local-move probability theta per adaptive level (level 0 never mixes)
 configs = ladder_configs(ladder, (0.5, 0.5, 0.5), proposal_covariance=np.eye(2))
@@ -44,12 +43,11 @@ estimands = [
     MomentEstimand("E[X2^2]", float(SIGMA[1, 1]), component=1, power=2),
 ]
 kinds = ("rwm", "ir", "ir_limit", "ee", "ee_limit")
-specs = [SamplerSpec(k, k, target, ladder, configs) for k in kinds]
 
 replications = 100 if args.full else 20
 print(f"running {len(kinds)} samplers x {replications} replications x 10000 iterations ...")
 table = mse_harness(
-    specs, estimands, replications=replications, iterations=10_000,
+    kinds, target, ladder, configs, estimands, replications=replications, iterations=10_000,
     master_seed=20100127, jobs=args.jobs,
 )
 print()

@@ -16,11 +16,11 @@ import numpy as np
 
 from eesampler import (
     FiniteChainModel,
+    FiniteTarget,
     TemperatureLadder,
     asymptotic_variance,
     batch_means_variance,
     finite_kernel_matrix,
-    make_finite_target,
     metropolis_matrix,
     neighbor_proposal,
     poisson_solve,
@@ -29,7 +29,7 @@ from eesampler import (
 
 energies = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
 temps = (4.0, 1.0)
-target = make_finite_target(energies)
+target = FiniteTarget(energies)
 ladder = TemperatureLadder(temps)
 bases = [metropolis_matrix(neighbor_proposal(5), -energies / t) for t in temps]
 

@@ -6,7 +6,6 @@ from .analysis import (
     MomentEstimand,
     MSETable,
     ReducibleChainError,
-    SamplerSpec,
     TableEstimand,
     VarianceReport,
     asymptotic_variance,
@@ -47,13 +46,6 @@ from .ladder import (
     run_single,
 )
 from .reservoir import EmptyReservoirError, NonFiniteWeightError, Reservoir
-from .targets import (
-    GaussianTarget,
-    TemperatureLadder,
-    importance_log_weight,
-    make_finite_target,
-    make_gaussian_target,
-    tempered_log_density,
-)
+from .targets import FiniteTarget, GaussianTarget, TemperatureLadder
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -471,17 +471,6 @@ class TableEstimand:
         return float(np.mean(np.asarray(self.values)[states]))
 
 
-@dataclass(frozen=True)
-class SamplerSpec:
-    """Everything one replication of one sampler needs (picklable)."""
-
-    label: str
-    kind: str
-    target: object
-    ladder: object
-    configs: tuple
-
-
 def replication_seed(master_seed: int, replication: int) -> int:
     """Documented per-replication seed derivation: (master seed, index)."""
     ss = np.random.SeedSequence(entropy=(int(master_seed), int(replication)))
@@ -489,24 +478,21 @@ def replication_seed(master_seed: int, replication: int) -> int:
 
 
 def _replication_task(args) -> list[float]:
-    spec, estimands, iterations, burn_in, seed = args
-    traj = run_sampler(spec.kind, spec.target, spec.ladder, spec.configs, iterations, seed)
+    kind, target, ladder, configs, estimands, iterations, burn_in, seed = args
+    traj = run_sampler(kind, target, ladder, configs, iterations, seed)
     states = traj.states[-1][burn_in:]
     return [est.average(states) for est in estimands]
 
 
 @dataclass
 class MSETable:
-    """Mean-squared errors and baseline ratios, one row pair per sampler."""
+    """Mean-squared errors and baseline ratios, one row pair per sampler kind."""
 
     sampler_labels: list
     estimand_names: list
-    truths: np.ndarray
     mse: np.ndarray
     ratios: np.ndarray
     replications: int
-    iterations: int
-    metadata: dict = field(default_factory=dict)
 
     def to_text(self) -> str:
         """Aligned table, MSE to 4 decimals and ratios to 2."""
@@ -537,17 +523,17 @@ class MSETable:
                 writer.writerow([label, "ratio"] + [repr(float(v)) for v in self.ratios[i]])
 
 
-def mse_harness(samplers, estimands, replications: int, iterations: int,
-                master_seed: int, burn_in: int = 0, jobs: int = 1) -> MSETable:
-    """Replicated mean-squared-error comparison of samplers.
+def mse_harness(kinds, target, ladder, configs, estimands, replications: int,
+                iterations: int, master_seed: int, burn_in: int = 0, jobs: int = 1) -> MSETable:
+    """Replicated mean-squared-error comparison of sampler kinds on one target.
 
-    Every sampler is replicated ``replications`` times for ``iterations``
-    steps; replication r uses the seed derived from (master seed, r), the
-    same across samplers.  MSEs are measured at the coldest level against
-    the supplied truths, and the ratio rows are normalized by the first
-    (baseline) sampler.  With ``jobs`` > 1 replications fan out to a
-    process pool of min(jobs, samplers x replications) workers; results are
-    independent of the worker count.
+    Every kind runs through ``run_sampler`` on the same target, ladder and
+    configs, ``replications`` times for ``iterations`` steps; replication r
+    uses the seed derived from (master seed, r), the same across kinds.
+    MSEs are measured at the coldest level against the estimands' truths,
+    and the ratio rows are normalized by the first (baseline) kind.  With
+    ``jobs`` > 1 replications fan out to a process pool of min(jobs, kinds x
+    replications) workers; results are independent of the worker count.
     """
     if replications < 1 or iterations < 1:
         raise ValueError("replications and iterations must be positive")
@@ -555,15 +541,15 @@ def mse_harness(samplers, estimands, replications: int, iterations: int,
         raise ValueError(f"burn_in must lie in [0, {iterations}), got {burn_in}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    samplers = list(samplers)
+    kinds = list(kinds)
     estimands = list(estimands)
     seeds = [replication_seed(master_seed, r) for r in range(replications)]
     tasks = [
-        (s, r, (spec, estimands, iterations, burn_in, seeds[r]))
-        for s, spec in enumerate(samplers)
+        (s, r, (kind, target, ladder, configs, estimands, iterations, burn_in, seeds[r]))
+        for s, kind in enumerate(kinds)
         for r in range(replications)
     ]
-    averages = np.empty((len(samplers), replications, len(estimands)))
+    averages = np.empty((len(kinds), replications, len(estimands)))
     workers = min(jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -579,12 +565,9 @@ def mse_harness(samplers, estimands, replications: int, iterations: int,
     mse = errors.mean(axis=1)
     ratios = mse[0][None, :] / mse
     return MSETable(
-        sampler_labels=[spec.label for spec in samplers],
+        sampler_labels=kinds,
         estimand_names=[est.name for est in estimands],
-        truths=truths,
         mse=mse,
         ratios=ratios,
         replications=replications,
-        iterations=iterations,
-        metadata={"master_seed": master_seed, "burn_in": burn_in},
     )

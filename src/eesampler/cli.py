@@ -41,7 +41,6 @@ import yaml
 from .analysis import (
     FiniteChainModel,
     MomentEstimand,
-    SamplerSpec,
     TableEstimand,
     check_pair_table_size,
     ee_limit_clt_variance,
@@ -57,7 +56,7 @@ from .kernels import (
     theta_lower_bound,
 )
 from .ladder import ADAPTIVE_KINDS, SINGLE_KINDS, check_adaptive_thetas, ladder_configs, run_sampler
-from .targets import TemperatureLadder, make_finite_target, make_gaussian_target
+from .targets import FiniteTarget, GaussianTarget, TemperatureLadder
 
 TABLE1_KINDS = ("rwm", "ir", "ir_limit", "ee", "ee_limit")
 
@@ -189,9 +188,9 @@ def _build_levels(raw):
     no strictly decreasing ladder gives."""
     kind = raw.get("target")
     if kind == "gaussian":
-        key, make = "covariance", make_gaussian_target
+        key, make = "covariance", GaussianTarget
     elif kind == "finite":
-        key, make = "energies", make_finite_target
+        key, make = "energies", FiniteTarget
     else:
         _fail("target", f"must be 'gaussian' or 'finite', got {kind!r}")
     for family, keys in TARGET_KEYS.items():
@@ -318,8 +317,8 @@ def theta_bound_report(raw, temps, configs):
         lam, kap = lambdas[level - 1], kappas[level - 1]
         try:
             bound = theta_lower_bound(lam, kap, temps[level], temps[level - 1])
-        except ValueError as exc:  # KappaTooLargeError included
-            _fail("kappas", f"level {level}: {exc}")
+        except ValueError as exc:  # KappaTooLargeError included; lambda is checked first
+            _fail("kappas" if 0.0 < lam < 1.0 else "lambdas", f"level {level}: {exc}")
         theta = configs[level].theta
         status = "ok" if theta > bound else "below bound"
         lines.append(
@@ -440,13 +439,8 @@ def cmd_table1(args) -> int:
     _checked("theta", check_adaptive_thetas, config.configs)  # table1 runs ee and ir too
 
     def work():
-        specs = [
-            SamplerSpec(kind, kind, config.target, config.ladder, config.configs)
-            for kind in TABLE1_KINDS
-        ]
         table = mse_harness(
-            specs,
-            _table1_estimands(config),
+            TABLE1_KINDS, config.target, config.ladder, config.configs, _table1_estimands(config),
             replications=config.replications,
             iterations=config.iterations,
             master_seed=config.seed,
@@ -485,6 +479,9 @@ def load_oracle_config(path, seed_override=None, out_override=None) -> dict:
                               "(or explicit energies0/energies1)")
     e0, e1 = config.levels
     n = e0.size
+    if "p0" in raw and "p1" in raw:  # then no base matrix is built from the proposal
+        for stray in sorted({"move_prob", "proposal_matrix"} & raw.keys()):
+            _fail(stray, "has no effect beside p0 and p1")
     p0, p1 = (_state_matrix(key, raw[key], n) if key in raw else level.base_matrix
               for key, level in zip(("p0", "p1"), config.configs))
     f = _checked("f", np.asarray, raw.get("f", np.arange(n, dtype=float)), float)
@@ -520,8 +517,8 @@ def oracle_report(cfg) -> tuple:
     raw = cfg["config"].raw
     proposal = "proposal_matrix" if "proposal_matrix" in raw else "move_prob"
     key0, key1 = (key if key in raw else proposal for key in ("p0", "p1"))
-    pi0 = make_finite_target(cfg["e0"]).tempered_probabilities(1.0)
-    pi1 = make_finite_target(cfg["e1"]).tempered_probabilities(1.0)
+    pi0 = FiniteTarget(cfg["e0"]).tempered_probabilities(1.0)
+    pi1 = FiniteTarget(cfg["e1"]).tempered_probabilities(1.0)
     log_r = cfg["e0"] - cfg["e1"]
     model0 = _checked(key0, FiniteChainModel, cfg["p0"], pi0)
     limit_matrix = ee_limit_matrix(cfg["p1"], pi0, log_r, cfg["theta"])

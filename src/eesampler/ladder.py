@@ -19,7 +19,7 @@ run at level 0 under the same seed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,14 +123,11 @@ def ladder_step(state: LadderState, target, ladder, configs, scheme: str):
 
 @dataclass
 class Trajectory:
-    """Recorded per-level states plus step diagnostics and run metadata."""
+    """Recorded per-level states plus step diagnostics."""
 
-    kind: str
     states: list
     branches: np.ndarray
     accepted: np.ndarray
-    seed: int
-    metadata: dict = field(default_factory=dict)
 
     @property
     def n_iterations(self) -> int:
@@ -203,18 +200,12 @@ def run_ladder(target, ladder, configs, scheme: str, n_iterations: int, seed: in
     """Run the full adaptive ladder; deterministic given (arguments, seed)."""
     if len(configs) != ladder.n_levels:
         raise ValueError(f"need {ladder.n_levels} kernel configs, got {len(configs)}")
-    thetas = check_adaptive_thetas(configs)
+    check_adaptive_thetas(configs)
     state = init_ladder_state(target, ladder, seed, initial_states)
-    recorded = _record(
+    return Trajectory(*_record(
         target, ladder.n_levels, n_iterations,
         lambda: ladder_step(state, target, ladder, configs, scheme),
-    )
-    meta = {
-        "scheme": scheme,
-        "temperatures": list(ladder.temperatures),
-        "thetas": thetas,
-    }
-    return Trajectory(scheme, *recorded, seed, meta)
+    ))
 
 
 def run_single(target, ladder, config: KernelConfig, kind: str, n_iterations: int,
@@ -243,13 +234,7 @@ def run_single(target, ladder, config: KernelConfig, kind: str, n_iterations: in
         x, energy = out.next, out.energy
         return (out,)
 
-    meta = {
-        "kind": kind,
-        "level": level,
-        "temperature": ladder.temperature(level),
-        "theta": config.theta,
-    }
-    return Trajectory(kind, *_record(target, 1, n_iterations, step), seed, meta)
+    return Trajectory(*_record(target, 1, n_iterations, step))
 
 
 def ladder_configs(ladder, thetas, proposal_covariance=None, base_matrices=None):
@@ -273,14 +258,12 @@ def ladder_configs(ladder, thetas, proposal_covariance=None, base_matrices=None)
     )
 
 
-def check_adaptive_thetas(configs) -> list:
-    """The thetas of ``configs[1:]``, checked to lie in (0, 1]: at theta 0 an
+def check_adaptive_thetas(configs) -> None:
+    """Check the thetas of ``configs[1:]`` lie in (0, 1]: at theta 0 an
     adaptive level would never move locally, only copy its hotter chain."""
-    thetas = [config.theta for config in configs[1:]]
-    for theta in thetas:
-        if not 0.0 < theta <= 1.0:
-            raise ValueError(f"adaptive levels need theta in (0, 1], got {theta}")
-    return thetas
+    for config in configs[1:]:
+        if not 0.0 < config.theta <= 1.0:
+            raise ValueError(f"adaptive levels need theta in (0, 1], got {config.theta}")
 
 
 def run_sampler(kind: str, target, ladder, configs, n_iterations: int, seed: int) -> Trajectory:

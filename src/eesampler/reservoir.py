@@ -94,13 +94,6 @@ class Reservoir:
         x = int(self._buf[k]) if self.dimension is None else self._buf[k].copy()
         return x, float(self._energy[k])
 
-    def empirical_mean(self, f=None):
-        """Mean of f over the stored states (f vectorized; identity if None)."""
-        if self._count == 0:
-            raise EmptyReservoirError("empirical mean of an empty reservoir")
-        values = self.samples if f is None else np.asarray(f(self.samples))
-        return values.mean(axis=0)
-
     def sample_uniform(self, rng) -> tuple:
         """One stored (state, energy) pair, each with probability 1/count."""
         if self._count == 0:
@@ -144,10 +137,3 @@ class Reservoir:
         k = int(cdf.searchsorted(rng.random() * cdf[-1], side="right"))
         return self._item(min(k, n - 1))
 
-    def empirical_distribution(self, state_count: int) -> np.ndarray:
-        """Occupation frequencies over a finite state space (integer states only)."""
-        if self.dimension is not None:
-            raise ValueError("empirical_distribution applies to integer-state reservoirs")
-        if self._count == 0:
-            raise EmptyReservoirError("empirical distribution of an empty reservoir")
-        return np.bincount(self.samples, minlength=state_count) / self._count

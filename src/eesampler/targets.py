@@ -169,16 +169,6 @@ class TemperatureLadder:
             raise ValueError(f"level must be in [0, {self.top_level}], got {level}")
 
 
-def make_gaussian_target(covariance) -> GaussianTarget:
-    """Gaussian target N(0, Sigma) from a symmetric positive definite matrix."""
-    return GaussianTarget(covariance)
-
-
-def make_finite_target(energies) -> FiniteTarget:
-    """Finite target from an energy vector (tempered law proportional to exp(-E/t))."""
-    return FiniteTarget(energies)
-
-
 def checked_energy(target, x) -> float:
     """E(x) from ``target.energy``, rejecting a NaN or infinite value."""
     e = target.energy(x)
@@ -187,24 +177,9 @@ def checked_energy(target, x) -> float:
     return e
 
 
-def tempered_log_density(target, ladder: TemperatureLadder, level: int, x) -> float:
-    """Unnormalized log density -E(x)/t_level (additive constant unspecified)."""
-    t = ladder.temperature(level)
-    return -checked_energy(target, x) / t
-
-
-def importance_log_weight(target, ladder: TemperatureLadder, level: int, x) -> float:
-    """log r at ``level``: -E(x) * (1/t_level - 1/t_{level-1}).
-
-    This is the log importance weight of the level-(l-1) tempered law
-    against the level-l one; it is strictly decreasing in E(x).
-    """
-    coeff = importance_coefficient(ladder, level)
-    return -checked_energy(target, x) * coeff
-
-
 def importance_coefficient(ladder: TemperatureLadder, level: int) -> float:
-    """The positive constant 1/t_level - 1/t_{level-1} multiplying -E(x)."""
+    """The positive constant 1/t_level - 1/t_{level-1}: the log importance weight
+    of the level-(l-1) tempered law against the level-l one is -E(x) times it."""
     if level == 0:
         raise ValueError("level 0 has no importance weight (no hotter level)")
     ladder._check_level(level)

@@ -12,8 +12,9 @@ import pytest
 
 from eesampler import (
     FiniteChainModel,
+    FiniteTarget,
+    GaussianTarget,
     MomentEstimand,
-    SamplerSpec,
     TemperatureLadder,
     asymptotic_variance,
     batch_means_variance,
@@ -22,8 +23,6 @@ from eesampler import (
     ee_pair_scaled_sums,
     finite_kernel_matrix,
     ladder_configs,
-    make_finite_target,
-    make_gaussian_target,
     metropolis_matrix,
     mse_harness,
     neighbor_proposal,
@@ -52,7 +51,7 @@ WELL_THETA = 0.5
 
 
 def five_state_instance():
-    target = make_finite_target(FIVE_STATE_ENERGIES)
+    target = FiniteTarget(FIVE_STATE_ENERGIES)
     ladder = TemperatureLadder(FIVE_STATE_TEMPS)
     bases = [
         metropolis_matrix(neighbor_proposal(5), -FIVE_STATE_ENERGIES / t)
@@ -72,7 +71,7 @@ def well_instance():
 
 def test_criterion_1_table_reproduction():
     """Five-sampler MSE experiment reproduces the reported pattern."""
-    target = make_gaussian_target(SIGMA)
+    target = GaussianTarget(SIGMA)
     ladder = TemperatureLadder((10.0, 5.0, 2.0, 1.0))
     configs = ladder_configs(ladder, (0.5, 0.5, 0.5), proposal_covariance=np.eye(2))
     estimands = [
@@ -82,9 +81,8 @@ def test_criterion_1_table_reproduction():
         MomentEstimand("E[X2^2]", float(SIGMA[1, 1]), component=1, power=2),
     ]
     kinds = ("rwm", "ir", "ir_limit", "ee", "ee_limit")
-    specs = [SamplerSpec(k, k, target, ladder, configs) for k in kinds]
     table = mse_harness(
-        specs, estimands, replications=100, iterations=10_000,
+        kinds, target, ladder, configs, estimands, replications=100, iterations=10_000,
         master_seed=20100127, burn_in=0, jobs=JOBS,
     )
     row = {k: i for i, k in enumerate(kinds)}
@@ -205,7 +203,7 @@ def test_second_moment_coefficient_two_on_non_shared_instances():
             metropolis_matrix(neighbor_proposal(5, move_prob), -energies / t)
             for t in (t0, 1.0)
         )
-        pi0, pi1 = (make_finite_target(energies).tempered_probabilities(t) for t in (t0, 1.0))
+        pi0, pi1 = (FiniteTarget(energies).tempered_probabilities(t) for t in (t0, 1.0))
         log_r = -(1.0 - 1.0 / t0) * energies
         model0 = FiniteChainModel(p0, pi0)
         limit = FiniteChainModel(ee_limit_matrix(p1, pi0, log_r, theta), pi1)

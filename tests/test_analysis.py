@@ -3,10 +3,11 @@ import pytest
 
 from eesampler import (
     FiniteChainModel,
+    FiniteTarget,
+    GaussianTarget,
     KernelConfig,
     MomentEstimand,
     ReducibleChainError,
-    SamplerSpec,
     TableEstimand,
     TemperatureLadder,
     asymptotic_variance,
@@ -17,8 +18,6 @@ from eesampler import (
     ee_pair_scaled_sums,
     gamma_covariance,
     ladder_configs,
-    make_finite_target,
-    make_gaussian_target,
     metropolis_matrix,
     mse_harness,
     neighbor_proposal,
@@ -584,9 +583,11 @@ def test_pair_simulator_rejects_malformed_inputs(changes):
 # --- replication harness --------------------------------------------------------
 
 
-def finite_specs():
+def finite_samplers():
+    """The ``mse_harness`` arguments (kinds, target, ladder, configs) of rwm and
+    ee on a five-state target, and the estimands."""
     energies = (0.0, 0.4, 0.9, 1.5, 2.2)
-    target = make_finite_target(energies)
+    target = FiniteTarget(energies)
     ladder = TemperatureLadder((2.0, 1.0))
     bases = [
         metropolis_matrix(neighbor_proposal(5), -np.asarray(energies) / t)
@@ -595,11 +596,7 @@ def finite_specs():
     configs = ladder_configs(ladder, (0.5,), base_matrices=bases)
     pi = target.tempered_probabilities(1.0)
     estimand = TableEstimand("mean_state", float(pi @ np.arange(5)), tuple(range(5)))
-    specs = [
-        SamplerSpec("rwm", "rwm", target, ladder, configs),
-        SamplerSpec("ee", "ee", target, ladder, configs),
-    ]
-    return specs, [estimand]
+    return (("rwm", "ee"), target, ladder, configs), [estimand]
 
 
 def test_replication_seed_is_deterministic():
@@ -608,65 +605,69 @@ def test_replication_seed_is_deterministic():
 
 
 def test_mse_harness_baseline_ratios_are_one():
-    specs, estimands = finite_specs()
-    table = mse_harness(specs, estimands, replications=5, iterations=400, master_seed=21)
+    samplers, estimands = finite_samplers()
+    table = mse_harness(*samplers, estimands, replications=5, iterations=400, master_seed=21)
     assert np.all(table.ratios[0] == 1.0)
     assert table.mse.shape == (2, 1)
 
 
 def test_mse_harness_results_independent_of_worker_count():
-    specs, estimands = finite_specs()
-    seq = mse_harness(specs, estimands, replications=6, iterations=300, master_seed=22, jobs=1)
-    par = mse_harness(specs, estimands, replications=6, iterations=300, master_seed=22, jobs=2)
+    samplers, estimands = finite_samplers()
+    seq = mse_harness(*samplers, estimands, replications=6, iterations=300, master_seed=22)
+    par = mse_harness(*samplers, estimands, replications=6, iterations=300, master_seed=22,
+                      jobs=2)
     assert np.array_equal(seq.mse, par.mse)
 
 
 def test_mse_harness_pool_has_no_more_workers_than_tasks(pool_sizes):
-    specs, estimands = finite_specs()
-    serial = mse_harness(specs, estimands, replications=3, iterations=200, master_seed=27)
+    samplers, estimands = finite_samplers()
+    serial = mse_harness(*samplers, estimands, replications=3, iterations=200, master_seed=27)
     for jobs in (64, 4):
-        table = mse_harness(specs, estimands, replications=3, iterations=200, master_seed=27,
+        table = mse_harness(*samplers, estimands, replications=3, iterations=200, master_seed=27,
                             jobs=jobs)
         assert np.array_equal(table.mse, serial.mse)
-    mse_harness(specs[:1], estimands, replications=1, iterations=200, master_seed=27, jobs=2)
+    kinds, *rest = samplers
+    mse_harness(kinds[:1], *rest, estimands, replications=1, iterations=200, master_seed=27,
+                jobs=2)
     assert pool_sizes == [6, 4]  # 2 samplers x 3 replications; a single task runs in-process
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_mse_harness_rejects_jobs_below_one(jobs):
-    specs, estimands = finite_specs()
+    samplers, estimands = finite_samplers()
     with pytest.raises(ValueError, match="jobs"):
-        mse_harness(specs, estimands, replications=2, iterations=50, master_seed=28, jobs=jobs)
+        mse_harness(*samplers, estimands, replications=2, iterations=50, master_seed=28,
+                    jobs=jobs)
 
 
 @pytest.mark.parametrize("burn_in", [-5, 300, 301])
 def test_mse_harness_rejects_burn_in_outside_the_run(burn_in):
-    specs, estimands = finite_specs()
+    samplers, estimands = finite_samplers()
     with pytest.raises(ValueError, match="burn_in"):
-        mse_harness(specs, estimands, replications=2, iterations=300, master_seed=29,
+        mse_harness(*samplers, estimands, replications=2, iterations=300, master_seed=29,
                     burn_in=burn_in)
 
 
 def test_iid_sampler_mse_matches_closed_form():
     sigma = np.array([[0.96, 2.44], [2.44, 7.04]])
-    target = make_gaussian_target(sigma)
+    target = GaussianTarget(sigma)
     ladder = TemperatureLadder((2.0, 1.0))
     configs = (
         KernelConfig(theta=0.0, proposal_covariance=np.eye(2)),
         KernelConfig(theta=0.0, proposal_covariance=np.eye(2)),
     )
-    spec = SamplerSpec("limit-ir", "ir_limit", target, ladder, configs)
     est = MomentEstimand("E[X1]", truth=0.0, component=0, power=1)
     reps, iters = 60, 2000
-    table = mse_harness([spec], [est], replications=reps, iterations=iters, master_seed=23)
+    table = mse_harness(["ir_limit"], target, ladder, configs, [est], replications=reps,
+                        iterations=iters, master_seed=23)
     expected = sigma[0, 0] / iters
     se = expected * np.sqrt(2.0 / reps)
     assert abs(table.mse[0, 0] - expected) < 3.0 * se
 
 
 def test_mse_harness_single_replication_is_flagged():
-    specs, estimands = finite_specs()
-    table = mse_harness(specs, estimands, replications=1, iterations=400, master_seed=25)
+    samplers, estimands = finite_samplers()
+    table = mse_harness(*samplers, estimands, replications=1, iterations=400, master_seed=25)
     assert table.mse.shape == (2, 1)
     assert np.all(table.ratios[0] == 1.0)
     assert "unreliable" in table.to_text()
@@ -676,7 +677,7 @@ def test_theta_one_makes_adaptive_and_plain_samplers_comparable():
     # with theta = 1 the adaptive scheme never touches the reservoir, so its
     # cold chain is the same kernel as the baseline (up to seed schedule)
     energies = (0.0, 0.4, 0.9, 1.5, 2.2)
-    target = make_finite_target(energies)
+    target = FiniteTarget(energies)
     ladder = TemperatureLadder((2.0, 1.0))
     bases = [
         metropolis_matrix(neighbor_proposal(5), -np.asarray(energies) / t)
@@ -685,17 +686,14 @@ def test_theta_one_makes_adaptive_and_plain_samplers_comparable():
     configs = ladder_configs(ladder, (1.0,), base_matrices=bases)
     pi = target.tempered_probabilities(1.0)
     estimand = TableEstimand("mean_state", float(pi @ np.arange(5)), tuple(range(5)))
-    specs = [
-        SamplerSpec("rwm", "rwm", target, ladder, configs),
-        SamplerSpec("ee", "ee", target, ladder, configs),
-    ]
-    table = mse_harness(specs, [estimand], replications=40, iterations=2000, master_seed=26)
+    table = mse_harness(("rwm", "ee"), target, ladder, configs, [estimand], replications=40,
+                        iterations=2000, master_seed=26)
     assert 1.0 / 3.0 < table.ratios[1, 0] < 3.0
 
 
 def test_mse_table_text_and_csv(tmp_path):
-    specs, estimands = finite_specs()
-    table = mse_harness(specs, estimands, replications=4, iterations=300, master_seed=24)
+    samplers, estimands = finite_samplers()
+    table = mse_harness(*samplers, estimands, replications=4, iterations=300, master_seed=24)
     text = table.to_text()
     assert "MSE" in text and "Ratios" in text and "mean_state" in text
     path = tmp_path / "table.csv"

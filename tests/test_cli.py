@@ -397,7 +397,10 @@ def test_crosscheck_needs_two_replications(tmp_path, capsys):
 
 
 def oracle_config(tmp_path, **overrides):
-    """The bundled well with a short cross-check; an override of None drops the key."""
+    """The bundled well with a short cross-check; an override of None drops the key.
+
+    The default ``move_prob`` is left out when ``p0`` and ``p1`` are both given,
+    since it has no effect beside them."""
     cfg = {
         "target": "finite",
         "energies0": [0.0, 2.0, 4.0, 2.0, 0.0],
@@ -409,6 +412,8 @@ def oracle_config(tmp_path, **overrides):
         "seed": 3,
         "out": str(tmp_path / "out"),
     }
+    if "p0" in overrides and "p1" in overrides:
+        del cfg["move_prob"]
     cfg.update(overrides)
     return write_config(tmp_path, "oracle.yaml", {k: v for k, v in cfg.items() if v is not None})
 
@@ -469,6 +474,11 @@ MALFORMED_KEYS = [
     (gaussian_config, {"lambdas": 3, "kappas": 3}, "lambdas"),
     (gaussian_config, {"lambdas": [0.5, 0.5, 0.5]}, "lambdas"),
     (gaussian_config, {"kappas": [0.025, 0.075, 0.125]}, "kappas"),
+    # each drift parameter's range error names its own key
+    (gaussian_config, {"temperatures": [4, 2, 1], "lambdas": [1.5, 0.5], "kappas": [0.1, 0.1]},
+     "lambdas"),
+    (gaussian_config, {"temperatures": [4, 2, 1], "lambdas": [0.5, 0.5], "kappas": [0.1, 0.6]},
+     "kappas"),
     (gaussian_config, {"out": None}, "out"),
     (gaussian_config, {"out": 5}, "out"),
     (finite_config, {"move_prob": 0}, "move_prob"),
@@ -491,6 +501,10 @@ MALFORMED_KEYS = [
     (oracle_config, {**THREE_STATES, "p0": UNIFORM_3}, "p0"),
     (oracle_config, {**THREE_STATES, "p0": IID_3, "p1": UNIFORM_3}, "p1"),
     (oracle_config, {**THREE_STATES, "proposal_matrix": IDENTITY_3}, "proposal_matrix"),
+    # beside both p0 and p1 the proposal builds no base matrix
+    (oracle_config, {**THREE_STATES, "p0": IID_3, "p1": IID_3, "move_prob": 0.3}, "move_prob"),
+    (oracle_config, {**THREE_STATES, "p0": IID_3, "p1": IID_3, "proposal_matrix": UNIFORM_3},
+     "proposal_matrix"),
     # at theta 1 the limit kernel is p1 itself, so its singular Poisson system is level 1's
     (oracle_config, {**THREE_STATES, "theta": 1, "p0": IID_3, "p1": IDENTITY_3}, "p1"),
     # the oracle's theta, temperatures and kernel follow the sampler rules
@@ -523,6 +537,20 @@ def test_malformed_key_is_a_config_error(tmp_path, capsys, make, overrides, key)
         assert main([command, path]) == 1
         assert f"config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def test_a_proposal_key_counts_only_beside_one_explicit_matrix(tmp_path, capsys):
+    path = oracle_config(tmp_path, **THREE_STATES, p0=IID_3, p1=IID_3, move_prob=0.3)
+    assert main(["validate", path]) == 1
+    assert "config key 'move_prob': has no effect beside p0 and p1" in capsys.readouterr().err
+    # beside p0 alone, move_prob sets level 1's base matrix, so it changes the report
+    reports = []
+    for move_prob in (0.3, 0.7):
+        path = oracle_config(tmp_path, **THREE_STATES, p0=IID_3, move_prob=move_prob,
+                             crosscheck_replications=None)
+        assert main(["validate", path]) == 0
+        reports.append(oracle_report(load_oracle_config(path))[0])
+    assert reports[0].second_moment_limit != reports[1].second_moment_limit
 
 
 UNKNOWN_KEYS = [

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from eesampler import (
+    FiniteTarget,
+    GaussianTarget,
     KappaTooLargeError,
     KernelConfig,
     Reservoir,
@@ -13,21 +15,18 @@ from eesampler import (
     ir_adaptive_step,
     limit_ee_step,
     limit_ir_step,
-    make_finite_target,
-    make_gaussian_target,
     metropolis_matrix,
     neighbor_proposal,
     rwm_step,
     stationary_distribution,
     theta_lower_bound,
 )
-from eesampler.targets import GaussianTarget
 
 SIGMA = np.array([[0.96, 2.44], [2.44, 7.04]])
 
 
 def finite_setup(energies=(0.0, 0.6, 1.5), temps=(2.0, 1.0), theta=0.5):
-    target = make_finite_target(energies)
+    target = FiniteTarget(energies)
     ladder = TemperatureLadder(temps)
     bases = [
         metropolis_matrix(
@@ -42,7 +41,7 @@ def finite_setup(energies=(0.0, 0.6, 1.5), temps=(2.0, 1.0), theta=0.5):
 
 def test_rwm_accepts_equal_energy_proposals():
     # a vanishing proposal makes E(y) ~ E(x): acceptance ratio ~ 1
-    target = make_gaussian_target(np.eye(2))
+    target = GaussianTarget(np.eye(2))
     ladder = TemperatureLadder((1.0,))
     config = KernelConfig(proposal_covariance=1e-24 * np.eye(2))
     rng = np.random.default_rng(0)
@@ -57,7 +56,7 @@ def test_rwm_accepts_equal_energy_proposals():
 
 
 def test_rwm_long_run_mean_near_zero():
-    target = make_gaussian_target(np.eye(2))
+    target = GaussianTarget(np.eye(2))
     ladder = TemperatureLadder((1.0,))
     config = KernelConfig(proposal_covariance=np.eye(2))
     rng = np.random.default_rng(1)
@@ -133,7 +132,7 @@ def test_ee_frozen_reservoir_matches_matrix_row():
     res = Reservoir()
     for s in (0, 1, 1, 2, 0):
         res.push(s, target.energy(s))
-    mu = res.empirical_distribution(3)
+    mu = np.bincount(res.samples, minlength=3) / res.count
     frozen = finite_kernel_matrix("ee_frozen", target, ladder, 1, bases[1], 0.5, mu=mu)
     rng = np.random.default_rng(5)
     n = 1_000_000
@@ -154,7 +153,7 @@ def test_ir_frozen_reservoir_matches_matrix_row():
     res = Reservoir()
     for s in (0, 1, 1, 2, 0):
         res.push(s, target.energy(s))
-    mu = res.empirical_distribution(3)
+    mu = np.bincount(res.samples, minlength=3) / res.count
     frozen = finite_kernel_matrix("ir_frozen", target, ladder, 1, bases[1], 0.5, mu=mu)
     rng = np.random.default_rng(6)
     n = 1_000_000
@@ -171,7 +170,7 @@ def test_ir_frozen_reservoir_matches_matrix_row():
 
 
 def test_ir_single_point_reservoir_starts_inner_move_there():
-    target = make_gaussian_target(np.eye(2))
+    target = GaussianTarget(np.eye(2))
     ladder = TemperatureLadder((2.0, 1.0))
     config = KernelConfig(theta=1e-12, proposal_covariance=1e-24 * np.eye(2))
     res = Reservoir(dimension=2)
@@ -283,7 +282,7 @@ def test_limit_ir_theta_zero_draws_iid():
 
 
 def test_limit_ee_gaussian_second_moments():
-    target = make_gaussian_target(SIGMA)
+    target = GaussianTarget(SIGMA)
     ladder = TemperatureLadder((10.0, 5.0, 2.0, 1.0))
     config = KernelConfig(theta=0.5, proposal_covariance=np.eye(2))
     rng = np.random.default_rng(11)
@@ -316,7 +315,7 @@ class ZeroUniform:
 def test_metropolis_and_exchange_moves_accept_at_a_zero_uniform():
     # u = 0.0 is log u = -inf, which accepts both uphill proposals
     # (math.log(0.0) raises instead)
-    target = make_gaussian_target(SIGMA)
+    target = GaussianTarget(SIGMA)
     ladder = TemperatureLadder((2.0, 1.0))
     config = KernelConfig(theta=0.0, proposal_covariance=np.eye(2))
     local = rwm_step(target, ladder, 1, np.zeros(2), config, ZeroUniform(), 0.0)

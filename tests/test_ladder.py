@@ -6,6 +6,8 @@ import pytest
 
 import eesampler.ladder as ladder_module
 from eesampler import (
+    FiniteTarget,
+    GaussianTarget,
     KernelConfig,
     TemperatureLadder,
     batch_means_variance,
@@ -13,14 +15,11 @@ from eesampler import (
     ladder_configs,
     ladder_step,
     level_rng,
-    make_finite_target,
-    make_gaussian_target,
     metropolis_matrix,
     neighbor_proposal,
     run_ladder,
     run_sampler,
     run_single,
-    tempered_log_density,
 )
 from eesampler.cli import load_config
 from eesampler.kernels import (
@@ -31,13 +30,12 @@ from eesampler.kernels import (
     rwm_step,
 )
 from eesampler.ladder import ADAPTIVE_KINDS, BRANCH_CODES, SINGLE_KINDS
-from eesampler.targets import GaussianTarget
 
 SIGMA = np.array([[0.96, 2.44], [2.44, 7.04]])
 
 
 def finite_ladder(energies=(0.0, 0.4, 0.9, 1.5, 2.2), temps=(4.0, 2.0, 1.0), theta=0.5):
-    target = make_finite_target(energies)
+    target = FiniteTarget(energies)
     ladder = TemperatureLadder(temps)
     bases = [
         metropolis_matrix(neighbor_proposal(target.state_count), -np.asarray(energies) / t)
@@ -48,7 +46,7 @@ def finite_ladder(energies=(0.0, 0.4, 0.9, 1.5, 2.2), temps=(4.0, 2.0, 1.0), the
 
 
 def test_zero_adaptive_levels_is_plain_rwm():
-    target = make_gaussian_target(np.eye(2))
+    target = GaussianTarget(np.eye(2))
     ladder = TemperatureLadder((1.0,))
     configs = ladder_configs(ladder, (), proposal_covariance=np.eye(2))
     traj = run_ladder(target, ladder, configs, "ee", 500, seed=5)
@@ -66,7 +64,7 @@ def test_first_iteration_takes_local_branch_everywhere():
 def test_exchange_at_step_two_reads_only_the_first_hot_state():
     # the classic order-of-update bug: pushing before advancing would let
     # the level-1 step at n=2 see X_2^(0) (or the initial state)
-    target = make_finite_target([0.0] * 5)  # equal energies: exchanges always accepted
+    target = FiniteTarget([0.0] * 5)  # equal energies: exchanges always accepted
     ladder = TemperatureLadder((2.0, 1.0))
     base = neighbor_proposal(5)  # uniform target: the proposal is already stationary
     configs = ladder_configs(ladder, (1e-9,), base_matrices=[base, base])
@@ -102,7 +100,7 @@ def test_run_ladder_deterministic():
 
 
 def test_paper_setup_runs_and_has_full_shape():
-    target = make_gaussian_target(SIGMA)
+    target = GaussianTarget(SIGMA)
     ladder = TemperatureLadder((10.0, 5.0, 2.0, 1.0))
     configs = ladder_configs(ladder, (0.5, 0.5, 0.5), proposal_covariance=np.eye(2))
     traj = run_ladder(target, ladder, configs, "ee", 2000, seed=42)
@@ -113,7 +111,7 @@ def test_paper_setup_runs_and_has_full_shape():
 
 
 def test_level_zero_trace_matches_single_rwm_run():
-    target = make_gaussian_target(SIGMA)
+    target = GaussianTarget(SIGMA)
     ladder = TemperatureLadder((10.0, 5.0, 2.0, 1.0))
     configs = ladder_configs(ladder, (0.5, 0.5, 0.5), proposal_covariance=np.eye(2))
     traj = run_ladder(target, ladder, configs, "ee", 300, seed=77)
@@ -122,20 +120,19 @@ def test_level_zero_trace_matches_single_rwm_run():
 
 
 def test_run_single_rwm_matches_manual_metropolis():
-    target = make_gaussian_target(SIGMA)
+    target = GaussianTarget(SIGMA)
     ladder = TemperatureLadder((10.0, 5.0, 2.0, 1.0))
     config = KernelConfig(theta=1.0, proposal_covariance=np.eye(2))
     seed, n, level = 123, 500, 3
     traj = run_single(target, ladder, config, "rwm", n, seed=seed)
     # independent reimplementation of the same variate schedule
     rng = level_rng(seed, level)
+    t = ladder.temperature(level)
     x = np.zeros(2)
     states = []
     for _ in range(n):
         y = x + rng.standard_normal(2)
-        lar = tempered_log_density(target, ladder, level, y) - tempered_log_density(
-            target, ladder, level, x
-        )
+        lar = (-target.energy(y) / t) - (-target.energy(x) / t)
         if math.log(rng.random()) < lar:
             x = y
         states.append(x.copy())
@@ -143,7 +140,7 @@ def test_run_single_rwm_matches_manual_metropolis():
 
 
 def test_limit_ir_theta_zero_has_no_autocorrelation():
-    target = make_gaussian_target(np.eye(1))
+    target = GaussianTarget(np.eye(1))
     ladder = TemperatureLadder((2.0, 1.0))
     config = KernelConfig(theta=0.0, proposal_covariance=np.eye(1))
     traj = run_single(target, ladder, config, "ir_limit", 100_000, seed=6)
@@ -155,7 +152,7 @@ def test_limit_ir_theta_zero_has_no_autocorrelation():
 
 def test_limit_ee_occupation_matches_stationary_law():
     energies = (0.0, 0.5, 1.1, 2.0, 3.2)
-    target = make_finite_target(energies)
+    target = FiniteTarget(energies)
     ladder = TemperatureLadder((2.0, 1.0))
     base = metropolis_matrix(neighbor_proposal(5), -np.asarray(energies))
     config = KernelConfig(theta=0.5, base_matrix=base)
@@ -185,7 +182,7 @@ def test_adaptive_ladder_law_of_large_numbers(scheme):
 
 
 def test_run_single_validations():
-    target = make_gaussian_target(np.eye(2))
+    target = GaussianTarget(np.eye(2))
     ladder = TemperatureLadder((2.0, 1.0))
     config = KernelConfig(theta=0.5, proposal_covariance=np.eye(2))
     with pytest.raises(ValueError):
@@ -197,11 +194,15 @@ def test_run_single_validations():
 
 
 def test_run_ladder_takes_thetas_from_the_configs():
-    target = make_gaussian_target(np.eye(2))
+    target = GaussianTarget(np.eye(2))
     ladder = TemperatureLadder((2.0, 1.0))
+    # theta 1 takes only the local branch at level 1; theta 0.8 also exchanges
+    configs = ladder_configs(ladder, (1.0,), proposal_covariance=np.eye(2))
+    traj = run_ladder(target, ladder, configs, "ee", 200, seed=0)
+    assert traj.branch_fraction(1, "local") == 1.0
     configs = ladder_configs(ladder, (0.8,), proposal_covariance=np.eye(2))
-    traj = run_ladder(target, ladder, configs, "ee", 10, seed=0)
-    assert traj.metadata["thetas"] == [0.8]
+    traj = run_ladder(target, ladder, configs, "ee", 200, seed=0)
+    assert traj.branch_fraction(1, "exchange") > 0.0
     # theta 0 would never take the local branch on a non-empty reservoir
     configs = ladder_configs(ladder, (0.0,), proposal_covariance=np.eye(2))
     with pytest.raises(ValueError, match="adaptive levels need theta in"):
@@ -342,7 +343,7 @@ def test_ir_limit_evaluates_one_energy_per_step(energy_calls):
 
 @pytest.mark.parametrize("scheme", ADAPTIVE_KINDS)
 def test_energy_is_evaluated_once_per_local_or_inner_proposal(energy_calls, scheme):
-    target = make_gaussian_target(SIGMA)
+    target = GaussianTarget(SIGMA)
     ladder = TemperatureLadder((4.0, 1.0))
     configs = ladder_configs(ladder, (0.5,), proposal_covariance=np.eye(2))
     traj = run_ladder(target, ladder, configs, scheme, 400, seed=6)
