@@ -140,7 +140,7 @@ def rwm_step(target, ladder, level, x, config: KernelConfig, rng, energy) -> Ste
             f"proposal dimension {chol.shape[0]} does not match state dimension {x.shape[0]}"
         )
     t = ladder.temperature(level)
-    y = x + chol @ rng.standard_normal(len(x))
+    y = x + chol.dot(rng.standard_normal(len(x)))
     ey = checked_energy(target, y)
     if _log_uniform(rng) < (-ey / t) - (-energy / t):
         return StepOutcome(y, LOCAL, True, ey)
@@ -233,9 +233,9 @@ def theta_lower_bound(lambda_l: float, kappa: float, t_l: float, t_prev: float) 
     if not t_prev > t_l > 0.0:
         raise ValueError(f"need t_prev > t_l > 0, got t_prev={t_prev}, t_l={t_l}")
     delta = 1.0 / t_l - 1.0 / t_prev
-    if kappa <= 0.0:
+    if not kappa > 0.0:  # written so that NaN fails
         raise ValueError(f"kappa must be positive, got {kappa}")
-    if kappa >= delta:
+    if not kappa < delta:
         raise KappaTooLargeError(
             f"kappa={kappa} must be below 1/t_l - 1/t_prev = {delta}; the bound is undefined"
         )

@@ -51,7 +51,7 @@ def level_rng(seed: int, level: int) -> np.random.Generator:
 
 @dataclass
 class LadderState:
-    """Joint state (current states, reservoirs of levels 0..K-1, iteration).
+    """Joint state: current states, reservoirs of levels 0..K-1 and generators.
 
     ``energies[l]`` is ``target.energy(states[l])``; whoever replaces a state
     sets its energy too.
@@ -61,11 +61,10 @@ class LadderState:
     reservoirs: list
     rngs: list
     energies: list
-    iteration: int = 0
 
 
 def init_ladder_state(target, ladder, seed: int, initial_states=None) -> LadderState:
-    """Fresh ladder state at iteration 0.
+    """Fresh ladder state, before iteration 1.
 
     Every reservoir starts empty, as the recursion does from the zero
     measure: pushes begin at iteration 1.  Each initial state's energy is
@@ -117,7 +116,6 @@ def ladder_step(state: LadderState, target, ladder, configs, scheme: str):
         energies[level] = out.energy
         if level < len(reservoirs):
             reservoirs[level].push(out.next, out.energy)
-    state.iteration += 1
     return outcomes
 
 

@@ -49,6 +49,7 @@ class Reservoir:
         if dimension is None:
             self._buf = np.empty(16, dtype=np.int64)
         else:
+            self._shape = (dimension,)
             self._buf = np.empty((16, dimension), dtype=float)
         self._energy = np.empty(16)
         # weighted-draw cache: the coefficient c of the weighted draws and the
@@ -83,8 +84,8 @@ class Reservoir:
             self._buf[n] = int(x)
         else:
             x = np.asarray(x, dtype=float)
-            if x.shape != (self.dimension,):
-                raise ValueError(f"state must have shape ({self.dimension},), got {x.shape}")
+            if x.shape != self._shape:
+                raise ValueError(f"state must have shape {self._shape}, got {x.shape}")
             self._buf[n] = x
         self._energy[n] = energy
         self._count = n + 1
@@ -120,17 +121,20 @@ class Reservoir:
             raise ValueError(f"weighted by coefficient {self._coefficient!r}, got {coefficient!r}")
         done = self._weighted
         if done < n:
-            new = -coefficient * self._energy[done:n]
-            if not np.isfinite(new).all():
+            new = [-coefficient * e for e in self._energy[done:n].tolist()]
+            if not all(map(math.isfinite, new)):
                 raise NonFiniteWeightError("resampling log weights must be finite")
-            top = new.max()
-            if top > self._shift:
+            top, shift, cum = max(new), self._shift, self._cum
+            if top > shift:
                 self._shift = top
-                np.exp(-coefficient * self._energy[:n] - top).cumsum(out=self._cum[:n])
+                np.exp(-coefficient * self._energy[:n] - top).cumsum(out=cum[:n])
             else:
-                w = np.exp(new - self._shift)
-                w[0] += self._cum[done - 1]
-                w.cumsum(out=self._cum[done:n])
+                # scalar np.exp (not math.exp) and sequential adds: the same
+                # floats as a vector exp and cumsum
+                total = cum[done - 1]
+                for k, lw in enumerate(new, done):
+                    total += np.exp(lw - shift)
+                    cum[k] = total
             self._coefficient = coefficient
             self._weighted = n
         cdf = self._cum[:n]

@@ -479,6 +479,8 @@ MALFORMED_KEYS = [
      "lambdas"),
     (gaussian_config, {"temperatures": [4, 2, 1], "lambdas": [0.5, 0.5], "kappas": [0.1, 0.6]},
      "kappas"),
+    (gaussian_config, {"lambdas": [0.5, 0.5, 0.5], "kappas": [float("nan"), 0.1, 0.1]},
+     "kappas"),
     (gaussian_config, {"out": None}, "out"),
     (gaussian_config, {"out": 5}, "out"),
     (finite_config, {"move_prob": 0}, "move_prob"),

@@ -339,6 +339,8 @@ def test_theta_lower_bound_values_and_limits():
         theta_lower_bound(1.5, 0.25, 1.0, 2.0)
     with pytest.raises(ValueError):
         theta_lower_bound(0.5, -0.1, 1.0, 2.0)
+    with pytest.raises(ValueError, match="kappa"):  # NaN lies in no interval
+        theta_lower_bound(0.5, np.nan, 5.0, 10.0)
 
 
 def test_kernel_config_validation():

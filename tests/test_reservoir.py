@@ -247,3 +247,39 @@ def test_first_weighted_draw_that_raises_fixes_no_coefficient():
     with pytest.raises(NonFiniteWeightError):
         r.sample_weighted(10.0, rng)
     assert r.sample_weighted(1.0, rng)[0] == 1
+
+
+def _assert_schedule_matches_full_recompute(dimension, run_lengths, n_rows, seed):
+    """Push ``run_lengths`` rows between successive draws, one draw each time,
+    and check the cached prefix sums and every draw against the full recompute."""
+    table = record_table(n_rows, seed)
+    energies = -table / COEFFICIENT
+    rng_cached, rng_ref = np.random.default_rng(seed + 2), np.random.default_rng(seed + 2)
+    r = Reservoir(dimension)
+    for pushes in run_lengths:
+        for _ in range(pushes):
+            k = r.count
+            r.push(k if dimension is None else np.array([k, -0.5 * k]), energies[k])
+        state, energy = r.sample_weighted(COEFFICIENT, rng_cached)
+        k = state if dimension is None else int(state[0])
+        assert energy == energies[k]
+        assert k == reference_draw(energies[: r.count], COEFFICIENT, rng_ref)
+        assert np.array_equal(r._cum[: r.count], reference_cdf(energies[: r.count], COEFFICIENT))
+    assert r.count == n_rows
+
+
+@pytest.mark.parametrize("dimension", [None, 2])
+def test_one_push_before_each_draw_matches_full_recompute(dimension):
+    # the ladder's schedule: each level pushes once per iteration, and the
+    # level above draws at most once from it before the next push
+    _assert_schedule_matches_full_recompute(dimension, [1] * 3000, 3000, seed=31)
+
+
+@pytest.mark.parametrize("dimension", [None, 2])
+def test_long_push_runs_between_draws_match_full_recompute(dimension):
+    # a level that takes its local branch for many iterations weights a long
+    # run of new rows at its next draw: runs here cross every record row of
+    # ``record_table``, its rows near 710 and rows after the last record
+    lengths = np.random.default_rng(42).integers(50, 400, size=40)
+    lengths = lengths[np.cumsum(lengths) <= 6000].tolist()
+    _assert_schedule_matches_full_recompute(dimension, lengths, sum(lengths), seed=41)

@@ -231,3 +231,25 @@ def test_target_construction_errors():
         FiniteTarget([])
     with pytest.raises(ValueError):
         FiniteTarget([0.0, np.inf])
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_dot_forms_equal_the_matmul_formulas_bit_for_bit(d):
+    """``energy`` and the Gaussian draws use ``ndarray.dot``; every output's bits
+    rest on it equalling the ``@`` formulas, on fresh vectors and on row views
+    of a 2-D array such as ``Trajectory.states``."""
+    rng = np.random.default_rng(30 + d)
+    if d == 2:
+        cov = SIGMA
+    else:
+        a = rng.normal(size=(d, d))
+        cov = a @ a.T + d * np.eye(d)
+    target = GaussianTarget(cov)
+    precision, chol = np.linalg.inv(cov), np.linalg.cholesky(cov)
+    states = rng.normal(scale=3.0, size=(1000, d))
+    noise = rng.standard_normal((1000, d))
+    for row, z in zip(states, noise):
+        for x in (row, row.copy()):
+            assert target.energy(x) == 0.5 * float(x @ precision @ x)
+        assert np.array_equal(chol.dot(z), chol @ z)
+        assert np.array_equal(chol.dot(z.copy()), chol @ z)
