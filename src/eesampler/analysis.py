@@ -16,9 +16,10 @@ replications, with no stored history) used to cross-check the
 second-moment limit, and the mean-squared-error replication harness that
 the table experiment runs on.  Both simulators step through exact
 transition tables: one lookup per chain-step gives the same next state
-as the inverse-CDF draw from the matrix row.  Replication r of the
-harness derives its seed from (master seed, r) and the result does not
-depend on how replications are scheduled.
+as the inverse-CDF draw from the matrix row.  The harness hands the
+batched engine of ``ladder`` one sampler kind and a chunk of replications
+per task.  Replication r derives its seed from (master seed, r), and its
+result depends neither on the chunks nor on the worker count.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import _check_stochastic, acceptance_matrix
-from .ladder import run_sampler
+from .ladder import replication_bytes, run_sampler
 from .targets import _pinned_cumsum
 
 # relative to max(1, max|U|): the solve's rounding error grows with |U|
@@ -44,6 +45,9 @@ PAIR_CHUNK = 500
 PAIR_BLOCK = 128
 # most entries (8 bytes each) the pair simulator's transition tables may hold
 PAIR_TABLE_LIMIT = 2**23
+# bytes of history one replication-harness task may hold: the engine's arrays
+# for its chunk of replications (``ladder.replication_bytes`` each)
+TASK_MEMORY_BUDGET = 10 * 2**20
 
 
 class ReducibleChainError(ValueError):
@@ -477,22 +481,48 @@ def replication_seed(master_seed: int, replication: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _replication_task(args) -> list[float]:
-    kind, target, ladder, configs, estimands, iterations, burn_in, seed = args
-    traj = run_sampler(kind, target, ladder, configs, iterations, seed)
-    states = traj.states[-1][burn_in:]
-    return [est.average(states) for est in estimands]
+def _replication_task(args) -> list:
+    """Per-replication estimand averages of one (kind, chunk of seeds) task."""
+    kind, target, ladder, configs, estimands, iterations, burn_in, seeds = args
+    trajectories = run_sampler(kind, target, ladder, configs, iterations, seeds)
+    return [[est.average(traj.states[-1][burn_in:]) for est in estimands]
+            for traj in trajectories]
+
+
+def _chunks(replications: int, size: int) -> list:
+    """``range(replications)`` cut into the fewest runs of at most ``size``,
+    of near-equal lengths."""
+    count = -(-replications // size)
+    edges = [c * replications // count for c in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
 @dataclass
 class MSETable:
-    """Mean-squared errors and baseline ratios, one row pair per sampler kind."""
+    """Per-replication averages and the truths they estimate, one row per sampler kind.
+
+    ``averages[s, r, e]`` is replication r's estimate of estimand e by
+    sampler s; ``mse`` and ``ratios`` (against the first, baseline, kind)
+    derive from it.
+    """
 
     sampler_labels: list
     estimand_names: list
-    mse: np.ndarray
-    ratios: np.ndarray
-    replications: int
+    truths: np.ndarray
+    averages: np.ndarray
+
+    @property
+    def replications(self) -> int:
+        return self.averages.shape[1]
+
+    @property
+    def mse(self) -> np.ndarray:
+        return ((self.averages - self.truths) ** 2).mean(axis=1)
+
+    @property
+    def ratios(self) -> np.ndarray:
+        mse = self.mse
+        return mse[0][None, :] / mse
 
     def to_text(self) -> str:
         """Aligned table, MSE to 4 decimals and ratios to 2."""
@@ -531,9 +561,14 @@ def mse_harness(kinds, target, ladder, configs, estimands, replications: int,
     configs, ``replications`` times for ``iterations`` steps; replication r
     uses the seed derived from (master seed, r), the same across kinds.
     MSEs are measured at the coldest level against the estimands' truths,
-    and the ratio rows are normalized by the first (baseline) kind.  With
-    ``jobs`` > 1 replications fan out to a process pool of min(jobs, kinds x
-    replications) workers; results are independent of the worker count.
+    and the ratio rows are normalized by the first (baseline) kind.
+
+    A task is one kind and a chunk of replications, which the engine
+    advances together: as many as fit ``TASK_MEMORY_BUDGET``
+    (``ladder.replication_bytes``), cut into near-equal chunks.  With
+    ``jobs`` > 1 the tasks fan out to a process pool of min(jobs, tasks)
+    workers.  A replication's result depends on neither the chunks nor the
+    worker count.
     """
     if replications < 1 or iterations < 1:
         raise ValueError("replications and iterations must be positive")
@@ -544,30 +579,26 @@ def mse_harness(kinds, target, ladder, configs, estimands, replications: int,
     kinds = list(kinds)
     estimands = list(estimands)
     seeds = [replication_seed(master_seed, r) for r in range(replications)]
-    tasks = [
-        (s, r, (kind, target, ladder, configs, estimands, iterations, burn_in, seeds[r]))
-        for s, kind in enumerate(kinds)
-        for r in range(replications)
-    ]
+    tasks = []  # (bytes, kind index, chunk, arguments)
+    for s, kind in enumerate(kinds):
+        per_replication = replication_bytes(kind, target, ladder, iterations)
+        for chunk in _chunks(replications, max(1, TASK_MEMORY_BUDGET // per_replication)):
+            args = (kind, target, ladder, configs, estimands, iterations, burn_in,
+                    [seeds[r] for r in chunk])
+            tasks.append((len(chunk) * per_replication, s, chunk, args))
+    tasks.sort(key=lambda t: -t[0])  # largest first, so that the pool ends on short tasks
     averages = np.empty((len(kinds), replications, len(estimands)))
     workers = min(jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for (s, r, _), result in zip(
-                tasks, pool.map(_replication_task, [t[2] for t in tasks], chunksize=4)
-            ):
-                averages[s, r] = result
+            results = list(pool.map(_replication_task, [t[3] for t in tasks]))
     else:
-        for s, r, args in tasks:
-            averages[s, r] = _replication_task(args)
-    truths = np.array([est.truth for est in estimands])
-    errors = (averages - truths[None, None, :]) ** 2
-    mse = errors.mean(axis=1)
-    ratios = mse[0][None, :] / mse
+        results = [_replication_task(t[3]) for t in tasks]
+    for (_, s, chunk, _), result in zip(tasks, results):
+        averages[s, chunk.start:chunk.stop] = result
     return MSETable(
         sampler_labels=kinds,
         estimand_names=[est.name for est in estimands],
-        mse=mse,
-        ratios=ratios,
-        replications=replications,
+        truths=np.array([est.truth for est in estimands]),
+        averages=averages,
     )

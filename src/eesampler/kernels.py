@@ -22,6 +22,11 @@ Energy contract: every step kernel takes ``energy``, exactly
 ``StepOutcome.energy``; it evaluates E (checked finite) only at a state
 that came without one, a local or inner proposal or an exact draw.
 
+No run steps through these functions one level-step at a time: the
+batched engine in ``ladder`` advances whole arrays of chains by the same
+rules, and the suite replays its variates through these scalar steps as
+the reference, bit for bit.
+
 On finite targets the "random walk Metropolis" base kernel is a single
 row draw from a caller-supplied stochastic matrix with the right
 tempered stationary law; ``metropolis_matrix`` builds such a matrix from
@@ -38,6 +43,7 @@ import numpy as np
 
 from .targets import (
     _as_spd_matrix,
+    _matvec,
     _pinned_cumsum,
     checked_energy,
     importance_coefficient,
@@ -140,7 +146,7 @@ def rwm_step(target, ladder, level, x, config: KernelConfig, rng, energy) -> Ste
             f"proposal dimension {chol.shape[0]} does not match state dimension {x.shape[0]}"
         )
     t = ladder.temperature(level)
-    y = x + chol.dot(rng.standard_normal(len(x)))
+    y = x + _matvec(chol, rng.standard_normal(len(x)))
     ey = checked_energy(target, y)
     if _log_uniform(rng) < (-ey / t) - (-energy / t):
         return StepOutcome(y, LOCAL, True, ey)
@@ -148,9 +154,13 @@ def rwm_step(target, ladder, level, x, config: KernelConfig, rng, energy) -> Ste
 
 
 def _log_uniform(rng) -> float:
-    """log u for u = ``rng.random()``, which can be exactly 0.0 (then log u = -inf)."""
+    """log u for u = ``rng.random()``, which can be exactly 0.0 (then log u = -inf).
+
+    ``np.log``, not ``math.log``: the batched engine takes the log of a whole
+    block of uniforms, and the two differ in the last bit on some inputs.
+    """
     u = rng.random()
-    return math.log(u) if u > 0.0 else -math.inf
+    return float(np.log(u)) if u > 0.0 else -math.inf
 
 
 def _exchange_move(ladder, level, x, ex, y, ey, rng) -> StepOutcome:

@@ -1,28 +1,63 @@
-"""Coupled-chain driver.
+"""Coupled-chain driver: the replication-batched engine and its scalar reference.
 
-Advances K+1 chains in lockstep: level 0 is a plain Markov chain at the
-hottest temperature, and each level l >= 1 applies an adaptive kernel
-that reads the level-(l-1) reservoir.  The timing contract is the one
-subtle point and the most likely place for an implementation bug: when
-level l computes its step for iteration n, the level-(l-1) reservoir
-must contain exactly the states from iterations 1..n-1.  The driver
-therefore advances every level first and only then pushes the new states
-into the reservoirs.
+Level 0 is a plain Markov chain at the hottest temperature, and each level
+l >= 1 applies an adaptive kernel that reads the level-(l-1) reservoir: the
+history of level l-1.  The timing contract is the one subtle point and the
+most likely place for an implementation bug: when level l computes its step
+for iteration n, the level-(l-1) reservoir must contain exactly the states
+from iterations 1..n-1.
 
-Seed plumbing: each level gets an independent generator derived as
-``default_rng(SeedSequence(entropy=seed, spawn_key=(level,)))``, so
-adding levels never perturbs the streams of existing ones, and the
-level-0 trace of a ladder run is identical to a single-chain random-walk
-run at level 0 under the same seed.
+Every run goes through one engine, ``_engine``: ``run_ladder`` and
+``run_single`` give it one seed, and ``run_sampler`` one seed or a list.
+It advances the replications of one sampler kind as arrays: states
+(R, K, d), or (R, K) integers on finite targets, and energies (R, K).
+All K levels step in lockstep: iteration n computes every level's move
+from the states of iteration n-1 and from the histories up to iteration
+n-1, and only then records iteration n.  The recorded history of each
+level is its reservoir, so the contract holds by construction.  An ``ir``
+level keeps, per replication, the running-max prefix sums of its hotter
+level's weights, extended as each state is recorded and rebuilt at a new
+record weight, exactly as ``Reservoir.sample_weighted`` keeps them.
+
+Seed plumbing: replication r with seed s (``analysis.replication_seed``
+derives s from the master seed and r) drives level l by its own generator
+``default_rng(SeedSequence(entropy=s, spawn_key=(level,)))``.  Each stream
+draws its variates in blocks of ``BLOCK`` steps, of a fixed shape: first
+``random((3, BLOCK))``, the branch, draw and accept uniforms of each step,
+then the proposal variates, ``standard_normal((BLOCK, d))`` or, on a finite
+target, ``random(BLOCK)`` row uniforms.  A step uses at most one variate of
+each kind:
+
+* the branch uniform picks the local branch when below theta;
+* the proposal normals z give the local (or ``ir`` inner) proposal
+  x + chol z, and a Gaussian exact draw sqrt(t) chol(Sigma) z; a row
+  uniform gives the next state of a finite local step;
+* the draw uniform u gives an ``ee`` reservoir index floor(u n), the
+  bisection target of an ``ir`` weighted draw, and a finite exact draw;
+* the accept uniform's log is compared with the log acceptance ratio.
+
+So replication r's output depends on none of the batch size, the other
+seeds or the run length, adding levels never perturbs existing streams, and
+the level-0 trace of a ladder run is identical to a single random-walk run
+at level 0 under the same seed.
+
+``LadderState``, ``init_ladder_state`` and ``ladder_step`` drive the scalar
+kernels of ``kernels.py`` one level-step at a time.  No run goes through
+them; the suite replays the engine's variates through them, bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+# ``ladder_step`` drives rwm_step and the adaptive steps; the two limit steps
+# sit beside them because the benchmark's tracer (perfbench/tracing.py) wraps
+# all five kernels under this module's names.
 from .kernels import (
     EXCHANGE,
     LOCAL,
@@ -34,14 +69,17 @@ from .kernels import (
     limit_ir_step,
     rwm_step,
 )
-from .reservoir import Reservoir
-from .targets import checked_energy
+from .reservoir import NonFiniteWeightError, Reservoir
+from .targets import _matvec, checked_energy, importance_coefficient
 
 BRANCH_CODES = {LOCAL: 0, EXCHANGE: 1, RESAMPLE: 2}
 BRANCH_NAMES = {code: name for name, code in BRANCH_CODES.items()}
 
 ADAPTIVE_KINDS = ("ee", "ir")
 SINGLE_KINDS = ("rwm", "ee_limit", "ir_limit")
+# steps per variate block of every (replication, level) stream; the block
+# shape fixes which variate each step gets, so changing it changes every run
+BLOCK = 128
 
 
 def level_rng(seed: int, level: int) -> np.random.Generator:
@@ -174,36 +212,32 @@ class Trajectory:
                     writer.writerow(row)
 
 
-def _record(target, n_levels, n_iterations, step):
-    """Call ``step()`` (per-level outcomes of one iteration) ``n_iterations`` times
-    and record every level's state, branch and acceptance."""
-    if n_iterations < 1:
-        raise ValueError("n_iterations must be at least 1")
-    if target.kind == "finite":
-        states = [np.empty(n_iterations, dtype=np.int64) for _ in range(n_levels)]
-    else:
-        states = [np.empty((n_iterations, target.dimension)) for _ in range(n_levels)]
-    branches = np.empty((n_iterations, n_levels), dtype=np.int8)
-    accepted = np.empty((n_iterations, n_levels), dtype=bool)
-    for n in range(n_iterations):
-        for level, out in enumerate(step()):
-            states[level][n] = out.next
-            branches[n, level] = BRANCH_CODES[out.branch]
-            accepted[n, level] = out.accepted
-    return states, branches, accepted
+def _check_ladder(scheme, ladder, configs) -> None:
+    if scheme not in ADAPTIVE_KINDS:
+        raise ValueError(f"scheme must be 'ee' or 'ir', got {scheme!r}")
+    if len(configs) != ladder.n_levels:
+        raise ValueError(f"need {ladder.n_levels} kernel configs, got {len(configs)}")
+    check_adaptive_thetas(configs)
+
+
+def _single_level(kind, ladder, level) -> int:
+    """The level a single chain of ``kind`` runs at (default: the coldest), checked."""
+    if kind not in SINGLE_KINDS:
+        raise ValueError(f"kind must be one of {SINGLE_KINDS}, got {kind!r}")
+    if level is None:
+        level = ladder.top_level
+    ladder._check_level(level)
+    if kind == "ee_limit" and level == 0:
+        raise ValueError("the limit EE kernel needs a hotter level and cannot run at level 0")
+    return level
 
 
 def run_ladder(target, ladder, configs, scheme: str, n_iterations: int, seed: int,
                initial_states=None) -> Trajectory:
     """Run the full adaptive ladder; deterministic given (arguments, seed)."""
-    if len(configs) != ladder.n_levels:
-        raise ValueError(f"need {ladder.n_levels} kernel configs, got {len(configs)}")
-    check_adaptive_thetas(configs)
-    state = init_ladder_state(target, ladder, seed, initial_states)
-    return Trajectory(*_record(
-        target, ladder.n_levels, n_iterations,
-        lambda: ladder_step(state, target, ladder, configs, scheme),
-    ))
+    _check_ladder(scheme, ladder, configs)
+    return _engine(scheme, target, ladder, configs, range(ladder.n_levels), n_iterations,
+                   [seed], initial_states)[0]
 
 
 def run_single(target, ladder, config: KernelConfig, kind: str, n_iterations: int,
@@ -214,25 +248,184 @@ def run_single(target, ladder, config: KernelConfig, kind: str, n_iterations: in
     uses that level's seed stream, so a rwm run at level 0 reproduces the
     level-0 trace of a ladder run bit for bit.
     """
-    if kind not in SINGLE_KINDS:
-        raise ValueError(f"kind must be one of {SINGLE_KINDS}, got {kind!r}")
-    if level is None:
-        level = ladder.top_level
-    ladder._check_level(level)
-    if kind == "ee_limit" and level == 0:
-        raise ValueError("the limit EE kernel needs a hotter level and cannot run at level 0")
-    kernel = {"rwm": rwm_step, "ee_limit": limit_ee_step, "ir_limit": limit_ir_step}[kind]
-    rng = level_rng(seed, level)
-    x = target.initial_state()
-    energy = checked_energy(target, x)
+    level = _single_level(kind, ladder, level)
+    return _engine(kind, target, ladder, [config], [level], n_iterations, [seed])[0]
 
-    def step():
-        nonlocal x, energy
-        out = kernel(target, ladder, level, x, config, rng, energy)
-        x, energy = out.next, out.energy
-        return (out,)
 
-    return Trajectory(*_record(target, 1, n_iterations, step))
+def replication_bytes(kind: str, target, ladder, n_iterations: int) -> int:
+    """Bytes the engine holds per replication of ``kind``: every level's
+    recorded states, energies, branches and acceptances, and an ``ir``
+    level's prefix sums."""
+    levels = ladder.n_levels if kind in ADAPTIVE_KINDS else 1
+    state = 8 if target.kind == "finite" else 8 * target.dimension
+    per_step = state + 8 + 2 + (8 if kind == "ir" else 0)
+    return levels * n_iterations * per_step
+
+
+def _engine(kind, target, ladder, configs, levels, n_iterations, seeds, initial_states=None):
+    """Run ``kind`` at ``levels`` (all of them for an adaptive kind, one level
+    otherwise), one batch replication per seed; one Trajectory per seed.
+
+    ``configs`` holds one kernel config per entry of ``levels``.
+    """
+    if n_iterations < 1:
+        raise ValueError("n_iterations must be at least 1")
+    finite = target.kind == "finite"
+    n_rep, n_lev, n = len(seeds), len(levels), n_iterations
+    shape = () if finite else (target.dimension,)
+    adaptive = kind in ADAPTIVE_KINDS
+    temps = np.array([ladder.temperature(level) for level in levels])
+    thetas = np.array([config.theta for config in configs])
+    # c_l of the exchange (ee, ee_limit) and of the weights level l puts on level l-1
+    coefs = np.array([importance_coefficient(ladder, level) if level else 0.0
+                      for level in levels])
+    if finite:
+        base_cum = np.stack([config._base_cum for config in configs])
+    else:
+        chols = np.stack([config._proposal_chol for config in configs])
+        if chols.shape[1] != target.dimension:
+            raise ValueError(f"proposal dimension {chols.shape[1]} does not match state "
+                             f"dimension {target.dimension}")
+    exact_t = None  # the temperature of a limit kernel's exact draws
+    if kind == "ee_limit":
+        exact_t = ladder.temperature(levels[0] - 1)
+    elif kind == "ir_limit":
+        exact_t = temps[0]
+
+    if initial_states is None:
+        initial_states = [target.initial_state()] * n_lev
+    if len(initial_states) != n_lev:
+        raise ValueError(f"need {n_lev} initial states, got {len(initial_states)}")
+    x = np.empty((n_rep, n_lev) + shape, dtype=np.int64 if finite else float)
+    x[:] = np.array(initial_states)
+    ex = _checked_energies(target, x)
+
+    states = np.zeros((n_rep, n_lev, n) + shape, dtype=x.dtype)
+    energies = np.zeros((n_rep, n_lev, n))
+    branches = np.empty((n_rep, n, n_lev), dtype=np.int8)
+    # a finite local step, inner step or exact refresh always moves
+    always_accepted = finite and kind in ("rwm", "ir", "ir_limit")
+    accepted = np.full((n_rep, n, n_lev), always_accepted)
+    rngs = [[level_rng(seed, level) for level in levels] for seed in seeds]
+    rows, lev = np.arange(n_rep)[:, None], np.arange(n_lev)
+    hotter = np.maximum(np.arange(n_lev) - 1, 0)  # level l reads level l-1's history
+    if kind == "ir":
+        # per replication and reservoir level j: prefix sums of exp(lw - shift),
+        # lw = -c_{j+1} E, shift the running max of lw
+        neg_coef = -coefs[1:]
+        cum = np.zeros((n_rep, n_lev - 1, n))
+        shift = np.full((n_rep, n_lev - 1), -np.inf)
+    away = BRANCH_CODES[EXCHANGE if kind in ("ee", "ee_limit") else RESAMPLE]
+    u = np.empty((n_rep, n_lev, 3, BLOCK))
+    p = np.empty((n_rep, n_lev, BLOCK) + shape)
+
+    # log 0 = -inf (an accept uniform of 0 accepts), and exp(lw - shift) may
+    # overflow where lw sets a record: that sum is rebuilt at the new shift
+    with np.errstate(divide="ignore", over="ignore"):
+        for start in range(0, n, BLOCK):
+            m = min(BLOCK, n - start)
+            for r, streams in enumerate(rngs):
+                for j, rng in enumerate(streams):
+                    rng.random(out=u[r, j])
+                    if finite:
+                        rng.random(out=p[r, j])
+                    else:
+                        rng.standard_normal(out=p[r, j])
+            u_branch, u_draw, u_accept = u.transpose(2, 3, 0, 1)[:, :m]
+            prop = np.moveaxis(p, 2, 0)[:m]
+            if kind == "rwm":
+                local = np.ones((m, n_rep, n_lev), dtype=bool)
+            else:
+                local = u_branch < thetas
+            if adaptive:
+                local[:, :, 0] = True
+                if start == 0:
+                    local[0] = True  # iteration 1: every reservoir is empty
+            branches[:, start:start + m] = np.where(local, BRANCH_CODES[LOCAL], away).swapaxes(0, 1)
+            log_u = np.log(u_accept)
+            if finite:
+                local_x = local
+                # succ[i, r, l, s]: where step i's row uniform takes state s
+                succ = np.empty((m, n_rep, n_lev, target.state_count), dtype=np.intp)
+                for j, cum_rows in enumerate(base_cum):
+                    for state, cum_row in enumerate(cum_rows):
+                        succ[:, :, j, state] = cum_row.searchsorted(prop[:, :, j], side="right")
+            else:
+                local_x = local[..., None]
+                increments = _matvec(chols, prop)
+            if exact_t is not None:
+                exact = target.tempered_draw(exact_t, u_draw if finite else prop)
+            if kind == "ee":
+                drawn = (u_draw * np.arange(start, start + m)[:, None, None]).astype(np.intp)
+
+            for i in range(m):
+                col = start + i
+                here = local[i]
+                # b: the state a local or inner step starts from; y: the candidate
+                b, eb = x, ex
+                if kind == "ir" and col and not here.all():
+                    # bisect each resampling replication's prefix sums at u times their total
+                    rs, js = np.nonzero(~here[:, 1:])
+                    targets = (u_draw[i, rs, js + 1] * cum[rs, js, col - 1]).tolist()
+                    k = np.zeros((n_rep, n_lev), dtype=np.intp)
+                    k[rs, js + 1] = [cum[r, j, :col].searchsorted(t, side="right")
+                                     for r, j, t in zip(rs.tolist(), js.tolist(), targets)]
+                    np.minimum(k, col - 1, out=k)
+                    b = np.where(local_x[i], x, states[rows, hotter, k])
+                    eb = np.where(here, ex, energies[rows, hotter, k])
+                y = succ[i][rows, lev, b] if finite else b + increments[i]
+                if kind in ("ee_limit", "ir_limit"):
+                    y = np.where(local_x[i], y, exact[i])
+                if kind == "ee" and not here.all():
+                    k = drawn[i]
+                    y = np.where(local_x[i], y, states[rows, hotter, k])
+                    ey = energies[rows, hotter, k]
+                    ey[here] = _checked_energies(target, y[here])
+                    exchange = True
+                else:
+                    ey = _checked_energies(target, y)
+                    exchange = kind == "ee_limit"
+                # (-e' / t) - (-e / t) is e / t - e' / t, bit for bit (likewise for c)
+                if always_accepted:
+                    x, ex = y, ey
+                else:
+                    lar = np.inf if finite else (eb / temps) - (ey / temps)
+                    if exchange:
+                        lar = np.where(here, lar, (eb * coefs) - (ey * coefs))
+                    elif kind == "ir_limit":
+                        lar = np.where(here, lar, np.inf)
+                    acc = log_u[i] < lar
+                    accepted[:, col] = acc
+                    x = np.where(acc if finite else acc[..., None], y, b)
+                    ex = np.where(acc, ey, eb)
+                states[:, :, col] = x
+                energies[:, :, col] = ex
+
+                if kind == "ir" and n_lev > 1:
+                    lw = neg_coef * ex[:, :-1]
+                    if not np.isfinite(lw).all():
+                        raise NonFiniteWeightError("resampling log weights must be finite")
+                    if col:
+                        cum[:, :, col] = cum[:, :, col - 1] + np.exp(lw - shift)
+                    record = lw > shift
+                    if record.any():
+                        for r, j in zip(*(a.tolist() for a in np.nonzero(record))):
+                            top = lw[r, j]
+                            shift[r, j] = top
+                            np.exp(neg_coef[j] * energies[r, j, :col + 1] - top).cumsum(
+                                out=cum[r, j, :col + 1])
+
+    return [Trajectory(list(states[r]), branches[r], accepted[r]) for r in range(n_rep)]
+
+
+def _checked_energies(target, y):
+    """``target.energy`` of every row of the stack y, each checked finite."""
+    e = target.energy(y)
+    if not math.isfinite(e.sum()):  # a non-finite row, or finite rows overflowing the sum
+        bad = ~np.isfinite(e)
+        if bad.any():
+            raise ValueError(f"non-finite energy at state {y[bad][0]!r}")
+    return e
 
 
 def ladder_configs(ladder, thetas, proposal_covariance=None, base_matrices=None):
@@ -264,14 +457,22 @@ def check_adaptive_thetas(configs) -> None:
             raise ValueError(f"adaptive levels need theta in (0, 1], got {config.theta}")
 
 
-def run_sampler(kind: str, target, ladder, configs, n_iterations: int, seed: int) -> Trajectory:
+def run_sampler(kind: str, target, ladder, configs, n_iterations: int, seed):
     """Uniform entry point over the five sampler kinds.
 
     Adaptive kinds run the full ladder; the others run a single chain at
-    the coldest level with the last config.
+    the coldest level with the last config.  ``seed`` is one replication's
+    seed, giving its Trajectory, or a sequence of seeds, giving a list with
+    one Trajectory per seed: those replications advance together, in one
+    engine call, each exactly as its seed alone would run it.
     """
+    seeds = [seed] if isinstance(seed, numbers.Integral) else list(seed)
     if kind in ADAPTIVE_KINDS:
-        return run_ladder(target, ladder, configs, kind, n_iterations, seed)
-    if kind in SINGLE_KINDS:
-        return run_single(target, ladder, configs[-1], kind, n_iterations, seed)
-    raise ValueError(f"unknown sampler kind {kind!r}")
+        _check_ladder(kind, ladder, configs)
+        runs = _engine(kind, target, ladder, configs, range(ladder.n_levels), n_iterations, seeds)
+    elif kind in SINGLE_KINDS:
+        runs = _engine(kind, target, ladder, configs[-1:], [_single_level(kind, ladder, None)],
+                       n_iterations, seeds)
+    else:
+        raise ValueError(f"unknown sampler kind {kind!r}")
+    return runs[0] if isinstance(seed, numbers.Integral) else runs

@@ -48,6 +48,17 @@ def _pinned_cumsum(probabilities) -> np.ndarray:
     return cum
 
 
+def _matvec(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``matrix @ x`` for a vector x or a stack (..., d) of them, added column by
+    column in plain elementwise arithmetic.  A row's floats therefore do not
+    depend on the shape of the stack it sits in, which a BLAS call does not
+    promise.  ``matrix`` may be a stack (..., d, d) broadcast against x."""
+    acc = x[..., 0, None] * matrix[..., :, 0]
+    for j in range(1, matrix.shape[-1]):
+        acc = acc + x[..., j, None] * matrix[..., :, j]
+    return acc
+
+
 class GaussianTarget:
     """Zero-mean Gaussian N(0, Sigma) seen as an energy target.
 
@@ -65,22 +76,33 @@ class GaussianTarget:
         self._precision = np.linalg.inv(self.covariance)
         self._chol = np.linalg.cholesky(self.covariance)
 
-    def energy(self, x) -> float:
+    def energy(self, x):
+        """E(x) of a state (a float), or of each row of a stack (..., d) (an array).
+
+        One formula for both, in elementwise arithmetic: a row's energy has
+        the same bits alone and in any stack.
+        """
         x = np.asarray(x, dtype=float)
-        if x.shape != self._shape:
-            raise ValueError(f"state must have shape {self._shape}, got {x.shape}")
-        # the bits of ``x @ P @ x`` (pinned by the suite) at half the dispatch cost
-        return 0.5 * float(x.dot(self._precision).dot(x))
+        if x.shape[-1:] != self._shape:
+            raise ValueError(f"state must have shape (..., {self.dimension}), got {x.shape}")
+        w = _matvec(self._precision, x)
+        e = x[..., 0] * w[..., 0]
+        for i in range(1, self.dimension):
+            e = e + x[..., i] * w[..., i]
+        e = 0.5 * e
+        return float(e) if x.ndim == 1 else e
+
+    def tempered_draw(self, temperature: float, z):
+        """The exact draw(s) from N(0, t*Sigma) that standard normals z, shape
+        (..., d), map to: sqrt(t) * chol(Sigma) z."""
+        if temperature <= 0:
+            raise ValueError("temperature must be positive")
+        return math.sqrt(temperature) * _matvec(self._chol, z)
 
     def sample_tempered(self, temperature: float, rng, size=None):
         """Exact draw(s) from the tempered law N(0, t*Sigma)."""
-        if temperature <= 0:
-            raise ValueError("temperature must be positive")
-        scale = math.sqrt(temperature)
-        if size is None:
-            return scale * self._chol.dot(rng.standard_normal(self.dimension))
-        z = rng.standard_normal((size, self.dimension))
-        return scale * (z @ self._chol.T)
+        shape = (self.dimension,) if size is None else (size, self.dimension)
+        return self.tempered_draw(temperature, rng.standard_normal(shape))
 
     def initial_state(self) -> np.ndarray:
         return np.zeros(self.dimension)
@@ -100,11 +122,17 @@ class FiniteTarget:
         self.energies = energies
         self.state_count = energies.size
 
-    def energy(self, x) -> float:
-        s = int(x)
-        if not 0 <= s < self.state_count:
-            raise ValueError(f"state {s} out of range [0, {self.state_count})")
-        return float(self.energies[s])
+    def energy(self, x):
+        """E(x) of a state (a float), or of each state in an integer array."""
+        s = np.asarray(x)
+        if s.ndim == 0:
+            s = int(x)
+            if not 0 <= s < self.state_count:
+                raise ValueError(f"state {s} out of range [0, {self.state_count})")
+            return float(self.energies[s])
+        if s.size and not (0 <= s.min() and s.max() < self.state_count):
+            raise ValueError(f"states out of range [0, {self.state_count})")
+        return self.energies[s]
 
     def tempered_probabilities(self, temperature: float) -> np.ndarray:
         """Normalized tempered law: probabilities proportional to exp(-E/t)."""
@@ -115,12 +143,17 @@ class FiniteTarget:
         p = np.exp(logp)
         return p / p.sum()
 
+    def tempered_draw(self, temperature: float, u):
+        """The exact draw(s) that uniform(s) u in [0, 1) map to, by inverse CDF
+        over the normalized tempered vector."""
+        cdf = _pinned_cumsum(self.tempered_probabilities(temperature))
+        return cdf.searchsorted(u, side="right")
+
     def sample_tempered(self, temperature: float, rng, size=None):
         """Exact draw(s) by inverse CDF over the normalized tempered vector."""
-        cdf = _pinned_cumsum(self.tempered_probabilities(temperature))
         if size is None:
-            return int(np.searchsorted(cdf, rng.random(), side="right"))
-        return np.searchsorted(cdf, rng.random(size), side="right").astype(np.int64)
+            return int(self.tempered_draw(temperature, rng.random()))
+        return self.tempered_draw(temperature, rng.random(size)).astype(np.int64)
 
     def initial_state(self) -> int:
         return 0

@@ -1,6 +1,10 @@
+import functools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import eesampler.analysis
 from eesampler import (
     FiniteChainModel,
     FiniteTarget,
@@ -26,7 +30,10 @@ from eesampler import (
     simulate_matrix_chain,
     stationary_distribution,
 )
+from eesampler.cli import TABLE1_KINDS, _table1_estimands, load_config
 from eesampler.kernels import acceptance_matrix
+
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def random_chain(rng, n_states):
@@ -611,15 +618,36 @@ def test_mse_harness_baseline_ratios_are_one():
     assert table.mse.shape == (2, 1)
 
 
-def test_mse_harness_results_independent_of_worker_count():
-    samplers, estimands = finite_samplers()
-    seq = mse_harness(*samplers, estimands, replications=6, iterations=300, master_seed=22)
-    par = mse_harness(*samplers, estimands, replications=6, iterations=300, master_seed=22,
-                      jobs=2)
+def bundled_samplers(name):
+    """The ``table1`` arguments of a bundled config: its five kinds and estimands."""
+    cfg = load_config(CONFIGS / name)
+    return (TABLE1_KINDS, cfg.target, cfg.ladder, cfg.configs), _table1_estimands(cfg)
+
+
+HARNESS_CASES = {
+    "finite_rwm_ee": finite_samplers,
+    "gaussian_table1": lambda: bundled_samplers("gaussian_table1.yaml"),
+    "finite_5state": lambda: bundled_samplers("finite_5state.yaml"),
+}
+
+
+@pytest.mark.parametrize("case", HARNESS_CASES)
+def test_mse_harness_results_independent_of_worker_count(monkeypatch, case):
+    samplers, estimands = HARNESS_CASES[case]()
+    run = functools.partial(mse_harness, *samplers, estimands, iterations=300, master_seed=22)
+    seq = run(replications=6)
+    par = run(replications=6, jobs=2)
     assert np.array_equal(seq.mse, par.mse)
+    assert np.array_equal(seq.averages, par.averages)
+    # replication r's averages depend on neither the replication count nor the chunks
+    five = run(replications=5)
+    assert np.array_equal(run(replications=3).averages, five.averages[:, :3])
+    assert np.array_equal(five.averages, seq.averages[:, :5])
+    monkeypatch.setattr(eesampler.analysis, "TASK_MEMORY_BUDGET", 1)  # one replication per task
+    assert np.array_equal(run(replications=5).averages, five.averages)
 
 
-def test_mse_harness_pool_has_no_more_workers_than_tasks(pool_sizes):
+def test_mse_harness_pool_has_no_more_workers_than_tasks(monkeypatch, pool_sizes):
     samplers, estimands = finite_samplers()
     serial = mse_harness(*samplers, estimands, replications=3, iterations=200, master_seed=27)
     for jobs in (64, 4):
@@ -629,7 +657,15 @@ def test_mse_harness_pool_has_no_more_workers_than_tasks(pool_sizes):
     kinds, *rest = samplers
     mse_harness(kinds[:1], *rest, estimands, replications=1, iterations=200, master_seed=27,
                 jobs=2)
-    assert pool_sizes == [6, 4]  # 2 samplers x 3 replications; a single task runs in-process
+    # a task is one sampler and a chunk of replications: here each sampler's 3
+    # fit one chunk, so 2 tasks; a single task runs in-process
+    assert pool_sizes == [2, 2]
+    monkeypatch.setattr(eesampler.analysis, "TASK_MEMORY_BUDGET", 1)  # chunks of one
+    for jobs in (64, 4):
+        table = mse_harness(*samplers, estimands, replications=3, iterations=200, master_seed=27,
+                            jobs=jobs)
+        assert np.array_equal(table.mse, serial.mse)
+    assert pool_sizes[2:] == [6, 4]  # 2 samplers x 3 replications
 
 
 @pytest.mark.parametrize("jobs", [0, -3])

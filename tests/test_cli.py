@@ -215,7 +215,7 @@ def test_table1_rejects_jobs_below_one_before_any_output(tmp_path, capsys, jobs)
 def test_table1_pool_is_sized_by_its_tasks(tmp_path, pool_sizes):
     path = finite_config(tmp_path, iterations=50, replications=2)
     assert main(["table1", path, "--jobs", "64"]) == 0
-    assert pool_sizes == [10]  # 5 samplers x 2 replications
+    assert pool_sizes == [5]  # 5 samplers, each with its 2 replications in one task
 
 
 def test_oracle_report_matches_direct_computation(tmp_path):

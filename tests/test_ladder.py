@@ -1,35 +1,35 @@
-import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import eesampler.ladder as ladder_module
+from scipy import stats
+
 from eesampler import (
     FiniteTarget,
     GaussianTarget,
     KernelConfig,
     TemperatureLadder,
     batch_means_variance,
+    finite_kernel_matrix,
     init_ladder_state,
     ladder_configs,
     ladder_step,
     level_rng,
     metropolis_matrix,
     neighbor_proposal,
+    replication_seed,
     run_ladder,
     run_sampler,
     run_single,
 )
 from eesampler.cli import load_config
 from eesampler.kernels import (
-    ee_adaptive_step,
-    ir_adaptive_step,
     limit_ee_step,
     limit_ir_step,
     rwm_step,
 )
-from eesampler.ladder import ADAPTIVE_KINDS, BRANCH_CODES, SINGLE_KINDS
+from eesampler.ladder import ADAPTIVE_KINDS, BLOCK, BRANCH_CODES, BRANCH_NAMES, SINGLE_KINDS
 
 SIGMA = np.array([[0.96, 2.44], [2.44, 7.04]])
 
@@ -124,18 +124,21 @@ def test_run_single_rwm_matches_manual_metropolis():
     config = KernelConfig(theta=1.0, proposal_covariance=np.eye(2))
     seed, n, level = 123, 500, 3
     traj = run_single(target, ladder, config, "rwm", n, seed=seed)
-    # independent reimplementation of the same variate schedule
+    # independent reimplementation of the block variate schedule: per block,
+    # (branch, draw, accept) uniforms and then the proposal normals
     rng = level_rng(seed, level)
     t = ladder.temperature(level)
     x = np.zeros(2)
     states = []
-    for _ in range(n):
-        y = x + rng.standard_normal(2)
-        lar = (-target.energy(y) / t) - (-target.energy(x) / t)
-        if math.log(rng.random()) < lar:
-            x = y
-        states.append(x.copy())
-    assert np.array_equal(traj.states[0], np.array(states))
+    while len(states) < n:
+        _, _, accept = rng.random((3, BLOCK))
+        for u, z in zip(accept, rng.standard_normal((BLOCK, 2))):
+            y = x + z
+            lar = (-target.energy(y) / t) - (-target.energy(x) / t)
+            if u > 0.0 and np.log(u) < lar:
+                x = y
+            states.append(x.copy())
+    assert np.array_equal(traj.states[0], np.array(states[:n]))
 
 
 def test_limit_ir_theta_zero_has_no_autocorrelation():
@@ -229,95 +232,178 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert int(first[2]) == traj.states[0][0]
 
 
-# --- the energy handoff between steps --------------------------------------------
+# --- the engine against the scalar kernels ---------------------------------------
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
-KERNEL_NAMES = {
-    "rwm": "rwm_step",
-    "ee": "ee_adaptive_step",
-    "ir": "ir_adaptive_step",
-    "ee_limit": "limit_ee_step",
-    "ir_limit": "limit_ir_step",
-}
-HANDOFF_CASES = [
+BUNDLED_CASES = [
     (config, kind)
     for config in ("gaussian_table1.yaml", "finite_5state.yaml")
     for kind in ADAPTIVE_KINDS + SINGLE_KINDS
 ]
+SINGLE_KERNELS = {"rwm": rwm_step, "ee_limit": limit_ee_step, "ir_limit": limit_ir_step}
 
 
-def reference_run(kind, target, ladder, configs, n, seed):
-    """States, branches and accepted flags of ``run_sampler`` rebuilt with
-    ``target.energy(x)`` evaluated afresh at every step, never carried."""
-    outcomes = []
-    if kind in ADAPTIVE_KINDS:
-        adaptive = ee_adaptive_step if kind == "ee" else ir_adaptive_step
-        state = init_ladder_state(target, ladder, seed)
-        for _ in range(n):
-            outs = [rwm_step(target, ladder, 0, state.states[0], configs[0], state.rngs[0],
-                             target.energy(state.states[0]))]
-            for level in range(1, ladder.n_levels):
-                x = state.states[level]
-                outs.append(adaptive(target, ladder, level, x, state.reservoirs[level - 1],
-                                     configs[level], state.rngs[level], target.energy(x)))
-            for level, out in enumerate(outs):
-                state.states[level] = out.next
-                if level < len(state.reservoirs):
-                    state.reservoirs[level].push(out.next, target.energy(out.next))
-            outcomes.append(outs)
-    else:
-        kernel = {"rwm": rwm_step, "ee_limit": limit_ee_step, "ir_limit": limit_ir_step}[kind]
-        level = ladder.top_level
-        rng = level_rng(seed, level)
-        x = target.initial_state()
-        for _ in range(n):
-            out = kernel(target, ladder, level, x, configs[-1], rng, target.energy(x))
-            x = out.next
-            outcomes.append([out])
-    states = [np.array([outs[level].next for outs in outcomes]) for level in range(len(outcomes[0]))]
-    branches = np.array([[BRANCH_CODES[o.branch] for o in outs] for outs in outcomes])
-    accepted = np.array([[o.accepted for o in outs] for outs in outcomes])
-    return states, branches, accepted
+def stream_variates(seed, level, n, finite, dim):
+    """(branch, draw, accept, proposal) of each of the first n steps of one
+    level's stream, rebuilt from the documented block layout."""
+    rng = level_rng(seed, level)
+    steps = []
+    while len(steps) < n:
+        branch, draw, accept = rng.random((3, BLOCK))
+        proposal = rng.random(BLOCK) if finite else rng.standard_normal((BLOCK, dim))
+        steps.extend(zip(branch, draw, accept, proposal))
+    return steps[:n]
 
 
-@pytest.mark.parametrize("config_name, kind", HANDOFF_CASES)
-def test_carried_energies_keep_every_trajectory_bit_for_bit(monkeypatch, config_name, kind):
+class ReplayGenerator:
+    """Generator stub that hands a scalar kernel one step's engine variates.
+
+    ``random()`` returns the step's uniforms in the order the kernel asks for
+    them, ``standard_normal`` the proposal normals and ``integers(n)``
+    floor(u n) of the draw uniform u.
+    """
+
+    def load(self, uniforms, normals, draw):
+        self.uniforms, self.normals, self.draw = list(uniforms), normals, draw
+
+    def random(self):
+        return self.uniforms.pop(0)
+
+    def standard_normal(self, size):
+        assert np.shape(self.normals) == tuple(np.atleast_1d(size))
+        normals, self.normals = self.normals, None
+        return normals
+
+    def integers(self, n):
+        return int(self.draw * n)
+
+
+def uniform_order(role, branch, finite, variates):
+    """The uniforms a kernel of ``role`` consumes on ``branch``, in order: the
+    local step ends in its row uniform (finite) or accept uniform."""
+    u_branch, u_draw, u_accept, proposal = variates
+    tail = [proposal] if finite else [u_accept]
+    if role == "rwm":
+        return tail
+    if branch == "local":
+        return [u_branch, *tail]
+    return {
+        "ee": [u_branch, u_accept],
+        "ir": [u_branch, u_draw, *tail],
+        "ee_limit": [u_branch, u_draw, u_accept] if finite else [u_branch, u_accept],
+        "ir_limit": [u_branch, u_draw] if finite else [u_branch],
+    }[role]
+
+
+@pytest.mark.parametrize("config_name, kind", BUNDLED_CASES)
+def test_scalar_kernels_replay_the_engine_bit_for_bit(config_name, kind):
+    """One replication of the engine, replayed through ``ladder_step`` or the
+    single-chain kernel with the engine's variates: the same states, branches
+    and acceptances, and every carried energy equals a fresh evaluation."""
     cfg = load_config(CONFIGS / config_name)
     target, ladder, configs = cfg.target, cfg.ladder, cfg.configs
-    steps = []
-
-    def checked(kernel):
-        def step(target, ladder, level, x, *rest):
-            energy = rest[-1]  # every step carries E(x) in, and E(next) out
-            assert energy == target.energy(x)
-            out = kernel(target, ladder, level, x, *rest)
-            assert out.energy == target.energy(out.next)
-            steps.append(level)
-            return out
-        return step
-
-    name = KERNEL_NAMES[kind]
-    monkeypatch.setattr(ladder_module, name, checked(getattr(ladder_module, name)))
-    if kind in ADAPTIVE_KINDS:
-        monkeypatch.setattr(ladder_module, "rwm_step", checked(ladder_module.rwm_step))
+    finite = target.kind == "finite"
     n, seed = 300, 5
     traj = run_sampler(kind, target, ladder, configs, n, seed)
-    states, branches, accepted = reference_run(kind, target, ladder, configs, n, seed)
-    for mine, ref in zip(traj.states, states):
-        assert np.array_equal(mine, ref)
-    assert np.array_equal(traj.branches, branches)
-    assert np.array_equal(traj.accepted, accepted)
-    assert len(steps) == n * traj.n_levels
+    dim = None if finite else target.dimension
+    levels = range(ladder.n_levels) if kind in ADAPTIVE_KINDS else [ladder.top_level]
+    variates = [stream_variates(seed, level, n, finite, dim) for level in levels]
+    stubs = [ReplayGenerator() for _ in levels]
+    roles = ["rwm"] + [kind] * (ladder.n_levels - 1) if kind in ADAPTIVE_KINDS else [kind]
+    if kind in ADAPTIVE_KINDS:
+        state = init_ladder_state(target, ladder, seed)
+        state.rngs = stubs
+    else:
+        x = target.initial_state()
+        energy = target.energy(x)
+    for step in range(n):
+        for j, stub in enumerate(stubs):
+            v = variates[j][step]
+            branch = BRANCH_NAMES[int(traj.branches[step, j])]
+            stub.load(uniform_order(roles[j], branch, finite, v),
+                      None if finite else v[3], v[1])
+        if kind in ADAPTIVE_KINDS:
+            outs = ladder_step(state, target, ladder, configs, kind)
+            carried = list(zip(state.states, state.energies))
+        else:
+            outs = [SINGLE_KERNELS[kind](target, ladder, levels[0], x, configs[-1], stubs[0],
+                                         energy)]
+            x, energy = outs[0].next, outs[0].energy
+            carried = [(x, energy)]
+        for j, out in enumerate(outs):
+            assert np.array_equal(out.next, traj.states[j][step])
+            assert BRANCH_CODES[out.branch] == traj.branches[step, j]
+            assert out.accepted == traj.accepted[step, j]
+            assert stubs[j].uniforms == []
+        for x_j, e_j in carried:
+            assert e_j == target.energy(x_j)
+
+
+@pytest.mark.parametrize("config_name, kind", BUNDLED_CASES)
+def test_a_shorter_run_is_the_start_of_a_longer_one(config_name, kind):
+    cfg = load_config(CONFIGS / config_name)
+    args = (kind, cfg.target, cfg.ladder, cfg.configs)
+    short, long = run_sampler(*args, 300, seed=11), run_sampler(*args, 500, seed=11)
+    for mine, ref in zip(short.states, long.states):
+        assert np.array_equal(mine, ref[:300])
+    assert np.array_equal(short.branches, long.branches[:300])
+    assert np.array_equal(short.accepted, long.accepted[:300])
+
+
+@pytest.mark.parametrize("config_name, kind", BUNDLED_CASES)
+def test_a_replication_runs_the_same_alone_and_in_any_batch(config_name, kind):
+    cfg = load_config(CONFIGS / config_name)
+    args = (kind, cfg.target, cfg.ladder, cfg.configs, 200)
+    batch = run_sampler(*args, seed=[3, 17, 5])
+    for seed, traj in zip((3, 17, 5), batch):
+        alone = run_sampler(*args, seed=seed)
+        for mine, ref in zip(traj.states, alone.states):
+            assert np.array_equal(mine, ref)
+        assert np.array_equal(traj.branches, alone.branches)
+        assert np.array_equal(traj.accepted, alone.accepted)
+
+
+@pytest.mark.parametrize("scheme, frozen", [("ee", "ee_frozen"), ("ir", "ir_frozen")])
+def test_cold_step_two_follows_the_frozen_kernel_of_the_first_hot_state(scheme, frozen):
+    """At iteration 2 the level-0 reservoir holds exactly X_1^(0), so the cold
+    level's step is one draw from the frozen kernel with mu = delta at X_1^(0)."""
+    energies = np.array([0.0, 0.8, 1.7])
+    target = FiniteTarget(energies)
+    ladder = TemperatureLadder((3.0, 1.0))
+    theta = 0.4
+    uniform = np.full((3, 3), 1.0 / 3.0)  # every state reachable in one step
+    bases = [metropolis_matrix(uniform, -energies / t) for t in ladder.temperatures]
+    configs = ladder_configs(ladder, (theta,), base_matrices=bases)
+    seeds = [replication_seed(20261019, r) for r in range(20_000)]
+    trajs = run_sampler(scheme, target, ladder, configs, 2, seeds)
+    counts = np.zeros((3, 3, 3), dtype=int)  # (X_1^(0), X_1^(1), X_2^(1))
+    for traj in trajs:
+        counts[traj.states[0][0], traj.states[1][0], traj.states[1][1]] += 1
+    stat, dof = 0.0, 0
+    for hot in range(3):
+        m = finite_kernel_matrix(frozen, target, ladder, 1, bases[1], theta, mu=np.eye(3)[hot])
+        for x in range(3):
+            total = counts[hot, x].sum()
+            if total == 0:
+                continue
+            expected = total * m[x]
+            support = expected > 0
+            assert counts[hot, x][~support].sum() == 0
+            stat += float((((counts[hot, x] - expected) ** 2)[support] / expected[support]).sum())
+            dof += int(support.sum()) - 1
+    assert dof == 18  # 9 (hot, cold) cells, 3 next states each
+    assert stats.chi2.sf(stat, dof) > 0.001
 
 
 @pytest.fixture
 def energy_calls(monkeypatch):
-    """A list that gains one entry per ``GaussianTarget.energy`` call."""
+    """A list that gains, per ``GaussianTarget.energy`` call, the number of states
+    evaluated: ``sum(energy_calls)`` counts evaluations in rows."""
     calls = []
     energy = GaussianTarget.energy
 
     def counting(self, x):
-        calls.append(1)
+        calls.append(int(np.prod(np.shape(x)[:-1])))  # rows of a stack; 1 for a state
         return energy(self, x)
 
     monkeypatch.setattr(GaussianTarget, "energy", counting)
@@ -328,7 +414,7 @@ def test_rwm_evaluates_one_energy_per_proposal(energy_calls):
     cfg = load_config(CONFIGS / "gaussian_table1.yaml")
     n = 500
     run_sampler("rwm", cfg.target, cfg.ladder, cfg.configs, n, seed=3)
-    assert len(energy_calls) == n + 1
+    assert sum(energy_calls) == n + 1
 
 
 def test_ir_limit_evaluates_one_energy_per_step(energy_calls):
@@ -337,7 +423,7 @@ def test_ir_limit_evaluates_one_energy_per_step(energy_calls):
     n = 500
     traj = run_sampler("ir_limit", cfg.target, cfg.ladder, cfg.configs, n, seed=3)
     assert 0.3 < traj.branch_fraction(0, "resample") < 0.7
-    assert len(energy_calls) == n + 1
+    assert sum(energy_calls) == n + 1
 
 
 @pytest.mark.parametrize("scheme", ADAPTIVE_KINDS)
@@ -349,6 +435,6 @@ def test_energy_is_evaluated_once_per_local_or_inner_proposal(energy_calls, sche
     # an exchange proposal and a resampled state carry the energy stored with
     # them in the reservoir; each level also evaluates its initial state once
     proposals = (traj.branches != BRANCH_CODES["exchange"]).sum()  # local or inner
-    assert len(energy_calls) == proposals + ladder.n_levels
+    assert sum(energy_calls) == proposals + ladder.n_levels
     drawn = "exchange" if scheme == "ee" else "resample"
     assert traj.branch_fraction(1, drawn) > 0.3

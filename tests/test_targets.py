@@ -4,7 +4,7 @@ from scipy import stats
 
 from eesampler import FiniteTarget, GaussianTarget, TemperatureLadder, ladder_configs
 from eesampler.ladder import check_adaptive_thetas
-from eesampler.targets import checked_energy, importance_coefficient
+from eesampler.targets import _matvec, checked_energy, importance_coefficient
 
 SIGMA = np.array([[0.96, 2.44], [2.44, 7.04]])
 
@@ -234,10 +234,13 @@ def test_target_construction_errors():
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])
-def test_dot_forms_equal_the_matmul_formulas_bit_for_bit(d):
-    """``energy`` and the Gaussian draws use ``ndarray.dot``; every output's bits
-    rest on it equalling the ``@`` formulas, on fresh vectors and on row views
-    of a 2-D array such as ``Trajectory.states``."""
+def test_energy_and_draw_rows_have_the_same_bits_in_any_stack(d):
+    """``energy``, the Gaussian draws and the random-walk steps (``_matvec``)
+    work row by row in elementwise arithmetic, so a row's bits are the same
+    alone, as a row view of a 2-D array such as ``Trajectory.states``, and
+    inside a stack of any shape: the batched engine and the scalar kernels
+    agree bit for bit only because of this.  Each equals its matrix formula
+    to rounding."""
     rng = np.random.default_rng(30 + d)
     if d == 2:
         cov = SIGMA
@@ -248,8 +251,17 @@ def test_dot_forms_equal_the_matmul_formulas_bit_for_bit(d):
     precision, chol = np.linalg.inv(cov), np.linalg.cholesky(cov)
     states = rng.normal(scale=3.0, size=(1000, d))
     noise = rng.standard_normal((1000, d))
-    for row, z in zip(states, noise):
+    energies = target.energy(states)
+    draws = target.tempered_draw(2.5, noise)
+    steps = _matvec(chol, noise)
+    for k, (row, z) in enumerate(zip(states, noise)):
         for x in (row, row.copy()):
-            assert target.energy(x) == 0.5 * float(x @ precision @ x)
-        assert np.array_equal(chol.dot(z), chol @ z)
-        assert np.array_equal(chol.dot(z.copy()), chol @ z)
+            assert target.energy(x) == energies[k]
+        assert np.array_equal(target.tempered_draw(2.5, z), draws[k])
+        assert np.array_equal(_matvec(chol, z.copy()), steps[k])
+    assert np.array_equal(target.energy(states.reshape(10, 100, d)).ravel(), energies)
+    assert np.array_equal(target.tempered_draw(2.5, noise.reshape(4, 250, d)).reshape(-1, d),
+                          draws)
+    np.testing.assert_allclose(energies, 0.5 * np.einsum("ni,ij,nj->n", states, precision, states),
+                               rtol=1e-12)
+    np.testing.assert_allclose(steps, noise @ chol.T, rtol=1e-12, atol=1e-12)
