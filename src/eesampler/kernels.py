@@ -22,10 +22,10 @@ Energy contract: every step kernel takes ``energy``, exactly
 ``StepOutcome.energy``; it evaluates E (checked finite) only at a state
 that came without one, a local or inner proposal or an exact draw.
 
-No run steps through these functions one level-step at a time: the
-batched engine in ``ladder`` advances whole arrays of chains by the same
-rules, and the suite replays its variates through these scalar steps as
-the reference, bit for bit.
+A single replication steps through these functions, one level-step at a
+time, drawing the batched engine's variate schedule (``ladder``); several
+replications advance together through the engine, by the same rules and
+with the same bits.
 
 On finite targets the "random walk Metropolis" base kernel is a single
 row draw from a caller-supplied stochastic matrix with the right

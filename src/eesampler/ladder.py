@@ -1,4 +1,5 @@
-"""Coupled-chain driver: the replication-batched engine and its scalar reference.
+"""Coupled-chain driver: one replication through the scalar kernels, several
+through the replication-batched engine, with the same bits.
 
 Level 0 is a plain Markov chain at the hottest temperature, and each level
 l >= 1 applies an adaptive kernel that reads the level-(l-1) reservoir: the
@@ -7,17 +8,23 @@ most likely place for an implementation bug: when level l computes its step
 for iteration n, the level-(l-1) reservoir must contain exactly the states
 from iterations 1..n-1.
 
-Every run goes through one engine, ``_engine``: ``run_ladder`` and
-``run_single`` give it one seed, and ``run_sampler`` one seed or a list.
-It advances the replications of one sampler kind as arrays: states
-(R, K, d), or (R, K) integers on finite targets, and energies (R, K).
-All K levels step in lockstep: iteration n computes every level's move
-from the states of iteration n-1 and from the histories up to iteration
-n-1, and only then records iteration n.  The recorded history of each
-level is its reservoir, so the contract holds by construction.  An ``ir``
-level keeps, per replication, the running-max prefix sums of its hotter
-level's weights, extended as each state is recorded and rebuilt at a new
-record weight, exactly as ``Reservoir.sample_weighted`` keeps them.
+``run_sampler`` takes one seed or a list.  One replication runs through
+``run_ladder`` or ``run_single``: the scalar kernels of ``kernels.py``, one
+level-step at a time (``ladder_step`` advances every level, then pushes
+every new state to its ``Reservoir``), each drawing from a
+``_ScheduleStream``, which hands it its level's variates of the schedule
+below.  Several replications advance together through ``_engine``, as
+arrays: states (R, K, d), or (R, K) integers on finite targets, and
+energies (R, K).  Per step the engine makes a few dozen numpy calls
+whatever R is, so it pays from two replications on, and the scalar loop is
+cheaper for one.  All K levels step in lockstep: iteration n computes
+every level's move from the states of iteration n-1 and from the histories
+up to iteration n-1, and only then records iteration n.  The recorded
+history of each level is its reservoir, so the contract holds by
+construction.  An ``ir`` level keeps, per replication, the running-max
+prefix sums of its hotter level's weights, extended as each state is
+recorded and rebuilt at a new record weight, exactly as
+``Reservoir.sample_weighted`` keeps them.
 
 Seed plumbing: replication r with seed s (``analysis.replication_seed``
 derives s from the master seed and r) drives level l by its own generator
@@ -36,14 +43,11 @@ each kind:
   bisection target of an ``ir`` weighted draw, and a finite exact draw;
 * the accept uniform's log is compared with the log acceptance ratio.
 
-So replication r's output depends on none of the batch size, the other
-seeds or the run length, adding levels never perturbs existing streams, and
-the level-0 trace of a ladder run is identical to a single random-walk run
-at level 0 under the same seed.
-
-``LadderState``, ``init_ladder_state`` and ``ladder_step`` drive the scalar
-kernels of ``kernels.py`` one level-step at a time.  No run goes through
-them; the suite replays the engine's variates through them, bit for bit.
+So replication r's output depends on none of the batch size (nor on
+whether it runs alone, through the scalar kernels), the other seeds or the
+run length, adding levels never perturbs existing streams, and the level-0
+trace of a ladder run is identical to a single random-walk run at level 0
+under the same seed.
 """
 
 from __future__ import annotations
@@ -55,9 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# ``ladder_step`` drives rwm_step and the adaptive steps; the two limit steps
-# sit beside them because the benchmark's tracer (perfbench/tracing.py) wraps
-# all five kernels under this module's names.
+# run_ladder (through ladder_step) and run_single look the five kernels up
+# here when they run.
 from .kernels import (
     EXCHANGE,
     LOCAL,
@@ -232,12 +235,104 @@ def _single_level(kind, ladder, level) -> int:
     return level
 
 
+def _check_iterations(n_iterations) -> None:
+    if n_iterations < 1:
+        raise ValueError("n_iterations must be at least 1")
+
+
+def _uniform_order(role, local, finite) -> tuple:
+    """The uniforms a scalar kernel of ``role`` (a sampler kind, or "rwm" for
+    a plain local step) asks for with ``rng.random()`` on a local or other
+    branch, in order, as indices into a step's (branch, draw, accept, row)
+    uniforms.  A local step ends in its row uniform (finite) or accept uniform."""
+    tail = (3,) if finite else (2,)
+    if role == "rwm":
+        return tail
+    if local:
+        return (0, *tail)
+    return {
+        "ee": (0, 2),
+        "ir": (0, 1, *tail),
+        "ee_limit": (0, 1, 2) if finite else (0, 2),
+        "ir_limit": (0, 1) if finite else (0,),
+    }[role]
+
+
+class _ScheduleStream:
+    """The generator a scalar kernel draws from: one level's stream of the
+    engine's variate schedule.
+
+    ``begin(n)`` loads iteration n's variates; then ``random()`` returns its
+    uniforms in the order the kernel asks for them (which the branch uniform
+    fixes), ``standard_normal`` its proposal normals and ``integers(k)``
+    floor(u k) of its draw uniform u.  So a scalar kernel driven by it takes
+    every step the engine takes for the same seed, bit for bit.
+    """
+
+    def __init__(self, rng, role, theta, target):
+        self._rng = rng
+        self._finite = target.kind == "finite"
+        self._dim = None if self._finite else target.dimension
+        self._orders = {local: _uniform_order(role, local, self._finite)[::-1]
+                        for local in (True, False)}
+        self._theta = 1.0 if role == "rwm" else theta  # a plain local step never branches
+        self._first_local = role in ADAPTIVE_KINDS  # iteration 1: every reservoir is empty
+
+    def begin(self, n) -> None:
+        i = n % BLOCK
+        if not i:
+            rng = self._rng
+            self._uniforms = rng.random((3, BLOCK)).tolist()
+            self._proposals = (rng.random(BLOCK).tolist() if self._finite
+                               else rng.standard_normal((BLOCK, self._dim)))
+        branch, draw, accept = (row[i] for row in self._uniforms)
+        self._step = step = (branch, draw, accept, self._proposals[i])
+        local = branch < self._theta or (self._first_local and not n)
+        self._queue = [step[k] for k in self._orders[local]]
+
+    def random(self) -> float:
+        return self._queue.pop()
+
+    def standard_normal(self, size) -> np.ndarray:
+        return self._step[3]
+
+    def integers(self, high) -> int:
+        return int(self._step[1] * high)
+
+
+def _scalar_trajectory(target, n_levels, n_iterations, advance) -> Trajectory:
+    """The Trajectory of ``advance(n)``, iteration n's outcome at every level."""
+    _check_iterations(n_iterations)
+    finite = target.kind == "finite"
+    shape = (n_iterations,) if finite else (n_iterations, target.dimension)
+    states = [np.empty(shape, dtype=np.int64 if finite else float) for _ in range(n_levels)]
+    branches, accepted = [], []
+    for n in range(n_iterations):
+        for level, out in enumerate(advance(n)):
+            states[level][n] = out.next
+            branches.append(BRANCH_CODES[out.branch])
+            accepted.append(out.accepted)
+    return Trajectory(states, np.array(branches, dtype=np.int8).reshape(n_iterations, n_levels),
+                      np.array(accepted, dtype=bool).reshape(n_iterations, n_levels))
+
+
 def run_ladder(target, ladder, configs, scheme: str, n_iterations: int, seed: int,
                initial_states=None) -> Trajectory:
-    """Run the full adaptive ladder; deterministic given (arguments, seed)."""
+    """Run the full adaptive ladder of one replication through ``ladder_step``;
+    deterministic given (arguments, seed), and the engine's run of that seed."""
     _check_ladder(scheme, ladder, configs)
-    return _engine(scheme, target, ladder, configs, range(ladder.n_levels), n_iterations,
-                   [seed], initial_states)[0]
+    state = init_ladder_state(target, ladder, seed, initial_states)
+    streams = state.rngs = [
+        _ScheduleStream(rng, scheme if level else "rwm", config.theta, target)
+        for level, (rng, config) in enumerate(zip(state.rngs, configs))
+    ]
+
+    def advance(n):
+        for stream in streams:
+            stream.begin(n)
+        return ladder_step(state, target, ladder, configs, scheme)
+
+    return _scalar_trajectory(target, ladder.n_levels, n_iterations, advance)
 
 
 def run_single(target, ladder, config: KernelConfig, kind: str, n_iterations: int,
@@ -249,7 +344,19 @@ def run_single(target, ladder, config: KernelConfig, kind: str, n_iterations: in
     level-0 trace of a ladder run bit for bit.
     """
     level = _single_level(kind, ladder, level)
-    return _engine(kind, target, ladder, [config], [level], n_iterations, [seed])[0]
+    step = {"rwm": rwm_step, "ee_limit": limit_ee_step, "ir_limit": limit_ir_step}[kind]
+    stream = _ScheduleStream(level_rng(seed, level), kind, config.theta, target)
+    x = target.initial_state()
+    energy = checked_energy(target, x)
+
+    def advance(n):
+        nonlocal x, energy
+        stream.begin(n)
+        out = step(target, ladder, level, x, config, stream, energy)
+        x, energy = out.next, out.energy
+        return (out,)
+
+    return _scalar_trajectory(target, 1, n_iterations, advance)
 
 
 def replication_bytes(kind: str, target, ladder, n_iterations: int) -> int:
@@ -262,14 +369,15 @@ def replication_bytes(kind: str, target, ladder, n_iterations: int) -> int:
     return levels * n_iterations * per_step
 
 
-def _engine(kind, target, ladder, configs, levels, n_iterations, seeds, initial_states=None):
-    """Run ``kind`` at ``levels`` (all of them for an adaptive kind, one level
-    otherwise), one batch replication per seed; one Trajectory per seed.
-
-    ``configs`` holds one kernel config per entry of ``levels``.
-    """
-    if n_iterations < 1:
-        raise ValueError("n_iterations must be at least 1")
+def _engine(kind, target, ladder, configs, n_iterations, seeds):
+    """Run ``kind`` as ``run_sampler`` does, one batch replication per seed;
+    one Trajectory per seed, each the scalar run of its seed bit for bit."""
+    if kind in ADAPTIVE_KINDS:
+        _check_ladder(kind, ladder, configs)
+        levels = range(ladder.n_levels)
+    else:
+        levels, configs = [_single_level(kind, ladder, None)], configs[-1:]
+    _check_iterations(n_iterations)
     finite = target.kind == "finite"
     n_rep, n_lev, n = len(seeds), len(levels), n_iterations
     shape = () if finite else (target.dimension,)
@@ -292,12 +400,8 @@ def _engine(kind, target, ladder, configs, levels, n_iterations, seeds, initial_
     elif kind == "ir_limit":
         exact_t = temps[0]
 
-    if initial_states is None:
-        initial_states = [target.initial_state()] * n_lev
-    if len(initial_states) != n_lev:
-        raise ValueError(f"need {n_lev} initial states, got {len(initial_states)}")
     x = np.empty((n_rep, n_lev) + shape, dtype=np.int64 if finite else float)
-    x[:] = np.array(initial_states)
+    x[:] = target.initial_state()
     ex = _checked_energies(target, x)
 
     states = np.zeros((n_rep, n_lev, n) + shape, dtype=x.dtype)
@@ -345,11 +449,6 @@ def _engine(kind, target, ladder, configs, levels, n_iterations, seeds, initial_
             log_u = np.log(u_accept)
             if finite:
                 local_x = local
-                # succ[i, r, l, s]: where step i's row uniform takes state s
-                succ = np.empty((m, n_rep, n_lev, target.state_count), dtype=np.intp)
-                for j, cum_rows in enumerate(base_cum):
-                    for state, cum_row in enumerate(cum_rows):
-                        succ[:, :, j, state] = cum_row.searchsorted(prop[:, :, j], side="right")
             else:
                 local_x = local[..., None]
                 increments = _matvec(chols, prop)
@@ -373,7 +472,11 @@ def _engine(kind, target, ladder, configs, levels, n_iterations, seeds, initial_
                     np.minimum(k, col - 1, out=k)
                     b = np.where(local_x[i], x, states[rows, hotter, k])
                     eb = np.where(here, ex, energies[rows, hotter, k])
-                y = succ[i][rows, lev, b] if finite else b + increments[i]
+                if finite:
+                    # inverse CDF: the entries of b's base row at or below the row uniform
+                    y = (base_cum[lev, b] <= prop[i][..., None]).sum(-1)
+                else:
+                    y = b + increments[i]
                 if kind in ("ee_limit", "ir_limit"):
                     y = np.where(local_x[i], y, exact[i])
                 if kind == "ee" and not here.all():
@@ -463,16 +566,18 @@ def run_sampler(kind: str, target, ladder, configs, n_iterations: int, seed):
     Adaptive kinds run the full ladder; the others run a single chain at
     the coldest level with the last config.  ``seed`` is one replication's
     seed, giving its Trajectory, or a sequence of seeds, giving a list with
-    one Trajectory per seed: those replications advance together, in one
-    engine call, each exactly as its seed alone would run it.
+    one Trajectory per seed, each exactly as its seed alone would run it.
+    One replication runs through the scalar kernels (``run_ladder``,
+    ``run_single``), several advance together through the batched engine:
+    per step the engine makes a few dozen numpy calls whatever their number.
     """
     seeds = [seed] if isinstance(seed, numbers.Integral) else list(seed)
-    if kind in ADAPTIVE_KINDS:
-        _check_ladder(kind, ladder, configs)
-        runs = _engine(kind, target, ladder, configs, range(ladder.n_levels), n_iterations, seeds)
-    elif kind in SINGLE_KINDS:
-        runs = _engine(kind, target, ladder, configs[-1:], [_single_level(kind, ladder, None)],
-                       n_iterations, seeds)
-    else:
+    if kind not in ADAPTIVE_KINDS + SINGLE_KINDS:
         raise ValueError(f"unknown sampler kind {kind!r}")
+    if len(seeds) != 1:
+        runs = _engine(kind, target, ladder, configs, n_iterations, seeds)
+    elif kind in ADAPTIVE_KINDS:
+        runs = [run_ladder(target, ladder, configs, kind, n_iterations, seeds[0])]
+    else:
+        runs = [run_single(target, ladder, configs[-1], kind, n_iterations, seeds[0])]
     return runs[0] if isinstance(seed, numbers.Integral) else runs

@@ -48,15 +48,33 @@ def _pinned_cumsum(probabilities) -> np.ndarray:
     return cum
 
 
+# numpy adds fewer than 8 terms one by one, starting from 0.0 (its pairwise
+# summation begins at 8), so up to this dimension one vector's sums are taken
+# in Python floats: the same bits as numpy's, in far fewer calls
+_FLOAT_SUM_DIM = 7
+
+
 def _matvec(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``matrix @ x`` for a vector x or a stack (..., d) of them, added column by
-    column in plain elementwise arithmetic.  A row's floats therefore do not
-    depend on the shape of the stack it sits in, which a BLAS call does not
-    promise.  ``matrix`` may be a stack (..., d, d) broadcast against x."""
-    acc = x[..., 0, None] * matrix[..., :, 0]
-    for j in range(1, matrix.shape[-1]):
-        acc = acc + x[..., j, None] * matrix[..., :, j]
-    return acc
+    """``matrix @ x`` for a vector x or a stack (..., d) of them, as a C-ordered
+    elementwise product reduced over its last axis.  Each row is then summed
+    by the same loop over its own d products, so its floats do not depend on
+    the shape of the stack it sits in, which a BLAS call does not promise;
+    the number of numpy calls does not grow with d.  ``matrix`` may be a
+    stack (..., d, d) broadcast against x."""
+    if x.ndim == 1 and matrix.ndim == 2 and len(x) <= _FLOAT_SUM_DIM:
+        return np.array(_float_matvec(matrix.tolist(), x.tolist()))
+    return np.add.reduce(np.multiply(matrix, x[..., None, :], order="C"), -1)
+
+
+def _float_matvec(rows: list, x: list) -> list:
+    """``_matvec`` of one short vector in Python floats, with numpy's bits."""
+    out = []
+    for row in rows:
+        acc = 0.0
+        for m, v in zip(row, x):
+            acc += m * v
+        out.append(acc)
+    return out
 
 
 class GaussianTarget:
@@ -74,22 +92,25 @@ class GaussianTarget:
         self.dimension = self.covariance.shape[0]
         self._shape = (self.dimension,)
         self._precision = np.linalg.inv(self.covariance)
+        self._precision_rows = self._precision.tolist()
         self._chol = np.linalg.cholesky(self.covariance)
 
     def energy(self, x):
         """E(x) of a state (a float), or of each row of a stack (..., d) (an array).
 
-        One formula for both, in elementwise arithmetic: a row's energy has
-        the same bits alone and in any stack.
+        One formula for both, reduced row by row like ``_matvec``: a row's
+        energy has the same bits alone and in any stack.
         """
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != self._shape:
             raise ValueError(f"state must have shape (..., {self.dimension}), got {x.shape}")
-        w = _matvec(self._precision, x)
-        e = x[..., 0] * w[..., 0]
-        for i in range(1, self.dimension):
-            e = e + x[..., i] * w[..., i]
-        e = 0.5 * e
+        if x.ndim == 1 and self.dimension <= _FLOAT_SUM_DIM:
+            v = x.tolist()
+            acc = 0.0
+            for a, b in zip(v, _float_matvec(self._precision_rows, v)):
+                acc += a * b
+            return 0.5 * acc
+        e = 0.5 * np.add.reduce(np.multiply(x, _matvec(self._precision, x), order="C"), -1)
         return float(e) if x.ndim == 1 else e
 
     def tempered_draw(self, temperature: float, z):

@@ -297,14 +297,15 @@ def uniform_order(role, branch, finite, variates):
 
 @pytest.mark.parametrize("config_name, kind", BUNDLED_CASES)
 def test_scalar_kernels_replay_the_engine_bit_for_bit(config_name, kind):
-    """One replication of the engine, replayed through ``ladder_step`` or the
-    single-chain kernel with the engine's variates: the same states, branches
-    and acceptances, and every carried energy equals a fresh evaluation."""
+    """One replication of the engine (in a batch of two), replayed through
+    ``ladder_step`` or the single-chain kernel with the engine's variates
+    rebuilt here: the same states, branches and acceptances, and every
+    carried energy equals a fresh evaluation."""
     cfg = load_config(CONFIGS / config_name)
     target, ladder, configs = cfg.target, cfg.ladder, cfg.configs
     finite = target.kind == "finite"
     n, seed = 300, 5
-    traj = run_sampler(kind, target, ladder, configs, n, seed)
+    traj = run_sampler(kind, target, ladder, configs, n, [seed, seed + 1])[0]
     dim = None if finite else target.dimension
     levels = range(ladder.n_levels) if kind in ADAPTIVE_KINDS else [ladder.top_level]
     variates = [stream_variates(seed, level, n, finite, dim) for level in levels]
@@ -352,6 +353,8 @@ def test_a_shorter_run_is_the_start_of_a_longer_one(config_name, kind):
 
 @pytest.mark.parametrize("config_name, kind", BUNDLED_CASES)
 def test_a_replication_runs_the_same_alone_and_in_any_batch(config_name, kind):
+    """Alone, a replication runs through the scalar kernels; in a batch, through
+    the engine: every level, branch and acceptance agrees."""
     cfg = load_config(CONFIGS / config_name)
     args = (kind, cfg.target, cfg.ladder, cfg.configs, 200)
     batch = run_sampler(*args, seed=[3, 17, 5])

@@ -233,14 +233,13 @@ def test_target_construction_errors():
         FiniteTarget([0.0, np.inf])
 
 
-@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("d", [1, 2, 5, 9, 20])
 def test_energy_and_draw_rows_have_the_same_bits_in_any_stack(d):
     """``energy``, the Gaussian draws and the random-walk steps (``_matvec``)
-    work row by row in elementwise arithmetic, so a row's bits are the same
-    alone, as a row view of a 2-D array such as ``Trajectory.states``, and
-    inside a stack of any shape: the batched engine and the scalar kernels
-    agree bit for bit only because of this.  Each equals its matrix formula
-    to rounding."""
+    work row by row, so a row's bits are the same alone, as a row view of a
+    2-D array such as ``Trajectory.states``, and inside a stack of any shape
+    or memory order: the batched engine and the scalar kernels agree bit for
+    bit only because of this.  Each equals its matrix formula to rounding."""
     rng = np.random.default_rng(30 + d)
     if d == 2:
         cov = SIGMA
@@ -262,6 +261,13 @@ def test_energy_and_draw_rows_have_the_same_bits_in_any_stack(d):
     assert np.array_equal(target.energy(states.reshape(10, 100, d)).ravel(), energies)
     assert np.array_equal(target.tempered_draw(2.5, noise.reshape(4, 250, d)).reshape(-1, d),
                           draws)
+    assert np.array_equal(target.energy(np.asfortranarray(states)), energies)
+    assert np.array_equal(_matvec(chol, np.asfortranarray(noise)), steps)
+    # one matrix per level, broadcast over a (replication, level, d) stack
+    mats = np.stack([chol, 2.0 * chol])
+    per_level = _matvec(mats, noise.reshape(500, 2, d))
+    for k, z in enumerate(noise):
+        assert np.array_equal(per_level[k // 2, k % 2], _matvec(mats[k % 2], z))
     np.testing.assert_allclose(energies, 0.5 * np.einsum("ni,ij,nj->n", states, precision, states),
                                rtol=1e-12)
     np.testing.assert_allclose(steps, noise @ chol.T, rtol=1e-12, atol=1e-12)
