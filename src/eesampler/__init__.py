@@ -23,6 +23,7 @@ from .analysis import (
 from .kernels import (
     KappaTooLargeError,
     KernelConfig,
+    Variates,
     acceptance_matrix,
     ee_adaptive_step,
     ee_limit_matrix,
@@ -41,6 +42,7 @@ from .ladder import (
     ladder_configs,
     ladder_step,
     level_rng,
+    level_variates,
     run_ladder,
     run_sampler,
     run_single,

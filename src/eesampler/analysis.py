@@ -17,9 +17,10 @@ second-moment limit, and the mean-squared-error replication harness that
 the table experiment runs on.  Both simulators step through exact
 transition tables: one lookup per chain-step gives the same next state
 as the inverse-CDF draw from the matrix row.  The harness hands
-``run_sampler`` one sampler kind and a chunk of replications per task: the
-batched engine runs the chunk, or the scalar kernels a chunk of one.  Replication r derives its seed from (master seed, r), and its
-result depends neither on the chunks nor on the worker count.
+``run_sampler`` one sampler kind and a chunk of replications per task:
+the batched engine runs the chunk, or the scalar kernels a chunk of one.
+Replication r derives its seed from (master seed, r), and its result
+depends neither on the chunks nor on the worker count.
 """
 
 from __future__ import annotations

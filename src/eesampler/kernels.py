@@ -3,15 +3,16 @@
 Provides the random-walk Metropolis base kernel, the two adaptive kernels
 (equi-energy exchange and importance resampling) that read a hotter
 chain's reservoir, their limiting kernels driven by exact tempered
-samplers, the lower bound on the local-move probability theta implied by
+draws, the lower bound on the local-move probability theta implied by
 the geometric-drift transfer argument, and explicit row-stochastic
 matrices for every kernel kind on finite state spaces.
 
 Conventions shared by all mixture kernels:
 
-* branch selection consumes exactly one uniform variate before any
-  sub-step, so traces line up across kernel kinds under a shared seed
-  schedule;
+* a step reads its randomness from one ``Variates`` record, by role
+  (the rules are listed with the variate schedule in ``ladder``), and
+  ignores the variates its branch has no use for, so traces line up
+  across kernel kinds under a shared schedule;
 * an empty reservoir sends the step down the local branch
   unconditionally (the zero empirical measure admits no resampling);
 * acceptance ratios are formed in log domain from energy differences,
@@ -23,7 +24,7 @@ Energy contract: every step kernel takes ``energy``, exactly
 that came without one, a local or inner proposal or an exact draw.
 
 A single replication steps through these functions, one level-step at a
-time, drawing the batched engine's variate schedule (``ladder``); several
+time, on the batched engine's variate schedule (``ladder``); several
 replications advance together through the engine, by the same rules and
 with the same bits.
 
@@ -38,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +58,17 @@ LOCAL, EXCHANGE, RESAMPLE = "local", "exchange", "resample"
 
 class KappaTooLargeError(ValueError):
     """kappa at or beyond 1/t_l - 1/t_{l-1}: the theta bound is undefined."""
+
+
+class Variates(NamedTuple):
+    """One step's variates, by role: three uniforms in [0, 1) and the
+    proposal, standard normals of the state's dimension or, on a finite
+    target, a row uniform."""
+
+    branch: float
+    draw: float
+    accept: float
+    proposal: object
 
 
 @dataclass(slots=True)
@@ -124,20 +137,17 @@ def _check_stochastic(matrix) -> np.ndarray:
     return m
 
 
-def _draw_row(cum_row: np.ndarray, rng) -> int:
-    return int(cum_row.searchsorted(rng.random(), side="right"))
-
-
-def rwm_step(target, ladder, level, x, config: KernelConfig, rng, energy) -> StepOutcome:
+def rwm_step(target, ladder, level, x, config: KernelConfig, v: Variates, energy) -> StepOutcome:
     """One local step at ``level``.
 
-    Continuous targets: propose y = x + z with z ~ N(0, proposal
-    covariance) and accept with probability min(1, exp(log pi(y) - log
-    pi(x))).  Finite targets: one row draw from the configured base
-    matrix (assumed stationary for the tempered law at this level).
+    Continuous targets: propose y = x + chol z, z the proposal normals and
+    chol the Cholesky factor of the proposal covariance, and accept when
+    log u < log pi(y) - log pi(x), u the accept uniform.  Finite targets:
+    the row uniform's inverse-CDF draw from the configured base matrix's
+    row (assumed stationary for the tempered law at this level).
     """
     if target.kind == "finite":
-        y = _draw_row(config._base_cum[int(x)], rng)
+        y = int(config._base_cum[int(x)].searchsorted(v.proposal, side="right"))
         return StepOutcome(y, LOCAL, True, checked_energy(target, y))
     x = np.asarray(x, dtype=float)
     chol = config._proposal_chol
@@ -146,33 +156,40 @@ def rwm_step(target, ladder, level, x, config: KernelConfig, rng, energy) -> Ste
             f"proposal dimension {chol.shape[0]} does not match state dimension {x.shape[0]}"
         )
     t = ladder.temperature(level)
-    y = x + _matvec(chol, rng.standard_normal(len(x)))
+    y = x + _matvec(chol, v.proposal)
     ey = checked_energy(target, y)
-    if _log_uniform(rng) < (-ey / t) - (-energy / t):
+    if _log_uniform(v.accept) < (-ey / t) - (-energy / t):
         return StepOutcome(y, LOCAL, True, ey)
     return StepOutcome(x, LOCAL, False, energy)
 
 
-def _log_uniform(rng) -> float:
-    """log u for u = ``rng.random()``, which can be exactly 0.0 (then log u = -inf).
+def _log_uniform(u: float) -> float:
+    """log u of a uniform u, which can be exactly 0.0 (then log u = -inf).
 
     ``np.log``, not ``math.log``: the batched engine takes the log of a whole
     block of uniforms, and the two differ in the last bit on some inputs.
     """
-    u = rng.random()
     return float(np.log(u)) if u > 0.0 else -math.inf
 
 
-def _exchange_move(ladder, level, x, ex, y, ey, rng) -> StepOutcome:
-    """Move from x (energy ex) to the proposed y (energy ey) with
-    probability min(1, r(y)/r(x))."""
+def _exact_draw(target, temperature: float, v: Variates):
+    """The exact tempered draw of ``v``: from its draw uniform on a finite
+    target, from its proposal normals on a Gaussian one."""
+    if target.kind == "finite":
+        return int(target.tempered_draw(temperature, v.draw))
+    return target.tempered_draw(temperature, v.proposal)
+
+
+def _exchange_move(ladder, level, x, ex, y, ey, u) -> StepOutcome:
+    """Move from x (energy ex) to the proposed y (energy ey) when the log of
+    the accept uniform u is below log r(y) - log r(x)."""
     c = importance_coefficient(ladder, level)
-    if _log_uniform(rng) < (-ey * c) - (-ex * c):
+    if _log_uniform(u) < (-ey * c) - (-ex * c):
         return StepOutcome(y, EXCHANGE, True, ey)
     return StepOutcome(x, EXCHANGE, False, ex)
 
 
-def ee_adaptive_step(target, ladder, level, x, reservoir, config: KernelConfig, rng,
+def ee_adaptive_step(target, ladder, level, x, reservoir, config: KernelConfig, v: Variates,
                      energy) -> StepOutcome:
     """Equi-energy adaptive step at ``level`` against the level-(l-1) reservoir.
 
@@ -181,14 +198,13 @@ def ee_adaptive_step(target, ladder, level, x, reservoir, config: KernelConfig, 
     min(1, r(y)/r(x)), r being the importance function between the two
     adjacent tempered laws.
     """
-    u = rng.random()
-    if u < config.theta or reservoir.count == 0:
-        return rwm_step(target, ladder, level, x, config, rng, energy)
-    y, ey = reservoir.sample_uniform(rng)
-    return _exchange_move(ladder, level, x, energy, y, ey, rng)
+    if v.branch < config.theta or reservoir.count == 0:
+        return rwm_step(target, ladder, level, x, config, v, energy)
+    y, ey = reservoir.sample_uniform(v.draw)
+    return _exchange_move(ladder, level, x, energy, y, ey, v.accept)
 
 
-def ir_adaptive_step(target, ladder, level, x, reservoir, config: KernelConfig, rng,
+def ir_adaptive_step(target, ladder, level, x, reservoir, config: KernelConfig, v: Variates,
                      energy) -> StepOutcome:
     """Importance-resampling adaptive step at ``level``.
 
@@ -197,32 +213,31 @@ def ir_adaptive_step(target, ladder, level, x, reservoir, config: KernelConfig, 
     r and advances it by one step of the local kernel (which may reject
     and hold at the resampled point).
     """
-    u = rng.random()
-    if u < config.theta or reservoir.count == 0:
-        return rwm_step(target, ladder, level, x, config, rng, energy)
-    y, ey = reservoir.sample_weighted(importance_coefficient(ladder, level), rng)
-    inner = rwm_step(target, ladder, level, y, config, rng, ey)
+    if v.branch < config.theta or reservoir.count == 0:
+        return rwm_step(target, ladder, level, x, config, v, energy)
+    y, ey = reservoir.sample_weighted(importance_coefficient(ladder, level), v.draw)
+    inner = rwm_step(target, ladder, level, y, config, v, ey)
     inner.branch = RESAMPLE
     return inner
 
 
-def limit_ee_step(target, ladder, level, x, config: KernelConfig, rng, energy) -> StepOutcome:
+def limit_ee_step(target, ladder, level, x, config: KernelConfig, v: Variates,
+                  energy) -> StepOutcome:
     """Limiting equi-energy kernel: independence MH proposing from the
     exact level-(l-1) tempered law instead of the reservoir."""
-    u = rng.random()
-    if u < config.theta:
-        return rwm_step(target, ladder, level, x, config, rng, energy)
-    y = target.sample_tempered(ladder.temperature(level - 1), rng)
-    return _exchange_move(ladder, level, x, energy, y, checked_energy(target, y), rng)
+    if v.branch < config.theta:
+        return rwm_step(target, ladder, level, x, config, v, energy)
+    y = _exact_draw(target, ladder.temperature(level - 1), v)
+    return _exchange_move(ladder, level, x, energy, y, checked_energy(target, y), v.accept)
 
 
-def limit_ir_step(target, ladder, level, x, config: KernelConfig, rng, energy) -> StepOutcome:
+def limit_ir_step(target, ladder, level, x, config: KernelConfig, v: Variates,
+                  energy) -> StepOutcome:
     """Limiting importance-resampling kernel: mixture of the local kernel
     with an exact refresh from the level-l tempered law."""
-    u = rng.random()
-    if u < config.theta:
-        return rwm_step(target, ladder, level, x, config, rng, energy)
-    y = target.sample_tempered(ladder.temperature(level), rng)
+    if v.branch < config.theta:
+        return rwm_step(target, ladder, level, x, config, v, energy)
+    y = _exact_draw(target, ladder.temperature(level), v)
     return StepOutcome(y, RESAMPLE, True, checked_energy(target, y))
 
 

@@ -11,20 +11,20 @@ from iterations 1..n-1.
 ``run_sampler`` takes one seed or a list.  One replication runs through
 ``run_ladder`` or ``run_single``: the scalar kernels of ``kernels.py``, one
 level-step at a time (``ladder_step`` advances every level, then pushes
-every new state to its ``Reservoir``), each drawing from a
-``_ScheduleStream``, which hands it its level's variates of the schedule
-below.  Several replications advance together through ``_engine``, as
-arrays: states (R, K, d), or (R, K) integers on finite targets, and
-energies (R, K).  Per step the engine makes a few dozen numpy calls
-whatever R is, so it pays from two replications on, and the scalar loop is
-cheaper for one.  All K levels step in lockstep: iteration n computes
-every level's move from the states of iteration n-1 and from the histories
-up to iteration n-1, and only then records iteration n.  The recorded
-history of each level is its reservoir, so the contract holds by
-construction.  An ``ir`` level keeps, per replication, the running-max
-prefix sums of its hotter level's weights, extended as each state is
-recorded and rebuilt at a new record weight, exactly as
-``Reservoir.sample_weighted`` keeps them.
+every new state to its ``Reservoir``), each level reading its steps'
+``Variates`` from ``level_variates``, its stream of the schedule below.
+Several replications advance together through ``_engine``, as arrays:
+states (R, K, d), or (R, K) integers on finite targets, and energies
+(R, K).  Per step the engine makes a few dozen numpy calls whatever R is,
+so it pays from two replications on, and the scalar loop is cheaper for
+one.  All K levels step in lockstep: iteration n computes every level's
+move from the states of iteration n-1 and from the histories up to
+iteration n-1, and only then records iteration n.  The recorded history
+of each level is its reservoir, so the contract holds by construction.
+An ``ir`` level keeps, per replication, the running-max prefix sums of
+its hotter level's weights, extended as each state is recorded and
+rebuilt at a new record weight, exactly as ``Reservoir.sample_weighted``
+keeps them.
 
 Seed plumbing: replication r with seed s (``analysis.replication_seed``
 derives s from the master seed and r) drives level l by its own generator
@@ -32,8 +32,10 @@ derives s from the master seed and r) drives level l by its own generator
 draws its variates in blocks of ``BLOCK`` steps, of a fixed shape: first
 ``random((3, BLOCK))``, the branch, draw and accept uniforms of each step,
 then the proposal variates, ``standard_normal((BLOCK, d))`` or, on a finite
-target, ``random(BLOCK)`` row uniforms.  A step uses at most one variate of
-each kind:
+target, ``random(BLOCK)`` row uniforms.  Step i of a block gets column i
+of the uniforms and row i of the proposals, by role (``kernels.Variates``),
+and a step uses at most one variate of each role, ignoring those its
+branch has no use for:
 
 * the branch uniform picks the local branch when below theta;
 * the proposal normals z give the local (or ``ir`` inner) proposal
@@ -53,7 +55,6 @@ under the same seed.
 from __future__ import annotations
 
 import csv
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -66,6 +67,7 @@ from .kernels import (
     LOCAL,
     RESAMPLE,
     KernelConfig,
+    Variates,
     ee_adaptive_step,
     ir_adaptive_step,
     limit_ee_step,
@@ -90,9 +92,23 @@ def level_rng(seed: int, level: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(level,)))
 
 
+def level_variates(seed: int, level: int, target):
+    """Level ``level``'s stream of the variate schedule: an endless iterator of
+    the ``Variates`` of its steps, drawn by blocks from ``level_rng(seed, level)``."""
+    rng = level_rng(seed, level)
+    finite = target.kind == "finite"
+    while True:
+        branch, draw, accept = rng.random((3, BLOCK)).tolist()
+        if finite:
+            proposal = rng.random(BLOCK).tolist()
+        else:
+            proposal = rng.standard_normal((BLOCK, target.dimension))
+        yield from map(Variates, branch, draw, accept, proposal)
+
+
 @dataclass
 class LadderState:
-    """Joint state: current states, reservoirs of levels 0..K-1 and generators.
+    """Joint state: current states and reservoirs of levels 0..K-1.
 
     ``energies[l]`` is ``target.energy(states[l])``; whoever replaces a state
     sets its energy too.
@@ -100,33 +116,27 @@ class LadderState:
 
     states: list
     reservoirs: list
-    rngs: list
     energies: list
 
 
-def init_ladder_state(target, ladder, seed: int, initial_states=None) -> LadderState:
-    """Fresh ladder state, before iteration 1.
+def init_ladder_state(target, ladder) -> LadderState:
+    """Fresh ladder state, before iteration 1: every level at the target's
+    initial state.
 
     Every reservoir starts empty, as the recursion does from the zero
     measure: pushes begin at iteration 1.  Each initial state's energy is
     evaluated here, so every step receives the energy of its current state.
     """
-    n_levels = ladder.n_levels
-    if initial_states is None:
-        states = [target.initial_state() for _ in range(n_levels)]
-    else:
-        states = list(initial_states)
-        if len(states) != n_levels:
-            raise ValueError(f"need {n_levels} initial states, got {len(states)}")
+    states = [target.initial_state() for _ in range(ladder.n_levels)]
     dim = None if target.kind == "finite" else target.dimension
-    reservoirs = [Reservoir(dimension=dim) for _ in range(n_levels - 1)]
-    rngs = [level_rng(seed, level) for level in range(n_levels)]
-    return LadderState(states=states, reservoirs=reservoirs, rngs=rngs,
+    reservoirs = [Reservoir(dimension=dim) for _ in range(ladder.n_levels - 1)]
+    return LadderState(states=states, reservoirs=reservoirs,
                        energies=[checked_energy(target, x) for x in states])
 
 
-def ladder_step(state: LadderState, target, ladder, configs, scheme: str):
-    """Advance every level by one iteration; returns the per-level outcomes.
+def ladder_step(state: LadderState, target, ladder, configs, scheme: str, variates):
+    """Advance every level by one iteration, level l on ``variates[l]``;
+    returns the per-level outcomes.
 
     Levels 1..K read the level-(l-1) reservoir as of the previous
     iteration; pushes happen only after all levels have advanced.
@@ -137,8 +147,8 @@ def ladder_step(state: LadderState, target, ladder, configs, scheme: str):
         adaptive = ir_adaptive_step
     else:
         raise ValueError(f"scheme must be 'ee' or 'ir', got {scheme!r}")
-    states, energies, reservoirs, rngs = state.states, state.energies, state.reservoirs, state.rngs
-    outcomes = [rwm_step(target, ladder, 0, states[0], configs[0], rngs[0], energies[0])]
+    states, energies, reservoirs = state.states, state.energies, state.reservoirs
+    outcomes = [rwm_step(target, ladder, 0, states[0], configs[0], variates[0], energies[0])]
     for level in range(1, ladder.n_levels):
         outcomes.append(
             adaptive(
@@ -148,7 +158,7 @@ def ladder_step(state: LadderState, target, ladder, configs, scheme: str):
                 states[level],
                 reservoirs[level - 1],
                 configs[level],
-                rngs[level],
+                variates[level],
                 energies[level],
             )
         )
@@ -240,75 +250,16 @@ def _check_iterations(n_iterations) -> None:
         raise ValueError("n_iterations must be at least 1")
 
 
-def _uniform_order(role, local, finite) -> tuple:
-    """The uniforms a scalar kernel of ``role`` (a sampler kind, or "rwm" for
-    a plain local step) asks for with ``rng.random()`` on a local or other
-    branch, in order, as indices into a step's (branch, draw, accept, row)
-    uniforms.  A local step ends in its row uniform (finite) or accept uniform."""
-    tail = (3,) if finite else (2,)
-    if role == "rwm":
-        return tail
-    if local:
-        return (0, *tail)
-    return {
-        "ee": (0, 2),
-        "ir": (0, 1, *tail),
-        "ee_limit": (0, 1, 2) if finite else (0, 2),
-        "ir_limit": (0, 1) if finite else (0,),
-    }[role]
-
-
-class _ScheduleStream:
-    """The generator a scalar kernel draws from: one level's stream of the
-    engine's variate schedule.
-
-    ``begin(n)`` loads iteration n's variates; then ``random()`` returns its
-    uniforms in the order the kernel asks for them (which the branch uniform
-    fixes), ``standard_normal`` its proposal normals and ``integers(k)``
-    floor(u k) of its draw uniform u.  So a scalar kernel driven by it takes
-    every step the engine takes for the same seed, bit for bit.
-    """
-
-    def __init__(self, rng, role, theta, target):
-        self._rng = rng
-        self._finite = target.kind == "finite"
-        self._dim = None if self._finite else target.dimension
-        self._orders = {local: _uniform_order(role, local, self._finite)[::-1]
-                        for local in (True, False)}
-        self._theta = 1.0 if role == "rwm" else theta  # a plain local step never branches
-        self._first_local = role in ADAPTIVE_KINDS  # iteration 1: every reservoir is empty
-
-    def begin(self, n) -> None:
-        i = n % BLOCK
-        if not i:
-            rng = self._rng
-            self._uniforms = rng.random((3, BLOCK)).tolist()
-            self._proposals = (rng.random(BLOCK).tolist() if self._finite
-                               else rng.standard_normal((BLOCK, self._dim)))
-        branch, draw, accept = (row[i] for row in self._uniforms)
-        self._step = step = (branch, draw, accept, self._proposals[i])
-        local = branch < self._theta or (self._first_local and not n)
-        self._queue = [step[k] for k in self._orders[local]]
-
-    def random(self) -> float:
-        return self._queue.pop()
-
-    def standard_normal(self, size) -> np.ndarray:
-        return self._step[3]
-
-    def integers(self, high) -> int:
-        return int(self._step[1] * high)
-
-
-def _scalar_trajectory(target, n_levels, n_iterations, advance) -> Trajectory:
-    """The Trajectory of ``advance(n)``, iteration n's outcome at every level."""
+def _scalar_trajectory(target, n_levels, n_iterations, steps) -> Trajectory:
+    """The Trajectory of the first ``n_iterations`` items of ``steps``, each
+    one iteration's outcome at every level."""
     _check_iterations(n_iterations)
     finite = target.kind == "finite"
     shape = (n_iterations,) if finite else (n_iterations, target.dimension)
     states = [np.empty(shape, dtype=np.int64 if finite else float) for _ in range(n_levels)]
     branches, accepted = [], []
-    for n in range(n_iterations):
-        for level, out in enumerate(advance(n)):
+    for n, outcomes in zip(range(n_iterations), steps):
+        for level, out in enumerate(outcomes):
             states[level][n] = out.next
             branches.append(BRANCH_CODES[out.branch])
             accepted.append(out.accepted)
@@ -316,23 +267,15 @@ def _scalar_trajectory(target, n_levels, n_iterations, advance) -> Trajectory:
                       np.array(accepted, dtype=bool).reshape(n_iterations, n_levels))
 
 
-def run_ladder(target, ladder, configs, scheme: str, n_iterations: int, seed: int,
-               initial_states=None) -> Trajectory:
+def run_ladder(target, ladder, configs, scheme: str, n_iterations: int, seed: int) -> Trajectory:
     """Run the full adaptive ladder of one replication through ``ladder_step``;
     deterministic given (arguments, seed), and the engine's run of that seed."""
     _check_ladder(scheme, ladder, configs)
-    state = init_ladder_state(target, ladder, seed, initial_states)
-    streams = state.rngs = [
-        _ScheduleStream(rng, scheme if level else "rwm", config.theta, target)
-        for level, (rng, config) in enumerate(zip(state.rngs, configs))
-    ]
-
-    def advance(n):
-        for stream in streams:
-            stream.begin(n)
-        return ladder_step(state, target, ladder, configs, scheme)
-
-    return _scalar_trajectory(target, ladder.n_levels, n_iterations, advance)
+    state = init_ladder_state(target, ladder)
+    streams = [level_variates(seed, level, target) for level in range(ladder.n_levels)]
+    steps = (ladder_step(state, target, ladder, configs, scheme, variates)
+             for variates in zip(*streams))
+    return _scalar_trajectory(target, ladder.n_levels, n_iterations, steps)
 
 
 def run_single(target, ladder, config: KernelConfig, kind: str, n_iterations: int,
@@ -340,23 +283,21 @@ def run_single(target, ladder, config: KernelConfig, kind: str, n_iterations: in
     """Run one chain with a non-adaptive kernel (rwm, ee_limit or ir_limit).
 
     The chain sits at ``level`` of the ladder (default: the coldest) and
-    uses that level's seed stream, so a rwm run at level 0 reproduces the
-    level-0 trace of a ladder run bit for bit.
+    uses that level's variate stream, so a rwm run at level 0 reproduces
+    the level-0 trace of a ladder run bit for bit.
     """
     level = _single_level(kind, ladder, level)
     step = {"rwm": rwm_step, "ee_limit": limit_ee_step, "ir_limit": limit_ir_step}[kind]
-    stream = _ScheduleStream(level_rng(seed, level), kind, config.theta, target)
-    x = target.initial_state()
-    energy = checked_energy(target, x)
 
-    def advance(n):
-        nonlocal x, energy
-        stream.begin(n)
-        out = step(target, ladder, level, x, config, stream, energy)
-        x, energy = out.next, out.energy
-        return (out,)
+    def steps():
+        x = target.initial_state()
+        energy = checked_energy(target, x)
+        for v in level_variates(seed, level, target):
+            out = step(target, ladder, level, x, config, v, energy)
+            x, energy = out.next, out.energy
+            yield (out,)
 
-    return _scalar_trajectory(target, 1, n_iterations, advance)
+    return _scalar_trajectory(target, 1, n_iterations, steps())
 
 
 def replication_bytes(kind: str, target, ladder, n_iterations: int) -> int:
@@ -402,7 +343,7 @@ def _engine(kind, target, ladder, configs, n_iterations, seeds):
 
     x = np.empty((n_rep, n_lev) + shape, dtype=np.int64 if finite else float)
     x[:] = target.initial_state()
-    ex = _checked_energies(target, x)
+    ex = checked_energy(target, x)
 
     states = np.zeros((n_rep, n_lev, n) + shape, dtype=x.dtype)
     energies = np.zeros((n_rep, n_lev, n))
@@ -483,10 +424,10 @@ def _engine(kind, target, ladder, configs, n_iterations, seeds):
                     k = drawn[i]
                     y = np.where(local_x[i], y, states[rows, hotter, k])
                     ey = energies[rows, hotter, k]
-                    ey[here] = _checked_energies(target, y[here])
+                    ey[here] = checked_energy(target, y[here])
                     exchange = True
                 else:
-                    ey = _checked_energies(target, y)
+                    ey = checked_energy(target, y)
                     exchange = kind == "ee_limit"
                 # (-e' / t) - (-e / t) is e / t - e' / t, bit for bit (likewise for c)
                 if always_accepted:
@@ -519,16 +460,6 @@ def _engine(kind, target, ladder, configs, n_iterations, seeds):
                                 out=cum[r, j, :col + 1])
 
     return [Trajectory(list(states[r]), branches[r], accepted[r]) for r in range(n_rep)]
-
-
-def _checked_energies(target, y):
-    """``target.energy`` of every row of the stack y, each checked finite."""
-    e = target.energy(y)
-    if not math.isfinite(e.sum()):  # a non-finite row, or finite rows overflowing the sum
-        bad = ~np.isfinite(e)
-        if bad.any():
-            raise ValueError(f"non-finite energy at state {y[bad][0]!r}")
-    return e
 
 
 def ladder_configs(ladder, thetas, proposal_covariance=None, base_matrices=None):

@@ -8,7 +8,10 @@ drawing from an empty reservoir is an error; adaptive kernels route
 around it by taking their local branch until the first push.
 
 Every state is stored with its energy E(x), and every draw returns the
-pair, so a kernel never evaluates E at a drawn state.  A weighted draw
+pair, so a kernel never evaluates E at a drawn state.  A draw maps a
+caller's uniform u in [0, 1) to a pair by the batched engine's
+rules: a uniform draw takes item floor(u n), and a weighted draw
+bisects the cumulative weights at u times their total.  A weighted draw
 weights each state by exp(-c E(x)) for the reservoir's one coefficient c.
 It caches the running cumulative sum of the max-shifted weights, so a
 draw weights only the states pushed since the previous weighted draw and
@@ -95,13 +98,14 @@ class Reservoir:
         x = int(self._buf[k]) if self.dimension is None else self._buf[k].copy()
         return x, float(self._energy[k])
 
-    def sample_uniform(self, rng) -> tuple:
-        """One stored (state, energy) pair, each with probability 1/count."""
+    def sample_uniform(self, u: float) -> tuple:
+        """The stored (state, energy) pair floor(u * count) of a uniform u in
+        [0, 1): each with probability 1/count."""
         if self._count == 0:
             raise EmptyReservoirError("cannot draw from an empty reservoir")
-        return self._item(int(rng.integers(self._count)))
+        return self._item(int(u * self._count))
 
-    def sample_weighted(self, coefficient: float, rng) -> tuple:
+    def sample_weighted(self, coefficient: float, u: float) -> tuple:
         """One stored (state, energy) pair, with probability proportional to
         exp(-coefficient * energy).
 
@@ -111,7 +115,8 @@ class Reservoir:
         running max) is extended by the new states, or rebuilt at the new
         shift when one of them sets a record, so the prefix floats equal a
         per-call ``cumsum(exp(lw - lw.max()))`` bit for bit.  A draw then
-        bisects it with one ``rng.random()``: amortised O(log n) per draw.
+        bisects it at u times its total, u a uniform in [0, 1): amortised
+        O(log n) per draw.
         A draw that raises leaves the cache unchanged.
         """
         n = self._count
@@ -138,6 +143,6 @@ class Reservoir:
             self._coefficient = coefficient
             self._weighted = n
         cdf = self._cum[:n]
-        k = int(cdf.searchsorted(rng.random() * cdf[-1], side="right"))
+        k = int(cdf.searchsorted(u * cdf[-1], side="right"))
         return self._item(min(k, n - 1))
 

@@ -7,8 +7,9 @@ differences, so the additive constant is irrelevant.
 
 Two concrete families are provided: zero-mean Gaussians on R^d
 (E(x) = x' Sigma^{-1} x / 2, so the tempered law is N(0, t*Sigma)) and
-finite state spaces given by an energy vector.  Both carry exact
-tempered samplers, which the limiting-kernel samplers require.
+finite state spaces given by an energy vector.  Both map variates to
+exact tempered draws (``tempered_draw``), which the limiting kernels
+require: standard normals on a Gaussian, uniforms on a finite space.
 """
 
 from __future__ import annotations
@@ -120,11 +121,6 @@ class GaussianTarget:
             raise ValueError("temperature must be positive")
         return math.sqrt(temperature) * _matvec(self._chol, z)
 
-    def sample_tempered(self, temperature: float, rng, size=None):
-        """Exact draw(s) from the tempered law N(0, t*Sigma)."""
-        shape = (self.dimension,) if size is None else (size, self.dimension)
-        return self.tempered_draw(temperature, rng.standard_normal(shape))
-
     def initial_state(self) -> np.ndarray:
         return np.zeros(self.dimension)
 
@@ -169,12 +165,6 @@ class FiniteTarget:
         over the normalized tempered vector."""
         cdf = _pinned_cumsum(self.tempered_probabilities(temperature))
         return cdf.searchsorted(u, side="right")
-
-    def sample_tempered(self, temperature: float, rng, size=None):
-        """Exact draw(s) by inverse CDF over the normalized tempered vector."""
-        if size is None:
-            return int(self.tempered_draw(temperature, rng.random()))
-        return self.tempered_draw(temperature, rng.random(size)).astype(np.int64)
 
     def initial_state(self) -> int:
         return 0
@@ -225,11 +215,16 @@ class TemperatureLadder:
             raise ValueError(f"level must be in [0, {self.top_level}], got {level}")
 
 
-def checked_energy(target, x) -> float:
-    """E(x) from ``target.energy``, rejecting a NaN or infinite value."""
+def checked_energy(target, x):
+    """E(x) from ``target.energy`` of a state (a float), or of each state of a
+    stack (an array), rejecting a NaN or infinite value."""
     e = target.energy(x)
-    if not math.isfinite(e):
-        raise ValueError(f"non-finite energy at state {x!r}")
+    # a stack is checked by its sum, which is non-finite if an energy is, or
+    # if finite energies overflow it: only then are the energies looked at
+    if not math.isfinite(e if isinstance(e, float) else e.sum()):
+        bad = ~np.isfinite(e)
+        if bad.any():
+            raise ValueError(f"non-finite energy at state {x[bad][0] if bad.ndim else x!r}")
     return e
 
 

@@ -8,6 +8,7 @@ from eesampler import (
     KernelConfig,
     Reservoir,
     TemperatureLadder,
+    Variates,
     acceptance_matrix,
     batch_means_variance,
     ee_adaptive_step,
@@ -23,6 +24,15 @@ from eesampler import (
 )
 
 SIGMA = np.array([[0.96, 2.44], [2.44, 7.04]])
+
+
+def variates(rng, dim=None):
+    """One step's ``Variates`` from ``rng``: three uniforms and the proposal,
+    ``dim`` standard normals or, for a finite target (``dim`` None), a row
+    uniform."""
+    branch, draw, accept = rng.random(3)
+    proposal = rng.random() if dim is None else rng.standard_normal(dim)
+    return Variates(branch, draw, accept, proposal)
 
 
 def finite_setup(energies=(0.0, 0.6, 1.5), temps=(2.0, 1.0), theta=0.5):
@@ -49,7 +59,7 @@ def test_rwm_accepts_equal_energy_proposals():
     n = 2000
     accepted = 0
     for _ in range(n):
-        out = rwm_step(target, ladder, 0, x, config, rng, target.energy(x))
+        out = rwm_step(target, ladder, 0, x, config, variates(rng, 2), target.energy(x))
         accepted += out.accepted
         assert np.abs(out.next - x).max() < 1e-9
     assert accepted / n > 0.999
@@ -66,7 +76,7 @@ def test_rwm_long_run_mean_near_zero():
     total = np.zeros(2)
     first = np.empty(n)
     for i in range(n):
-        out = rwm_step(target, ladder, 0, x, config, rng, energy)
+        out = rwm_step(target, ladder, 0, x, config, variates(rng, 2), energy)
         x, energy = out.next, out.energy
         total += x
         first[i] = x[0]
@@ -85,10 +95,11 @@ def test_theta_one_makes_every_mixture_kernel_local():
     rng = np.random.default_rng(2)
     e1 = target.energy(1)
     for _ in range(300):
-        assert ee_adaptive_step(target, ladder, 1, 1, res, config, rng, e1).branch == "local"
-        assert ir_adaptive_step(target, ladder, 1, 1, res, config, rng, e1).branch == "local"
-        assert limit_ee_step(target, ladder, 1, 1, config, rng, e1).branch == "local"
-        assert limit_ir_step(target, ladder, 1, 1, config, rng, e1).branch == "local"
+        v = variates(rng)
+        assert ee_adaptive_step(target, ladder, 1, 1, res, config, v, e1).branch == "local"
+        assert ir_adaptive_step(target, ladder, 1, 1, res, config, v, e1).branch == "local"
+        assert limit_ee_step(target, ladder, 1, 1, config, v, e1).branch == "local"
+        assert limit_ir_step(target, ladder, 1, 1, config, v, e1).branch == "local"
 
 
 def test_ee_downhill_exchange_always_accepted():
@@ -98,7 +109,7 @@ def test_ee_downhill_exchange_always_accepted():
     res.push(0, target.energy(0))  # E(0) < E(2): the importance ratio favors the proposal
     rng = np.random.default_rng(3)
     for _ in range(200):
-        out = ee_adaptive_step(target, ladder, 1, 2, res, config, rng, target.energy(2))
+        out = ee_adaptive_step(target, ladder, 1, 2, res, config, variates(rng), target.energy(2))
         assert out.branch == "exchange"
         assert out.accepted
         assert out.next == 0
@@ -112,7 +123,7 @@ def test_ee_rejected_exchange_holds_the_current_state():
     res.push(2, target.energy(2))
     rng = np.random.default_rng(21)
     for _ in range(200):
-        out = ee_adaptive_step(target, ladder, 1, 0, res, config, rng, target.energy(0))
+        out = ee_adaptive_step(target, ladder, 1, 0, res, config, variates(rng), target.energy(0))
         assert out.branch == "exchange"
         assert not out.accepted
         assert out.next == 0
@@ -123,7 +134,8 @@ def test_ee_empty_reservoir_falls_back_to_local():
     rng = np.random.default_rng(4)
     empty = Reservoir()
     for _ in range(200):
-        out = ee_adaptive_step(target, ladder, 1, 0, empty, configs[1], rng, target.energy(0))
+        out = ee_adaptive_step(target, ladder, 1, 0, empty, configs[1], variates(rng),
+                               target.energy(0))
         assert out.branch == "local"
 
 
@@ -140,7 +152,8 @@ def test_ee_frozen_reservoir_matches_matrix_row():
     energy = target.energy(x)
     counts = np.zeros(3)
     for _ in range(n):
-        counts[ee_adaptive_step(target, ladder, 1, x, res, configs[1], rng, energy).next] += 1
+        v = variates(rng)
+        counts[ee_adaptive_step(target, ladder, 1, x, res, configs[1], v, energy).next] += 1
     freq = counts / n
     for s in range(3):
         p = frozen[x, s]
@@ -161,7 +174,8 @@ def test_ir_frozen_reservoir_matches_matrix_row():
     energy = target.energy(x)
     counts = np.zeros(3)
     for _ in range(n):
-        counts[ir_adaptive_step(target, ladder, 1, x, res, configs[1], rng, energy).next] += 1
+        v = variates(rng)
+        counts[ir_adaptive_step(target, ladder, 1, x, res, configs[1], v, energy).next] += 1
     freq = counts / n
     for s in range(3):
         p = frozen[x, s]
@@ -178,7 +192,7 @@ def test_ir_single_point_reservoir_starts_inner_move_there():
     res.push(y, target.energy(y))
     rng = np.random.default_rng(7)
     for _ in range(100):
-        out = ir_adaptive_step(target, ladder, 1, np.zeros(2), res, config, rng, 0.0)
+        out = ir_adaptive_step(target, ladder, 1, np.zeros(2), res, config, variates(rng, 2), 0.0)
         assert out.branch == "resample"
         assert np.abs(out.next - y).max() < 1e-9  # inner kernel barely moves
 
@@ -193,7 +207,8 @@ def test_branch_frequency_matches_theta():
     local = 0
     e1 = target.energy(1)
     for _ in range(n):
-        local += ee_adaptive_step(target, ladder, 1, 1, res, config, rng, e1).branch == "local"
+        v = variates(rng)
+        local += ee_adaptive_step(target, ladder, 1, 1, res, config, v, e1).branch == "local"
     se = np.sqrt(0.7 * 0.3 / n)
     assert abs(local / n - 0.7) < 4.0 * se
 
@@ -272,7 +287,7 @@ def test_limit_ir_theta_zero_draws_iid():
     x = 0
     energy = target.energy(x)
     for _ in range(n):
-        out = limit_ir_step(target, ladder, 1, x, config, rng, energy)
+        out = limit_ir_step(target, ladder, 1, x, config, variates(rng), energy)
         x, energy = out.next, out.energy
         counts[x] += 1
     pi = target.tempered_probabilities(1.0)
@@ -291,7 +306,7 @@ def test_limit_ee_gaussian_second_moments():
     energy = target.energy(x)
     sq = np.zeros((n, 2))
     for i in range(n + burn):
-        out = limit_ee_step(target, ladder, 3, x, config, rng, energy)
+        out = limit_ee_step(target, ladder, 3, x, config, variates(rng, 2), energy)
         x, energy = out.next, out.energy
         if i >= burn:
             sq[i - burn] = x**2
@@ -301,26 +316,17 @@ def test_limit_ee_gaussian_second_moments():
         assert abs(sq[:, j].mean() - truth) < 4.0 * se
 
 
-class ZeroUniform:
-    """Generator stub whose every uniform is 0.0 (the smallest value ``random()``
-    returns) and every standard normal is 1."""
-
-    def random(self, size=None):
-        return 0.0 if size is None else np.zeros(size)
-
-    def standard_normal(self, size=None):
-        return 1.0 if size is None else np.ones(size)
-
-
 def test_metropolis_and_exchange_moves_accept_at_a_zero_uniform():
     # u = 0.0 is log u = -inf, which accepts both uphill proposals
     # (math.log(0.0) raises instead)
     target = GaussianTarget(SIGMA)
     ladder = TemperatureLadder((2.0, 1.0))
     config = KernelConfig(theta=0.0, proposal_covariance=np.eye(2))
-    local = rwm_step(target, ladder, 1, np.zeros(2), config, ZeroUniform(), 0.0)
+    # every uniform 0.0 (the smallest value ``random()`` returns), every normal 1
+    zero = Variates(0.0, 0.0, 0.0, np.ones(2))
+    local = rwm_step(target, ladder, 1, np.zeros(2), config, zero, 0.0)
     assert local.accepted and list(local.next) == [1.0, 1.0]
-    exchange = limit_ee_step(target, ladder, 1, np.zeros(2), config, ZeroUniform(), 0.0)
+    exchange = limit_ee_step(target, ladder, 1, np.zeros(2), config, zero, 0.0)
     assert exchange.branch == "exchange" and exchange.accepted
     assert list(exchange.next) == list(np.sqrt(2.0) * np.linalg.cholesky(SIGMA) @ np.ones(2))
 
@@ -372,14 +378,76 @@ def test_fresh_non_finite_energy_raises_even_with_a_carried_energy(kind, theta):
     config = KernelConfig(theta=theta, proposal_covariance=np.eye(2))
     res = Reservoir(dimension=2)  # a push needs a finite energy: the plain Gaussian's
     res.push(np.ones(2), GaussianTarget(np.eye(2)).energy(np.ones(2)))
-    rng = np.random.default_rng(8)
+    v = variates(np.random.default_rng(8), 2)
     x = np.zeros(2)
     steps = {
-        "rwm": lambda: rwm_step(target, ladder, 1, x, config, rng, 0.0),
-        "ee": lambda: ee_adaptive_step(target, ladder, 1, x, res, config, rng, 0.0),
-        "ir": lambda: ir_adaptive_step(target, ladder, 1, x, res, config, rng, 0.0),
-        "ee_limit": lambda: limit_ee_step(target, ladder, 1, x, config, rng, 0.0),
-        "ir_limit": lambda: limit_ir_step(target, ladder, 1, x, config, rng, 0.0),
+        "rwm": lambda: rwm_step(target, ladder, 1, x, config, v, 0.0),
+        "ee": lambda: ee_adaptive_step(target, ladder, 1, x, res, config, v, 0.0),
+        "ir": lambda: ir_adaptive_step(target, ladder, 1, x, res, config, v, 0.0),
+        "ee_limit": lambda: limit_ee_step(target, ladder, 1, x, config, v, 0.0),
+        "ir_limit": lambda: limit_ir_step(target, ladder, 1, x, config, v, 0.0),
     }
     with pytest.raises(ValueError, match="non-finite energy"):
         steps[kind]()
+
+
+def roles_read(kind, branch, finite):
+    """The variate roles a step of ``kind`` reads on ``branch``, by the rules of
+    the ``ladder`` docstring."""
+    local = {"proposal"} if finite else {"proposal", "accept"}
+    exact = {"draw"} if finite else {"proposal"}  # an exact draw
+    away = {"ee": {"draw", "accept"}, "ir": {"draw"} | local,
+            "ee_limit": exact | {"accept"}, "ir_limit": exact}
+    return (set() if kind == "rwm" else {"branch"}) | (local if branch == "local" else away[kind])
+
+
+ROLE_CASES = [
+    (kind, branch, finite, role)
+    for kind in ("rwm", "ee", "ir", "ee_limit", "ir_limit")
+    for branch in ("local", "exchange" if "ee" in kind else "resample")
+    if kind != "rwm" or branch == "local"
+    for finite in (False, True)
+    for role in Variates._fields
+    if role not in roles_read(kind, branch, finite)
+]
+
+
+@pytest.mark.parametrize("kind, branch, finite, role", ROLE_CASES)
+def test_a_step_ignores_the_variates_its_branch_does_not_read(kind, branch, finite, role):
+    """A step uses at most one variate of each role: changing one its branch
+    has no use for changes neither the next state, the branch, the
+    acceptance nor the energy."""
+    if finite:
+        target, ladder, _, configs = finite_setup()
+        config, dim, pushed = configs[1], None, [0, 1, 2, 1]
+    else:
+        target, ladder = GaussianTarget(SIGMA), TemperatureLadder((2.0, 1.0))
+        config, dim = KernelConfig(theta=0.5, proposal_covariance=np.eye(2)), 2
+        pushed = [np.array([1.0, 2.0]), np.array([-0.5, 0.3]), np.zeros(2)]
+    res = Reservoir(dimension=dim)
+    for y in pushed:
+        res.push(y, target.energy(y))
+    steps = {
+        "rwm": lambda x, v, e: rwm_step(target, ladder, 1, x, config, v, e),
+        "ee": lambda x, v, e: ee_adaptive_step(target, ladder, 1, x, res, config, v, e),
+        "ir": lambda x, v, e: ir_adaptive_step(target, ladder, 1, x, res, config, v, e),
+        "ee_limit": lambda x, v, e: limit_ee_step(target, ladder, 1, x, config, v, e),
+        "ir_limit": lambda x, v, e: limit_ir_step(target, ladder, 1, x, config, v, e),
+    }
+    rng = np.random.default_rng(31)
+    accepted = set()
+    for _ in range(200):
+        x = int(rng.integers(3)) if finite else rng.normal(size=2)
+        energy = target.energy(x)
+        v = variates(rng, dim)
+        # a uniform below theta = 0.5 picks the local branch
+        v = v._replace(branch=0.5 * v.branch + (0.0 if branch == "local" else 0.5))
+        other = variates(rng, dim)
+        ref = steps[kind](x, v, energy)
+        out = steps[kind](x, v._replace(**{role: getattr(other, role)}), energy)
+        assert ref.branch == out.branch == branch
+        assert np.array_equal(out.next, ref.next)
+        assert out.accepted == ref.accepted and out.energy == ref.energy
+        accepted.add(ref.accepted)
+    if "accept" in roles_read(kind, branch, finite):
+        assert accepted == {True, False}  # the steps tried both outcomes

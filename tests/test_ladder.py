@@ -10,12 +10,14 @@ from eesampler import (
     GaussianTarget,
     KernelConfig,
     TemperatureLadder,
+    Variates,
     batch_means_variance,
     finite_kernel_matrix,
     init_ladder_state,
     ladder_configs,
     ladder_step,
     level_rng,
+    level_variates,
     metropolis_matrix,
     neighbor_proposal,
     replication_seed,
@@ -29,7 +31,7 @@ from eesampler.kernels import (
     limit_ir_step,
     rwm_step,
 )
-from eesampler.ladder import ADAPTIVE_KINDS, BLOCK, BRANCH_CODES, BRANCH_NAMES, SINGLE_KINDS
+from eesampler.ladder import ADAPTIVE_KINDS, BLOCK, BRANCH_CODES, SINGLE_KINDS
 
 SIGMA = np.array([[0.96, 2.44], [2.44, 7.04]])
 
@@ -63,16 +65,15 @@ def test_first_iteration_takes_local_branch_everywhere():
 
 def test_exchange_at_step_two_reads_only_the_first_hot_state():
     # the classic order-of-update bug: pushing before advancing would let
-    # the level-1 step at n=2 see X_2^(0) (or the initial state)
+    # the level-1 step at n=2 see X_2^(0) (or the initial state 0), and from
+    # state 0 either differs from X_1^(0) in about half of the seeds
     target = FiniteTarget([0.0] * 5)  # equal energies: exchanges always accepted
     ladder = TemperatureLadder((2.0, 1.0))
     base = neighbor_proposal(5)  # uniform target: the proposal is already stationary
     configs = ladder_configs(ladder, (1e-9,), base_matrices=[base, base])
     exchanges = 0
     for seed in range(300):
-        traj = run_ladder(
-            target, ladder, configs, "ee", 2, seed=seed, initial_states=[3, 0]
-        )
+        traj = run_ladder(target, ladder, configs, "ee", 2, seed=seed)
         if traj.branches[1, 1] == BRANCH_CODES["exchange"]:
             exchanges += 1
             assert traj.states[1][1] == traj.states[0][0]
@@ -81,9 +82,10 @@ def test_exchange_at_step_two_reads_only_the_first_hot_state():
 
 def test_reservoir_counts_track_iteration():
     target, ladder, configs = finite_ladder()
-    state = init_ladder_state(target, ladder, seed=1)
+    state = init_ladder_state(target, ladder)
+    steps = zip(*(level_variates(1, level, target) for level in range(ladder.n_levels)))
     for n in range(1, 20):
-        ladder_step(state, target, ladder, configs, "ee")
+        ladder_step(state, target, ladder, configs, "ee", next(steps))
         for res in state.reservoirs:
             assert res.count == n
 
@@ -244,55 +246,15 @@ SINGLE_KERNELS = {"rwm": rwm_step, "ee_limit": limit_ee_step, "ir_limit": limit_
 
 
 def stream_variates(seed, level, n, finite, dim):
-    """(branch, draw, accept, proposal) of each of the first n steps of one
-    level's stream, rebuilt from the documented block layout."""
+    """The ``Variates`` of each of the first n steps of one level's stream,
+    rebuilt from the documented block layout."""
     rng = level_rng(seed, level)
     steps = []
     while len(steps) < n:
         branch, draw, accept = rng.random((3, BLOCK))
         proposal = rng.random(BLOCK) if finite else rng.standard_normal((BLOCK, dim))
-        steps.extend(zip(branch, draw, accept, proposal))
+        steps.extend(map(Variates, branch, draw, accept, proposal))
     return steps[:n]
-
-
-class ReplayGenerator:
-    """Generator stub that hands a scalar kernel one step's engine variates.
-
-    ``random()`` returns the step's uniforms in the order the kernel asks for
-    them, ``standard_normal`` the proposal normals and ``integers(n)``
-    floor(u n) of the draw uniform u.
-    """
-
-    def load(self, uniforms, normals, draw):
-        self.uniforms, self.normals, self.draw = list(uniforms), normals, draw
-
-    def random(self):
-        return self.uniforms.pop(0)
-
-    def standard_normal(self, size):
-        assert np.shape(self.normals) == tuple(np.atleast_1d(size))
-        normals, self.normals = self.normals, None
-        return normals
-
-    def integers(self, n):
-        return int(self.draw * n)
-
-
-def uniform_order(role, branch, finite, variates):
-    """The uniforms a kernel of ``role`` consumes on ``branch``, in order: the
-    local step ends in its row uniform (finite) or accept uniform."""
-    u_branch, u_draw, u_accept, proposal = variates
-    tail = [proposal] if finite else [u_accept]
-    if role == "rwm":
-        return tail
-    if branch == "local":
-        return [u_branch, *tail]
-    return {
-        "ee": [u_branch, u_accept],
-        "ir": [u_branch, u_draw, *tail],
-        "ee_limit": [u_branch, u_draw, u_accept] if finite else [u_branch, u_accept],
-        "ir_limit": [u_branch, u_draw] if finite else [u_branch],
-    }[role]
 
 
 @pytest.mark.parametrize("config_name, kind", BUNDLED_CASES)
@@ -309,33 +271,25 @@ def test_scalar_kernels_replay_the_engine_bit_for_bit(config_name, kind):
     dim = None if finite else target.dimension
     levels = range(ladder.n_levels) if kind in ADAPTIVE_KINDS else [ladder.top_level]
     variates = [stream_variates(seed, level, n, finite, dim) for level in levels]
-    stubs = [ReplayGenerator() for _ in levels]
-    roles = ["rwm"] + [kind] * (ladder.n_levels - 1) if kind in ADAPTIVE_KINDS else [kind]
     if kind in ADAPTIVE_KINDS:
-        state = init_ladder_state(target, ladder, seed)
-        state.rngs = stubs
+        state = init_ladder_state(target, ladder)
     else:
         x = target.initial_state()
         energy = target.energy(x)
     for step in range(n):
-        for j, stub in enumerate(stubs):
-            v = variates[j][step]
-            branch = BRANCH_NAMES[int(traj.branches[step, j])]
-            stub.load(uniform_order(roles[j], branch, finite, v),
-                      None if finite else v[3], v[1])
+        step_variates = [stream[step] for stream in variates]
         if kind in ADAPTIVE_KINDS:
-            outs = ladder_step(state, target, ladder, configs, kind)
+            outs = ladder_step(state, target, ladder, configs, kind, step_variates)
             carried = list(zip(state.states, state.energies))
         else:
-            outs = [SINGLE_KERNELS[kind](target, ladder, levels[0], x, configs[-1], stubs[0],
-                                         energy)]
+            outs = [SINGLE_KERNELS[kind](target, ladder, levels[0], x, configs[-1],
+                                         step_variates[0], energy)]
             x, energy = outs[0].next, outs[0].energy
             carried = [(x, energy)]
         for j, out in enumerate(outs):
             assert np.array_equal(out.next, traj.states[j][step])
             assert BRANCH_CODES[out.branch] == traj.branches[step, j]
             assert out.accepted == traj.accepted[step, j]
-            assert stubs[j].uniforms == []
         for x_j, e_j in carried:
             assert e_j == target.energy(x_j)
 

@@ -12,9 +12,9 @@ def test_first_push_defines_point_mass():
     assert r.count == 1
     rng = np.random.default_rng(0)
     for _ in range(10):
-        drawn, energy = r.sample_uniform(rng)
+        drawn, energy = r.sample_uniform(rng.random())
         assert np.array_equal(drawn, x) and energy == 0.75
-        drawn, energy = r.sample_weighted(2.0, rng)
+        drawn, energy = r.sample_weighted(2.0, rng.random())
         assert np.array_equal(drawn, x) and energy == 0.75
 
 
@@ -61,7 +61,7 @@ def test_uniform_sampling_frequencies():
         r.push(s, float(s))
     rng = np.random.default_rng(2)
     n = 100_000
-    draws = np.array([r.sample_uniform(rng)[0] for _ in range(n)])
+    draws = np.array([r.sample_uniform(u)[0] for u in rng.random(n)])
     counts = np.bincount(draws, minlength=4)
     _, p_value = stats.chisquare(counts, np.full(4, n / 4))
     assert p_value > 0.001
@@ -73,7 +73,7 @@ def test_two_element_frequencies_within_four_se():
     r.push(1, 1.0)
     rng = np.random.default_rng(3)
     n = 100_000
-    freq = np.mean([r.sample_uniform(rng)[0] for _ in range(n)])
+    freq = np.mean([r.sample_uniform(u)[0] for u in rng.random(n)])
     se = np.sqrt(0.25 / n)
     assert abs(freq - 0.5) < 4.0 * se
 
@@ -84,7 +84,7 @@ def test_equal_weights_behave_uniformly():
         r.push(s, -5.0)
     rng = np.random.default_rng(4)
     n = 60_000
-    draws = np.array([r.sample_weighted(1.0, rng)[0] for _ in range(n)])
+    draws = np.array([r.sample_weighted(1.0, u)[0] for u in rng.random(n)])
     counts = np.bincount(draws, minlength=3)
     _, p_value = stats.chisquare(counts, np.full(3, n / 3))
     assert p_value > 0.001
@@ -98,7 +98,7 @@ def test_weighted_frequencies_match_explicit_normalization():
     expected = np.array([1.0, 2.0, 3.0]) / 6.0  # normalized by direct summation
     rng = np.random.default_rng(5)
     n = 100_000
-    draws = np.array([r.sample_weighted(1.0, rng)[0] for _ in range(n)])
+    draws = np.array([r.sample_weighted(1.0, u)[0] for u in rng.random(n)])
     counts = np.bincount(draws, minlength=3)
     _, p_value = stats.chisquare(counts, expected * n)
     assert p_value > 0.001
@@ -110,7 +110,7 @@ def test_dominant_log_weight_never_overflows():
     for s in range(3):
         r.push(s, -log_w[s])
     rng = np.random.default_rng(6)
-    draws = [r.sample_weighted(1.0, rng)[0] for _ in range(10_000)]
+    draws = [r.sample_weighted(1.0, u)[0] for u in rng.random(10_000)]
     assert set(draws) == {2}
 
 
@@ -122,7 +122,7 @@ def test_draws_reproducible_and_shift_invariant():
         for s in range(5):
             r.push(s, -(log_w[s] + shift))
         rng = np.random.default_rng(seed)
-        return [r.sample_weighted(1.0, rng)[0] for _ in range(200)]
+        return [r.sample_weighted(1.0, u)[0] for u in rng.random(200)]
 
     assert draw_sequence(0.0, 42) == draw_sequence(0.0, 42)
     assert draw_sequence(0.0, 42) == draw_sequence(123.456, 42)
@@ -130,11 +130,11 @@ def test_draws_reproducible_and_shift_invariant():
 
 def test_empty_reservoir_errors():
     r = Reservoir()
-    rng = np.random.default_rng(7)
+    u = np.random.default_rng(7).random()
     with pytest.raises(EmptyReservoirError):
-        r.sample_uniform(rng)
+        r.sample_uniform(u)
     with pytest.raises(EmptyReservoirError):
-        r.sample_weighted(1.0, rng)
+        r.sample_weighted(1.0, u)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -142,9 +142,9 @@ def test_non_finite_weights_rejected():
     r = Reservoir()
     r.push(0, 0.0)
     r.push(1, -1e308)  # finite, but -c * E overflows for c = 10
-    rng = np.random.default_rng(8)
+    u = np.random.default_rng(8).random()
     with pytest.raises(NonFiniteWeightError):
-        r.sample_weighted(10.0, rng)
+        r.sample_weighted(10.0, u)
 
 
 def test_states_are_copies_not_views():
@@ -152,8 +152,7 @@ def test_states_are_copies_not_views():
     x = np.array([1.0, 2.0])
     r.push(x, 2.5)
     x[0] = 99.0  # caller-side mutation must not reach the stored state
-    rng = np.random.default_rng(9)
-    drawn, _ = r.sample_uniform(rng)
+    drawn, _ = r.sample_uniform(np.random.default_rng(9).random())
     assert drawn[0] == 1.0
     drawn[1] = -5.0  # and mutating a drawn copy must not corrupt the store
     assert r.samples[0, 1] == 2.0
@@ -165,9 +164,9 @@ def reference_cdf(energies, coefficient):
     return np.cumsum(np.exp(lw - lw.max()))
 
 
-def reference_draw(energies, coefficient, rng):
+def reference_draw(energies, coefficient, u):
     cdf = reference_cdf(energies, coefficient)
-    k = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+    k = int(np.searchsorted(cdf, u * cdf[-1], side="right"))
     return min(k, len(cdf) - 1)
 
 
@@ -192,7 +191,7 @@ def test_weighted_draws_match_full_recompute(dimension):
     table = record_table(1300, seed=11)
     energies = -table / COEFFICIENT
     schedule = np.random.default_rng(12)
-    rng_cached, rng_ref = np.random.default_rng(13), np.random.default_rng(13)
+    rng = np.random.default_rng(13)
     r = Reservoir(dimension)
     cached, ref = [], []
     while r.count < len(table):
@@ -203,11 +202,12 @@ def test_weighted_draws_match_full_recompute(dimension):
         if r.count == 0:
             continue
         for _ in range(int(schedule.integers(1, 4))):
-            state, energy = r.sample_weighted(COEFFICIENT, rng_cached)
+            u = rng.random()
+            state, energy = r.sample_weighted(COEFFICIENT, u)
             k = state if dimension is None else int(state[0])
             assert energy == energies[k]
             cached.append(k)
-            ref.append(reference_draw(energies[: r.count], COEFFICIENT, rng_ref))
+            ref.append(reference_draw(energies[: r.count], COEFFICIENT, u))
         # a differing last bit almost never changes an index, so compare the
         # cached prefix sums themselves
         assert np.array_equal(r._cum[: r.count], reference_cdf(energies[: r.count], COEFFICIENT))
@@ -220,7 +220,7 @@ def test_a_draw_that_raises_leaves_the_cache_intact():
     table = record_table(1300, seed=21)
     energies = -table / COEFFICIENT
     schedule = np.random.default_rng(22)
-    rng_cached, rng_ref = np.random.default_rng(23), np.random.default_rng(23)
+    rng = np.random.default_rng(23)
     r = Reservoir()
     for step in range(400):
         pushes = min(int(schedule.integers(0, 7)), len(table) - r.count)
@@ -230,9 +230,10 @@ def test_a_draw_that_raises_leaves_the_cache_intact():
             continue
         if step % 37 == 5 and pushes:  # the failing draws see unweighted rows
             with pytest.raises(ValueError, match="coefficient"):
-                r.sample_weighted(2 * COEFFICIENT, rng_cached)
-        drawn, _ = r.sample_weighted(COEFFICIENT, rng_cached)
-        assert drawn == reference_draw(energies[: r.count], COEFFICIENT, rng_ref)
+                r.sample_weighted(2 * COEFFICIENT, rng.random())
+        u = rng.random()
+        drawn, _ = r.sample_weighted(COEFFICIENT, u)
+        assert drawn == reference_draw(energies[: r.count], COEFFICIENT, u)
     assert r.count > 1000
 
 
@@ -243,8 +244,8 @@ def test_first_weighted_draw_that_raises_fixes_no_coefficient():
     r.push(1, -1e308)
     rng = np.random.default_rng(24)
     with pytest.raises(NonFiniteWeightError):
-        r.sample_weighted(10.0, rng)
-    assert r.sample_weighted(1.0, rng)[0] == 1
+        r.sample_weighted(10.0, rng.random())
+    assert r.sample_weighted(1.0, rng.random())[0] == 1
 
 
 def _assert_schedule_matches_full_recompute(dimension, run_lengths, n_rows, seed):
@@ -252,16 +253,17 @@ def _assert_schedule_matches_full_recompute(dimension, run_lengths, n_rows, seed
     and check the cached prefix sums and every draw against the full recompute."""
     table = record_table(n_rows, seed)
     energies = -table / COEFFICIENT
-    rng_cached, rng_ref = np.random.default_rng(seed + 2), np.random.default_rng(seed + 2)
+    rng = np.random.default_rng(seed + 2)
     r = Reservoir(dimension)
     for pushes in run_lengths:
         for _ in range(pushes):
             k = r.count
             r.push(k if dimension is None else np.array([k, -0.5 * k]), energies[k])
-        state, energy = r.sample_weighted(COEFFICIENT, rng_cached)
+        u = rng.random()
+        state, energy = r.sample_weighted(COEFFICIENT, u)
         k = state if dimension is None else int(state[0])
         assert energy == energies[k]
-        assert k == reference_draw(energies[: r.count], COEFFICIENT, rng_ref)
+        assert k == reference_draw(energies[: r.count], COEFFICIENT, u)
         assert np.array_equal(r._cum[: r.count], reference_cdf(energies[: r.count], COEFFICIENT))
     assert r.count == n_rows
 

@@ -114,10 +114,24 @@ def test_log_density_rejects_bad_level_and_nonfinite_state():
         log_density(target, ladder, 1, np.array([np.nan, 0.0]))
 
 
+def test_checked_energy_has_one_rule_for_a_state_and_a_stack():
+    # a non-finite energy names its state, alone or in a stack; finite
+    # energies whose sum overflows pass
+    gaussian = GaussianTarget(np.eye(2))
+    bad = np.array([np.nan, 0.0])
+    for x in (bad, np.stack([np.zeros(2), bad])):
+        with pytest.raises(ValueError, match=r"non-finite energy at state array\(\[nan,"):
+            checked_energy(gaussian, x)
+    target = FiniteTarget([0.0, 1e308, 1e308])
+    assert checked_energy(target, 1) == 1e308
+    with np.errstate(over="ignore"):
+        assert list(checked_energy(target, np.array([1, 2]))) == [1e308, 1e308]
+
+
 def test_gaussian_identity_sampler_moments():
     target = GaussianTarget(np.eye(2))
     rng = np.random.default_rng(11)
-    draws = target.sample_tempered(1.0, rng, size=100_000)
+    draws = target.tempered_draw(1.0, rng.standard_normal((100_000, 2)))
     n = draws.shape[0]
     # second-moment s.e. for a unit Gaussian is sqrt(2/n)
     for i in range(2):
@@ -128,7 +142,7 @@ def test_gaussian_identity_sampler_moments():
 def test_gaussian_paper_covariance_moments():
     target = GaussianTarget(SIGMA)
     rng = np.random.default_rng(12)
-    draws = target.sample_tempered(1.0, rng, size=200_000)
+    draws = target.tempered_draw(1.0, rng.standard_normal((200_000, 2)))
     n = draws.shape[0]
     for i in range(2):
         var = SIGMA[i, i]
@@ -144,7 +158,7 @@ def test_tempered_gaussian_scales_covariance_by_temperature():
     target = GaussianTarget(SIGMA)
     rng = np.random.default_rng(13)
     t = 10.0
-    draws = target.sample_tempered(t, rng, size=1_000_000)
+    draws = target.tempered_draw(t, rng.standard_normal((1_000_000, 2)))
     n = draws.shape[0]
     for i in range(2):
         var = t * SIGMA[i, i]
@@ -178,28 +192,21 @@ def test_finite_sampler_chi_square_goodness_of_fit():
     target = FiniteTarget([0.0, 0.7, 1.3, 2.9])
     rng = np.random.default_rng(14)
     n = 1_000_000
-    draws = target.sample_tempered(1.0, rng, size=n)
+    draws = target.tempered_draw(1.0, rng.random(n))
     counts = np.bincount(draws, minlength=4)
     expected = target.tempered_probabilities(1.0) * n
     _, p_value = stats.chisquare(counts, expected)
     assert p_value > 0.001
 
 
-class TopUniform:
-    """Generator stub whose every uniform is the largest double below 1."""
-
-    def random(self, size=None):
-        u = 1.0 - 2.0**-53
-        return u if size is None else np.full(size, u)
-
-
 def test_finite_sampler_stays_on_states_with_mass_at_the_top_uniform():
     # both tempered laws' cumulative sums reach only 0.9999999999999999, and
     # state 3 of the second has no mass (exp(-800) underflows to 0)
+    top = 1.0 - 2.0**-53  # the largest double below 1
     for energies in ([0.0, 0.5, 1.0], [0.0, 0.5, 1.0, 800.0]):
         target = FiniteTarget(energies)
-        assert target.sample_tempered(1.0, TopUniform()) == 2
-        assert list(target.sample_tempered(1.0, TopUniform(), size=3)) == [2, 2, 2]
+        assert target.tempered_draw(1.0, top) == 2
+        assert list(target.tempered_draw(1.0, np.full(3, top))) == [2, 2, 2]
 
 
 def test_ladder_validation():
