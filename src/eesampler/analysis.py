@@ -156,35 +156,37 @@ def poisson_solve(model: FiniteChainModel, f) -> np.ndarray:
     return u
 
 
-def asymptotic_variance(model: FiniteChainModel, f) -> float:
+def asymptotic_variance(model: FiniteChainModel, f, u=None) -> float:
     """Asymptotic variance of n^{-1/2} sum f(X_k) for the stationary chain.
 
     Computes pi(fc * (2U - fc)) with fc the pi-centered f and U its
     Poisson solution, which sums the stationary autocovariance series
-    pi(fc^2) + 2 sum_{k>=1} pi(fc M^k fc).
+    pi(fc^2) + 2 sum_{k>=1} pi(fc M^k fc).  A caller that holds U passes it.
     """
     f = np.asarray(f, dtype=float)
     fc = f - float(model.stationary @ f)
-    u = poisson_solve(model, fc)
+    if u is None:
+        u = poisson_solve(model, fc)
     return float(model.stationary @ (fc * (2.0 * u - fc)))
 
 
 def ee_h_function(model0: FiniteChainModel, limit_kernel: FiniteChainModel,
-                  log_r, f) -> np.ndarray:
+                  log_r, f, u=None) -> np.ndarray:
     """Exchange-move fluctuation function H, rows indexed by the current state.
 
     H[x, y] is the expected Poisson-solution value after an exchange
     proposal y against current state x, centered by its average over the
     level-0 law: T(y, x, U) - R(x, U), with U solving the Poisson
-    equation for the centered f under the limiting kernel.
+    equation for the centered f under the limiting kernel.  A caller that
+    holds U passes it.
     """
     log_r = np.asarray(log_r, dtype=float)
     n = model0.n_states
     if limit_kernel.n_states != n or log_r.shape != (n,):
         raise ValueError("model0, limit_kernel and log_r must share one state space")
-    f = np.asarray(f, dtype=float)
-    fc = f - float(limit_kernel.stationary @ f)
-    u = poisson_solve(limit_kernel, fc)
+    if u is None:
+        f = np.asarray(f, dtype=float)
+        u = poisson_solve(limit_kernel, f - float(limit_kernel.stationary @ f))
     accept = acceptance_matrix(log_r)
     t_u = accept * u[None, :] + (1.0 - accept) * u[:, None]
     r_u = t_u @ model0.stationary
@@ -249,8 +251,9 @@ def ee_limit_clt_variance(model0: FiniteChainModel, limit_kernel: FiniteChainMod
             raise ValueError("cannot infer log_r with zero-mass states; pass it explicitly")
         log_r = np.log(pi1) - np.log(pi0)
     f = np.asarray(f, dtype=float)
-    sigma_star_sq = asymptotic_variance(limit_kernel, f)
-    h = ee_h_function(model0, limit_kernel, log_r, f)
+    u = poisson_solve(limit_kernel, f - float(pi1 @ f))  # one solve serves both
+    sigma_star_sq = asymptotic_variance(limit_kernel, f, u)
+    h = ee_h_function(model0, limit_kernel, log_r, f, u)
     gbar = pi1 @ h
     gamma = gamma_covariance(model0, gbar)
     clt = sigma_star_sq + 4.0 * (1.0 - theta) ** 2 * gamma

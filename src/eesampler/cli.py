@@ -151,7 +151,8 @@ def config_digest(raw: dict) -> str:
 @dataclass
 class RunConfig:
     """A validated config.  ``levels`` holds each finite level's energies; in the
-    oracle's explicit-law form ``target`` and ``ladder`` are None."""
+    oracle's explicit-law form ``target`` and ``ladder`` are None.
+    ``theta_bounds`` is the (lines, warnings) of ``theta_bound_report``."""
 
     raw: dict
     target: object
@@ -164,6 +165,7 @@ class RunConfig:
     seed: int | None
     burn_in: int
     out: Path
+    theta_bounds: tuple
 
 
 # the oracle's additions to a finite sampler config
@@ -272,6 +274,7 @@ def _parse(raw, kernel, seed, out_override, kinds, required) -> RunConfig:
     if iterations is not None and burn_in >= iterations:
         _fail("burn_in", f"must be below iterations={iterations}")
     out = raw.get("out", "results") if out_override is None else out_override
+    temps = () if ladder is None else ladder.temperatures  # no ladder, no lambdas
     return RunConfig(
         raw=raw,
         target=target,
@@ -284,6 +287,7 @@ def _parse(raw, kernel, seed, out_override, kinds, required) -> RunConfig:
         seed=seed,
         burn_in=burn_in,
         out=_checked("out", Path, out),
+        theta_bounds=theta_bound_report(raw, temps, configs),
     )
 
 
@@ -375,8 +379,7 @@ def cmd_validate(args) -> int:
         config, verdict = load_config(args.config), "valid"
         summary = (f"target: {raw['target']}, levels: {config.ladder.n_levels}, "
                    f"iterations: {config.iterations}, replications: {config.replications}")
-    temps = () if config.ladder is None else config.ladder.temperatures  # no ladder, no lambdas
-    lines, warnings = theta_bound_report(raw, temps, config.configs)
+    lines, warnings = config.theta_bounds
     print(f"config {args.config}: {verdict} (digest {config_digest(raw)})")
     for line in [summary, *lines]:
         print("  " + line)

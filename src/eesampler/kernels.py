@@ -211,11 +211,12 @@ def ir_adaptive_step(target, ladder, level, x, reservoir, config: KernelConfig, 
     With probability theta takes the local branch; otherwise resamples a
     reservoir state with weights proportional to the importance function
     r and advances it by one step of the local kernel (which may reject
-    and hold at the resampled point).
+    and hold at the resampled point).  The reservoir weights its states
+    by r: it was built with ``importance_coefficient(ladder, level)``.
     """
     if v.branch < config.theta or reservoir.count == 0:
         return rwm_step(target, ladder, level, x, config, v, energy)
-    y, ey = reservoir.sample_weighted(importance_coefficient(ladder, level), v.draw)
+    y, ey = reservoir.sample_weighted(v.draw)
     inner = rwm_step(target, ladder, level, y, config, v, ey)
     inner.branch = RESAMPLE
     return inner

@@ -23,8 +23,7 @@ iteration n-1, and only then records iteration n.  The recorded history
 of each level is its reservoir, so the contract holds by construction.
 An ``ir`` level keeps, per replication, the running-max prefix sums of
 its hotter level's weights, extended as each state is recorded and
-rebuilt at a new record weight, exactly as ``Reservoir.sample_weighted``
-keeps them.
+rebuilt at a new record weight, exactly as ``Reservoir.push`` keeps them.
 
 Seed plumbing: replication r with seed s (``analysis.replication_seed``
 derives s from the master seed and r) drives level l by its own generator
@@ -92,61 +91,68 @@ def level_rng(seed: int, level: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(level,)))
 
 
+def _draw_block(rng, finite: bool, uniforms, proposals) -> None:
+    """Fill one block of a stream, in the schedule's order: ``uniforms`` (3,
+    BLOCK), then ``proposals``, row uniforms (BLOCK,) or normals (BLOCK, d)."""
+    rng.random(out=uniforms)
+    (rng.random if finite else rng.standard_normal)(out=proposals)
+
+
 def level_variates(seed: int, level: int, target):
     """Level ``level``'s stream of the variate schedule: an endless iterator of
     the ``Variates`` of its steps, drawn by blocks from ``level_rng(seed, level)``."""
     rng = level_rng(seed, level)
     finite = target.kind == "finite"
+    shape = (BLOCK,) if finite else (BLOCK, target.dimension)
     while True:
-        branch, draw, accept = rng.random((3, BLOCK)).tolist()
-        if finite:
-            proposal = rng.random(BLOCK).tolist()
-        else:
-            proposal = rng.standard_normal((BLOCK, target.dimension))
-        yield from map(Variates, branch, draw, accept, proposal)
+        uniforms, proposals = np.empty((3, BLOCK)), np.empty(shape)
+        _draw_block(rng, finite, uniforms, proposals)
+        branch, draw, accept = uniforms.tolist()
+        yield from map(Variates, branch, draw, accept, proposals.tolist() if finite else proposals)
 
 
 @dataclass
 class LadderState:
-    """Joint state: current states and reservoirs of levels 0..K-1.
+    """Joint state of a ``scheme`` ladder: current states and reservoirs of
+    levels 0..K-1.
 
     ``energies[l]`` is ``target.energy(states[l])``; whoever replaces a state
     sets its energy too.
     """
 
+    scheme: str
     states: list
     reservoirs: list
     energies: list
 
 
-def init_ladder_state(target, ladder) -> LadderState:
-    """Fresh ladder state, before iteration 1: every level at the target's
-    initial state.
+def init_ladder_state(target, ladder, scheme: str) -> LadderState:
+    """Fresh ``scheme`` ladder state, before iteration 1: every level at the
+    target's initial state.
 
     Every reservoir starts empty, as the recursion does from the zero
-    measure: pushes begin at iteration 1.  Each initial state's energy is
-    evaluated here, so every step receives the energy of its current state.
+    measure: pushes begin at iteration 1.  An ``ir`` ladder's level-l
+    reservoir weights each pushed state for its reader, level l+1.  Each
+    initial state's energy is evaluated here, so every step receives the
+    energy of its current state.
     """
+    if scheme not in ADAPTIVE_KINDS:
+        raise ValueError(f"scheme must be 'ee' or 'ir', got {scheme!r}")
     states = [target.initial_state() for _ in range(ladder.n_levels)]
     dim = None if target.kind == "finite" else target.dimension
-    reservoirs = [Reservoir(dimension=dim) for _ in range(ladder.n_levels - 1)]
-    return LadderState(states=states, reservoirs=reservoirs,
-                       energies=[checked_energy(target, x) for x in states])
+    reservoirs = [Reservoir(dim, importance_coefficient(ladder, reader) if scheme == "ir" else None)
+                  for reader in range(1, ladder.n_levels)]
+    return LadderState(scheme, states, reservoirs, [checked_energy(target, x) for x in states])
 
 
-def ladder_step(state: LadderState, target, ladder, configs, scheme: str, variates):
+def ladder_step(state: LadderState, target, ladder, configs, variates):
     """Advance every level by one iteration, level l on ``variates[l]``;
     returns the per-level outcomes.
 
     Levels 1..K read the level-(l-1) reservoir as of the previous
     iteration; pushes happen only after all levels have advanced.
     """
-    if scheme == "ee":
-        adaptive = ee_adaptive_step
-    elif scheme == "ir":
-        adaptive = ir_adaptive_step
-    else:
-        raise ValueError(f"scheme must be 'ee' or 'ir', got {scheme!r}")
+    adaptive = ee_adaptive_step if state.scheme == "ee" else ir_adaptive_step
     states, energies, reservoirs = state.states, state.energies, state.reservoirs
     outcomes = [rwm_step(target, ladder, 0, states[0], configs[0], variates[0], energies[0])]
     for level in range(1, ladder.n_levels):
@@ -225,9 +231,7 @@ class Trajectory:
                     writer.writerow(row)
 
 
-def _check_ladder(scheme, ladder, configs) -> None:
-    if scheme not in ADAPTIVE_KINDS:
-        raise ValueError(f"scheme must be 'ee' or 'ir', got {scheme!r}")
+def _check_ladder(ladder, configs) -> None:
     if len(configs) != ladder.n_levels:
         raise ValueError(f"need {ladder.n_levels} kernel configs, got {len(configs)}")
     check_adaptive_thetas(configs)
@@ -270,10 +274,10 @@ def _scalar_trajectory(target, n_levels, n_iterations, steps) -> Trajectory:
 def run_ladder(target, ladder, configs, scheme: str, n_iterations: int, seed: int) -> Trajectory:
     """Run the full adaptive ladder of one replication through ``ladder_step``;
     deterministic given (arguments, seed), and the engine's run of that seed."""
-    _check_ladder(scheme, ladder, configs)
-    state = init_ladder_state(target, ladder)
+    state = init_ladder_state(target, ladder, scheme)
+    _check_ladder(ladder, configs)
     streams = [level_variates(seed, level, target) for level in range(ladder.n_levels)]
-    steps = (ladder_step(state, target, ladder, configs, scheme, variates)
+    steps = (ladder_step(state, target, ladder, configs, variates)
              for variates in zip(*streams))
     return _scalar_trajectory(target, ladder.n_levels, n_iterations, steps)
 
@@ -314,7 +318,7 @@ def _engine(kind, target, ladder, configs, n_iterations, seeds):
     """Run ``kind`` as ``run_sampler`` does, one batch replication per seed;
     one Trajectory per seed, each the scalar run of its seed bit for bit."""
     if kind in ADAPTIVE_KINDS:
-        _check_ladder(kind, ladder, configs)
+        _check_ladder(ladder, configs)
         levels = range(ladder.n_levels)
     else:
         levels, configs = [_single_level(kind, ladder, None)], configs[-1:]
@@ -371,11 +375,7 @@ def _engine(kind, target, ladder, configs, n_iterations, seeds):
             m = min(BLOCK, n - start)
             for r, streams in enumerate(rngs):
                 for j, rng in enumerate(streams):
-                    rng.random(out=u[r, j])
-                    if finite:
-                        rng.random(out=p[r, j])
-                    else:
-                        rng.standard_normal(out=p[r, j])
+                    _draw_block(rng, finite, u[r, j], p[r, j])
             u_branch, u_draw, u_accept = u.transpose(2, 3, 0, 1)[:, :m]
             prop = np.moveaxis(p, 2, 0)[:m]
             if kind == "rwm":

@@ -11,14 +11,14 @@ Every state is stored with its energy E(x), and every draw returns the
 pair, so a kernel never evaluates E at a drawn state.  A draw maps a
 caller's uniform u in [0, 1) to a pair by the batched engine's
 rules: a uniform draw takes item floor(u n), and a weighted draw
-bisects the cumulative weights at u times their total.  A weighted draw
-weights each state by exp(-c E(x)) for the reservoir's one coefficient c.
-It caches the running cumulative sum of the max-shifted weights, so a
-draw weights only the states pushed since the previous weighted draw and
-then bisects the cumulative sum: amortised O(log n) per draw, and log
-weights of any magnitude are safe.  The cumulative sum is rebuilt at the
-new shift only when a state sets a new record weight.  No thinning,
-forgetting or weight clipping: all raw states are kept.
+bisects the cumulative weights at u times their total.  A reservoir built
+with its reader's coefficient c weights each state by exp(-c E(x)) when it
+is pushed, as the engine does when it records a state: the running
+cumulative sum of the weights shifted by the running max log weight is
+extended by the new weight, or rebuilt at the new shift when the state
+sets a record.  So a weighted draw only bisects, O(log n), and log
+weights of any magnitude are safe.  No thinning, forgetting or weight
+clipping: all raw states are kept.
 """
 
 from __future__ import annotations
@@ -44,10 +44,14 @@ class Reservoir:
     dimension : int or None
         ``None`` stores integer states (finite state spaces); an integer d
         stores float vectors of length d.
+    coefficient : float or None
+        The coefficient c of the weighted draws, exp(-c E(x)); ``None``
+        builds a reservoir for uniform draws only.
     """
 
-    def __init__(self, dimension: int | None = None):
+    def __init__(self, dimension: int | None = None, coefficient: float | None = None):
         self.dimension = dimension
+        self.coefficient = coefficient
         self._count = 0
         if dimension is None:
             self._buf = np.empty(16, dtype=np.int64)
@@ -55,11 +59,9 @@ class Reservoir:
             self._shape = (dimension,)
             self._buf = np.empty((16, dimension), dtype=float)
         self._energy = np.empty(16)
-        # weighted-draw cache: the coefficient c of the weighted draws and the
-        # prefix sums of exp(-c * energy - _shift) of the first _weighted states
-        self._coefficient = None
-        self._cum = np.empty(16)
-        self._weighted = 0
+        # with a coefficient: the prefix sums of exp(-c * energy - _shift),
+        # _shift the largest log weight -c * energy pushed so far
+        self._cum = None if coefficient is None else np.empty(16)
         self._shift = -np.inf
 
     @property
@@ -74,23 +76,40 @@ class Reservoir:
         return view
 
     def push(self, x, energy) -> None:
-        """Append one state (never mutated afterwards) with its finite energy E(x)."""
+        """Append one state (never mutated afterwards) with its finite energy E(x).
+
+        With a coefficient c its log weight lw = -c E(x) must be finite too
+        (``NonFiniteWeightError``), and the prefix sums become
+        ``cumsum(exp(lw - lw.max()))`` over every state's lw, bit for bit.
+        A push that raises changes nothing.
+        """
         if energy is None or not math.isfinite(energy):
             raise ValueError(f"a pushed state needs a finite energy, got {energy!r}")
-        n = self._count
-        if n == len(self._buf):
-            self._buf, self._energy, self._cum = (
-                np.concatenate((a[:n], np.empty_like(a)))
-                for a in (self._buf, self._energy, self._cum)
-            )
+        if self._cum is not None:
+            lw = -self.coefficient * energy
+            if not math.isfinite(lw):
+                raise NonFiniteWeightError("resampling log weights must be finite")
         if self.dimension is None:
-            self._buf[n] = int(x)
+            x = int(x)
         else:
             x = np.asarray(x, dtype=float)
             if x.shape != self._shape:
                 raise ValueError(f"state must have shape {self._shape}, got {x.shape}")
-            self._buf[n] = x
+        n = self._count
+        if n == len(self._buf):
+            self._buf, self._energy, self._cum = (
+                None if a is None else np.concatenate((a, np.empty_like(a)))
+                for a in (self._buf, self._energy, self._cum))
+        self._buf[n] = x
         self._energy[n] = energy
+        if self._cum is not None:
+            if lw > self._shift:
+                self._shift = lw
+                np.exp(-self.coefficient * self._energy[: n + 1] - lw).cumsum(
+                    out=self._cum[: n + 1])
+            else:
+                # scalar np.exp (not math.exp): the same float as a vector exp
+                self._cum[n] = self._cum[n - 1] + np.exp(lw - self._shift)
         self._count = n + 1
 
     def _item(self, k: int) -> tuple:
@@ -105,44 +124,15 @@ class Reservoir:
             raise EmptyReservoirError("cannot draw from an empty reservoir")
         return self._item(int(u * self._count))
 
-    def sample_weighted(self, coefficient: float, u: float) -> tuple:
+    def sample_weighted(self, u: float) -> tuple:
         """One stored (state, energy) pair, with probability proportional to
-        exp(-coefficient * energy).
-
-        Every weighted draw from one reservoir must pass the same coefficient
-        (``ValueError`` otherwise): each state is weighted once, at the first
-        weighted draw after its push.  The cumulative sum of exp(log weight -
-        running max) is extended by the new states, or rebuilt at the new
-        shift when one of them sets a record, so the prefix floats equal a
-        per-call ``cumsum(exp(lw - lw.max()))`` bit for bit.  A draw then
-        bisects it at u times its total, u a uniform in [0, 1): amortised
-        O(log n) per draw.
-        A draw that raises leaves the cache unchanged.
-        """
+        exp(-coefficient * energy): the prefix sums bisected at u times their
+        total, u a uniform in [0, 1)."""
         n = self._count
         if n == 0:
             raise EmptyReservoirError("cannot draw from an empty reservoir")
-        if self._coefficient is not None and coefficient != self._coefficient:
-            raise ValueError(f"weighted by coefficient {self._coefficient!r}, got {coefficient!r}")
-        done = self._weighted
-        if done < n:
-            new = [-coefficient * e for e in self._energy[done:n].tolist()]
-            if not all(map(math.isfinite, new)):
-                raise NonFiniteWeightError("resampling log weights must be finite")
-            top, shift, cum = max(new), self._shift, self._cum
-            if top > shift:
-                self._shift = top
-                np.exp(-coefficient * self._energy[:n] - top).cumsum(out=cum[:n])
-            else:
-                # scalar np.exp (not math.exp) and sequential adds: the same
-                # floats as a vector exp and cumsum
-                total = cum[done - 1]
-                for k, lw in enumerate(new, done):
-                    total += np.exp(lw - shift)
-                    cum[k] = total
-            self._coefficient = coefficient
-            self._weighted = n
+        if self._cum is None:
+            raise ValueError("a reservoir built without a coefficient has no weighted draws")
         cdf = self._cum[:n]
         k = int(cdf.searchsorted(u * cdf[-1], side="right"))
         return self._item(min(k, n - 1))
-

@@ -9,6 +9,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import eesampler.analysis
 from eesampler import FiniteChainModel, ee_limit_clt_variance, ee_limit_matrix
 from eesampler.cli import CONFIG_KEYS, load_config, load_oracle_config, main, oracle_report
 
@@ -60,6 +61,16 @@ def test_validate_accepts_bundled_configs():
     assert main(["validate", f"{REPO_CONFIGS}/oracle_5state.yaml"]) == 0
     # the finite sampler config is a two-level oracle instance too
     oracle_report(load_oracle_config(f"{REPO_CONFIGS}/finite_5state.yaml"))
+
+
+def test_an_oracle_report_solves_one_poisson_system_per_chain(monkeypatch):
+    """The limit kernel's one solution gives both sigma_star^2 and H; level 0's gives Gamma."""
+    solved = []
+    solve = eesampler.analysis.poisson_solve
+    monkeypatch.setattr(eesampler.analysis, "poisson_solve",
+                        lambda model, f: solved.append(model) or solve(model, f))
+    _, limit, _ = oracle_report(load_oracle_config(f"{REPO_CONFIGS}/oracle_5state.yaml"))
+    assert len(solved) == 2 and solved[0] is limit and solved[1] is not limit
 
 
 def test_oracle_reads_a_finite_sampler_config(tmp_path):
@@ -481,6 +492,9 @@ MALFORMED_KEYS = [
      "kappas"),
     (gaussian_config, {"lambdas": [0.5, 0.5, 0.5], "kappas": [float("nan"), 0.1, 0.1]},
      "kappas"),
+    (gaussian_config, {"lambdas": [2.0, "x"], "kappas": 5}, "lambdas"),
+    (gaussian_config, {"kernel": "rwm", "lambdas": [0.5, 0.5, 0.5], "kappas": [0.1, 0.1, "x"]},
+     "kappas"),
     (gaussian_config, {"out": None}, "out"),
     (gaussian_config, {"out": 5}, "out"),
     (finite_config, {"move_prob": 0}, "move_prob"),
@@ -513,6 +527,8 @@ MALFORMED_KEYS = [
     (oracle_config, {"theta": 0}, "theta"),
     (oracle_config, {"kernel": "ir"}, "kernel"),
     (oracle_config, {"energies0": None, "energies1": None, "energies": [0.0, 2.0, 4.0, 2.0, 0.0],
+                     "temperatures": [4, 1], "lambdas": ["x"], "kappas": [0.1]}, "lambdas"),
+    (oracle_config, {"energies0": None, "energies1": None, "energies": [0.0, 2.0, 4.0, 2.0, 0.0],
                      "temperatures": [1, 4]}, "temperatures"),
     # two wells the nearest-neighbor Metropolis chain cannot cross in floating point
     (oracle_config, {**THREE_STATES, "energies0": [0.0, 1e3, 0.0], "energies1": [0.0, 1e3, 0.0]},
@@ -529,12 +545,8 @@ def test_malformed_key_is_a_config_error(tmp_path, capsys, make, overrides, key)
     assert main(["validate", path]) == 1
     err = capsys.readouterr().err
     assert f"config key '{key}'" in err and "Traceback" not in err
-    if make is oracle_config:
-        commands = ("oracle",)
-    elif key in ("lambdas", "kappas"):
-        commands = ()  # read by validate's theta-bound report only
-    else:
-        commands = ("run", "table1")
+    # every command parses the whole config, lambdas and kappas included
+    commands = ("oracle",) if make is oracle_config else ("run", "table1")
     for command in commands:
         assert main([command, path]) == 1
         assert f"config key '{key}'" in capsys.readouterr().err

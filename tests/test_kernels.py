@@ -22,6 +22,7 @@ from eesampler import (
     stationary_distribution,
     theta_lower_bound,
 )
+from eesampler.targets import importance_coefficient
 
 SIGMA = np.array([[0.96, 2.44], [2.44, 7.04]])
 
@@ -90,7 +91,7 @@ def test_rwm_long_run_mean_near_zero():
 def test_theta_one_makes_every_mixture_kernel_local():
     target, ladder, bases, _ = finite_setup(theta=1.0)
     config = KernelConfig(theta=1.0, base_matrix=bases[1])
-    res = Reservoir()
+    res = Reservoir(coefficient=importance_coefficient(ladder, 1))
     res.push(0, target.energy(0))
     rng = np.random.default_rng(2)
     e1 = target.energy(1)
@@ -163,7 +164,7 @@ def test_ee_frozen_reservoir_matches_matrix_row():
 
 def test_ir_frozen_reservoir_matches_matrix_row():
     target, ladder, bases, configs = finite_setup()
-    res = Reservoir()
+    res = Reservoir(coefficient=importance_coefficient(ladder, 1))
     for s in (0, 1, 1, 2, 0):
         res.push(s, target.energy(s))
     mu = np.bincount(res.samples, minlength=3) / res.count
@@ -187,7 +188,7 @@ def test_ir_single_point_reservoir_starts_inner_move_there():
     target = GaussianTarget(np.eye(2))
     ladder = TemperatureLadder((2.0, 1.0))
     config = KernelConfig(theta=1e-12, proposal_covariance=1e-24 * np.eye(2))
-    res = Reservoir(dimension=2)
+    res = Reservoir(dimension=2, coefficient=importance_coefficient(ladder, 1))
     y = np.array([2.5, -1.0])
     res.push(y, target.energy(y))
     rng = np.random.default_rng(7)
@@ -376,7 +377,8 @@ def test_fresh_non_finite_energy_raises_even_with_a_carried_energy(kind, theta):
     target = NanEnergyTarget(np.eye(2))
     ladder = TemperatureLadder((2.0, 1.0))
     config = KernelConfig(theta=theta, proposal_covariance=np.eye(2))
-    res = Reservoir(dimension=2)  # a push needs a finite energy: the plain Gaussian's
+    # a push needs a finite energy: the plain Gaussian's
+    res = Reservoir(dimension=2, coefficient=importance_coefficient(ladder, 1))
     res.push(np.ones(2), GaussianTarget(np.eye(2)).energy(np.ones(2)))
     v = variates(np.random.default_rng(8), 2)
     x = np.zeros(2)
@@ -424,7 +426,7 @@ def test_a_step_ignores_the_variates_its_branch_does_not_read(kind, branch, fini
         target, ladder = GaussianTarget(SIGMA), TemperatureLadder((2.0, 1.0))
         config, dim = KernelConfig(theta=0.5, proposal_covariance=np.eye(2)), 2
         pushed = [np.array([1.0, 2.0]), np.array([-0.5, 0.3]), np.zeros(2)]
-    res = Reservoir(dimension=dim)
+    res = Reservoir(dimension=dim, coefficient=importance_coefficient(ladder, 1))
     for y in pushed:
         res.push(y, target.energy(y))
     steps = {

@@ -82,10 +82,10 @@ def test_exchange_at_step_two_reads_only_the_first_hot_state():
 
 def test_reservoir_counts_track_iteration():
     target, ladder, configs = finite_ladder()
-    state = init_ladder_state(target, ladder)
+    state = init_ladder_state(target, ladder, "ee")
     steps = zip(*(level_variates(1, level, target) for level in range(ladder.n_levels)))
     for n in range(1, 20):
-        ladder_step(state, target, ladder, configs, "ee", next(steps))
+        ladder_step(state, target, ladder, configs, next(steps))
         for res in state.reservoirs:
             assert res.count == n
 
@@ -272,14 +272,14 @@ def test_scalar_kernels_replay_the_engine_bit_for_bit(config_name, kind):
     levels = range(ladder.n_levels) if kind in ADAPTIVE_KINDS else [ladder.top_level]
     variates = [stream_variates(seed, level, n, finite, dim) for level in levels]
     if kind in ADAPTIVE_KINDS:
-        state = init_ladder_state(target, ladder)
+        state = init_ladder_state(target, ladder, kind)
     else:
         x = target.initial_state()
         energy = target.energy(x)
     for step in range(n):
         step_variates = [stream[step] for stream in variates]
         if kind in ADAPTIVE_KINDS:
-            outs = ladder_step(state, target, ladder, configs, kind, step_variates)
+            outs = ladder_step(state, target, ladder, configs, step_variates)
             carried = list(zip(state.states, state.energies))
         else:
             outs = [SINGLE_KERNELS[kind](target, ladder, levels[0], x, configs[-1],

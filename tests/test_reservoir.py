@@ -6,7 +6,7 @@ from eesampler import EmptyReservoirError, NonFiniteWeightError, Reservoir
 
 
 def test_first_push_defines_point_mass():
-    r = Reservoir(dimension=2)
+    r = Reservoir(dimension=2, coefficient=2.0)
     x = np.array([1.5, -0.5])
     r.push(x, 0.75)
     assert r.count == 1
@@ -14,13 +14,14 @@ def test_first_push_defines_point_mass():
     for _ in range(10):
         drawn, energy = r.sample_uniform(rng.random())
         assert np.array_equal(drawn, x) and energy == 0.75
-        drawn, energy = r.sample_weighted(2.0, rng.random())
+        drawn, energy = r.sample_weighted(rng.random())
         assert np.array_equal(drawn, x) and energy == 0.75
 
 
+@pytest.mark.parametrize("coefficient", [None, 1.0])
 @pytest.mark.parametrize("energy", [None, np.nan, np.inf, -np.inf])
-def test_push_rejects_a_missing_or_non_finite_energy(energy):
-    r = Reservoir()
+def test_push_rejects_a_missing_or_non_finite_energy(energy, coefficient):
+    r = Reservoir(coefficient=coefficient)
     with pytest.raises(ValueError, match="finite energy"):
         r.push(0, energy)
     assert r.count == 0
@@ -79,38 +80,38 @@ def test_two_element_frequencies_within_four_se():
 
 
 def test_equal_weights_behave_uniformly():
-    r = Reservoir()
+    r = Reservoir(coefficient=1.0)
     for s in range(3):
         r.push(s, -5.0)
     rng = np.random.default_rng(4)
     n = 60_000
-    draws = np.array([r.sample_weighted(1.0, u)[0] for u in rng.random(n)])
+    draws = np.array([r.sample_weighted(u)[0] for u in rng.random(n)])
     counts = np.bincount(draws, minlength=3)
     _, p_value = stats.chisquare(counts, np.full(3, n / 3))
     assert p_value > 0.001
 
 
 def test_weighted_frequencies_match_explicit_normalization():
-    r = Reservoir()
+    r = Reservoir(coefficient=1.0)
     log_w = np.log(np.array([1.0, 2.0, 3.0]))
     for s in range(3):
         r.push(s, -log_w[s])
     expected = np.array([1.0, 2.0, 3.0]) / 6.0  # normalized by direct summation
     rng = np.random.default_rng(5)
     n = 100_000
-    draws = np.array([r.sample_weighted(1.0, u)[0] for u in rng.random(n)])
+    draws = np.array([r.sample_weighted(u)[0] for u in rng.random(n)])
     counts = np.bincount(draws, minlength=3)
     _, p_value = stats.chisquare(counts, expected * n)
     assert p_value > 0.001
 
 
 def test_dominant_log_weight_never_overflows():
-    r = Reservoir()
+    r = Reservoir(coefficient=1.0)
     log_w = np.array([0.0, 10.0, 710.0])  # exp(710) overflows a float64
     for s in range(3):
         r.push(s, -log_w[s])
     rng = np.random.default_rng(6)
-    draws = [r.sample_weighted(1.0, u)[0] for u in rng.random(10_000)]
+    draws = [r.sample_weighted(u)[0] for u in rng.random(10_000)]
     assert set(draws) == {2}
 
 
@@ -118,33 +119,31 @@ def test_draws_reproducible_and_shift_invariant():
     log_w = np.array([0.1, 1.2, -0.7, 0.0, 2.2])
 
     def draw_sequence(shift, seed):
-        r = Reservoir()
+        r = Reservoir(coefficient=1.0)
         for s in range(5):
             r.push(s, -(log_w[s] + shift))
         rng = np.random.default_rng(seed)
-        return [r.sample_weighted(1.0, u)[0] for u in rng.random(200)]
+        return [r.sample_weighted(u)[0] for u in rng.random(200)]
 
     assert draw_sequence(0.0, 42) == draw_sequence(0.0, 42)
     assert draw_sequence(0.0, 42) == draw_sequence(123.456, 42)
 
 
 def test_empty_reservoir_errors():
-    r = Reservoir()
+    r = Reservoir(coefficient=1.0)
     u = np.random.default_rng(7).random()
     with pytest.raises(EmptyReservoirError):
         r.sample_uniform(u)
     with pytest.raises(EmptyReservoirError):
-        r.sample_weighted(1.0, u)
+        r.sample_weighted(u)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_non_finite_weights_rejected():
+def test_weighted_draws_need_a_coefficient():
     r = Reservoir()
     r.push(0, 0.0)
-    r.push(1, -1e308)  # finite, but -c * E overflows for c = 10
-    u = np.random.default_rng(8).random()
-    with pytest.raises(NonFiniteWeightError):
-        r.sample_weighted(10.0, u)
+    assert r._cum is None  # a reservoir for uniform draws weights nothing
+    with pytest.raises(ValueError, match="coefficient"):
+        r.sample_weighted(np.random.default_rng(8).random())
 
 
 def test_states_are_copies_not_views():
@@ -192,10 +191,10 @@ def test_weighted_draws_match_full_recompute(dimension):
     energies = -table / COEFFICIENT
     schedule = np.random.default_rng(12)
     rng = np.random.default_rng(13)
-    r = Reservoir(dimension)
-    cached, ref = [], []
+    r = Reservoir(dimension, COEFFICIENT)
+    drawn, ref = [], []
     while r.count < len(table):
-        # zero pushes between draws happen too: a draw with nothing new to weight
+        # zero pushes between draws happen too
         for _ in range(min(int(schedule.integers(0, 12)), len(table) - r.count)):
             k = r.count
             r.push(k if dimension is None else np.array([k, -0.5 * k]), energies[k])
@@ -203,83 +202,51 @@ def test_weighted_draws_match_full_recompute(dimension):
             continue
         for _ in range(int(schedule.integers(1, 4))):
             u = rng.random()
-            state, energy = r.sample_weighted(COEFFICIENT, u)
+            state, energy = r.sample_weighted(u)
             k = state if dimension is None else int(state[0])
             assert energy == energies[k]
-            cached.append(k)
+            drawn.append(k)
             ref.append(reference_draw(energies[: r.count], COEFFICIENT, u))
-        # a differing last bit almost never changes an index, so compare the
-        # cached prefix sums themselves
-        assert np.array_equal(r._cum[: r.count], reference_cdf(energies[: r.count], COEFFICIENT))
     assert r.count == 1300  # crossed every doubling from 16 to 2048 rows
-    assert cached == ref
-    assert len(set(cached[-50:])) > 1  # near-dominant rows keep the tail informative
+    assert drawn == ref
+    assert len(set(drawn[-50:])) > 1  # near-dominant rows keep the tail informative
 
 
-def test_a_draw_that_raises_leaves_the_cache_intact():
-    table = record_table(1300, seed=21)
+@pytest.mark.parametrize("dimension", [None, 2])
+def test_prefix_sums_match_full_recompute_after_every_push(dimension):
+    # a differing last bit almost never changes an index, so compare the
+    # prefix sums themselves: across every record row of ``record_table``,
+    # its rows near 710, the rows after its last record and every doubling
+    table = record_table(3000, seed=31)
     energies = -table / COEFFICIENT
-    schedule = np.random.default_rng(22)
-    rng = np.random.default_rng(23)
-    r = Reservoir()
-    for step in range(400):
-        pushes = min(int(schedule.integers(0, 7)), len(table) - r.count)
-        for _ in range(pushes):
-            r.push(r.count, energies[r.count])
-        if r.count == 0:
-            continue
-        if step % 37 == 5 and pushes:  # the failing draws see unweighted rows
-            with pytest.raises(ValueError, match="coefficient"):
-                r.sample_weighted(2 * COEFFICIENT, rng.random())
-        u = rng.random()
-        drawn, _ = r.sample_weighted(COEFFICIENT, u)
-        assert drawn == reference_draw(energies[: r.count], COEFFICIENT, u)
-    assert r.count > 1000
+    r = Reservoir(dimension, COEFFICIENT)
+    for k in range(len(table)):
+        r.push(k if dimension is None else np.array([k, -0.5 * k]), energies[k])
+        assert np.array_equal(r._cum[: r.count], reference_cdf(energies[: r.count], COEFFICIENT))
+    assert r.count == 3000  # crossed every doubling from 16 to 4096 rows
+
+
+def snapshot(r):
+    """Count, capacity, stored rows, prefix sums and shift of a reservoir."""
+    n = r.count
+    return (n, len(r._buf), r._buf[:n].copy(), r._energy[:n].copy(), r._cum[:n].copy(), r._shift)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_first_weighted_draw_that_raises_fixes_no_coefficient():
-    r = Reservoir()
-    r.push(0, 0.0)
-    r.push(1, -1e308)
-    rng = np.random.default_rng(24)
-    with pytest.raises(NonFiniteWeightError):
-        r.sample_weighted(10.0, rng.random())
-    assert r.sample_weighted(1.0, rng.random())[0] == 1
-
-
-def _assert_schedule_matches_full_recompute(dimension, run_lengths, n_rows, seed):
-    """Push ``run_lengths`` rows between successive draws, one draw each time,
-    and check the cached prefix sums and every draw against the full recompute."""
-    table = record_table(n_rows, seed)
-    energies = -table / COEFFICIENT
-    rng = np.random.default_rng(seed + 2)
-    r = Reservoir(dimension)
-    for pushes in run_lengths:
-        for _ in range(pushes):
-            k = r.count
-            r.push(k if dimension is None else np.array([k, -0.5 * k]), energies[k])
-        u = rng.random()
-        state, energy = r.sample_weighted(COEFFICIENT, u)
-        k = state if dimension is None else int(state[0])
-        assert energy == energies[k]
-        assert k == reference_draw(energies[: r.count], COEFFICIENT, u)
-        assert np.array_equal(r._cum[: r.count], reference_cdf(energies[: r.count], COEFFICIENT))
-    assert r.count == n_rows
-
-
 @pytest.mark.parametrize("dimension", [None, 2])
-def test_one_push_before_each_draw_matches_full_recompute(dimension):
-    # the ladder's schedule: each level pushes once per iteration, and the
-    # level above draws at most once from it before the next push
-    _assert_schedule_matches_full_recompute(dimension, [1] * 3000, 3000, seed=31)
-
-
-@pytest.mark.parametrize("dimension", [None, 2])
-def test_long_push_runs_between_draws_match_full_recompute(dimension):
-    # a level that takes its local branch for many iterations weights a long
-    # run of new rows at its next draw: runs here cross every record row of
-    # ``record_table``, its rows near 710 and rows after the last record
-    lengths = np.random.default_rng(42).integers(50, 400, size=40)
-    lengths = lengths[np.cumsum(lengths) <= 6000].tolist()
-    _assert_schedule_matches_full_recompute(dimension, lengths, sum(lengths), seed=41)
+def test_a_push_with_a_non_finite_log_weight_changes_nothing(dimension):
+    coefficient = 10.0  # so that a finite energy, -1e308, has log weight -c * E = inf
+    table = record_table(1300, seed=21)
+    energies = -table / coefficient
+    r = Reservoir(dimension, coefficient)
+    for k in range(len(table)):
+        if k in (0, 16, 17, 700, 1024, 1101):  # first push, doublings, records, near 710
+            before = snapshot(r)
+            with pytest.raises(NonFiniteWeightError):
+                r.push(0 if dimension is None else np.zeros(2), -1e308)
+            assert all(np.array_equal(a, b) for a, b in zip(before, snapshot(r)))
+        r.push(k if dimension is None else np.array([k, -0.5 * k]), energies[k])
+    u = np.random.default_rng(23).random()
+    drawn, _ = r.sample_weighted(u)
+    k = drawn if dimension is None else int(drawn[0])
+    assert k == reference_draw(energies, coefficient, u)
