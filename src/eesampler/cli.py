@@ -32,7 +32,7 @@ import math
 import sys
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -515,7 +515,9 @@ def oracle_report(cfg) -> tuple:
 
     A failure is a config error of the key behind the failing level's matrix:
     a failed Poisson solve is level 1's when its limit kernel is reducible
-    (which takes theta 1), else level 0's.
+    (which takes theta 1), else level 0's, unless f scaled to max |f| = 1
+    solves.  Then, as for a report with a non-finite value, f is too large
+    for the report's floats.
     """
     raw = cfg["config"].raw
     proposal = "proposal_matrix" if "proposal_matrix" in raw else "move_prob"
@@ -526,11 +528,17 @@ def oracle_report(cfg) -> tuple:
     model0 = _checked(key0, FiniteChainModel, cfg["p0"], pi0)
     limit_matrix = ee_limit_matrix(cfg["p1"], pi0, log_r, cfg["theta"])
     limit = _checked(key1, FiniteChainModel, limit_matrix, pi1)
-    try:
-        report = ee_limit_clt_variance(model0, limit, cfg["theta"], cfg["f"], log_r)
-    except ValueError as exc:
-        _checked(key1, FiniteChainModel, limit_matrix)  # raises if the limit kernel is reducible
-        _fail(key0, str(exc))
+    f = cfg["f"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            report = ee_limit_clt_variance(model0, limit, cfg["theta"], f, log_r)
+        except ValueError as exc:
+            _checked(key1, FiniteChainModel, limit_matrix)  # raises if the limit kernel is reducible
+            _checked(key0, ee_limit_clt_variance, model0, limit, cfg["theta"],
+                     f / (np.abs(f).max() or 1.0), log_r)
+            _fail("f", f"too large for the variance report's floats ({exc})")
+    if not np.isfinite(astuple(report)).all():
+        _fail("f", f"too large for the variance report's floats: {report}")
     return report, limit, log_r
 
 

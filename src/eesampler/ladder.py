@@ -14,16 +14,19 @@ level-step at a time (``ladder_step`` advances every level, then pushes
 every new state to its ``Reservoir``), each level reading its steps'
 ``Variates`` from ``level_variates``, its stream of the schedule below.
 Several replications advance together through ``_engine``, as arrays:
-states (R, K, d), or (R, K) integers on finite targets, and energies
-(R, K).  Per step the engine makes a few dozen numpy calls whatever R is,
-so it pays from two replications on, and the scalar loop is cheaper for
-one.  All K levels step in lockstep: iteration n computes every level's
-move from the states of iteration n-1 and from the histories up to
-iteration n-1, and only then records iteration n.  The recorded history
-of each level is its reservoir, so the contract holds by construction.
-An ``ir`` level keeps, per replication, the running-max prefix sums of
-its hotter level's weights, extended as each state is recorded and
-rebuilt at a new record weight, exactly as ``Reservoir.push`` keeps them.
+states (R, K, d), or (R, K) integers on finite targets, and their energies
+(R, K).  It records states only: a level that draws from its hotter
+level's history evaluates what it draws, one energy call per stack.  Per
+step the engine makes a few dozen numpy calls whatever R is, so it pays
+from two replications on, and the scalar loop is cheaper for one.  All K
+levels step in lockstep: iteration n computes every level's move from the
+states of iteration n-1 and from the histories up to iteration n-1, and
+only then records iteration n.  The recorded history of each level is its
+reservoir, so the contract holds by construction.  An ``ir`` level keeps,
+per replication, the running-max prefix sums of its hotter level's
+weights, extended as each state is recorded and rebuilt at a new record
+weight, exactly as ``Reservoir.push`` keeps them; a rebuild evaluates the
+history in slices of ``BLOCK`` states.
 
 Seed plumbing: replication r with seed s (``analysis.replication_seed``
 derives s from the master seed and r) drives level l by its own generator
@@ -306,12 +309,13 @@ def run_single(target, ladder, config: KernelConfig, kind: str, n_iterations: in
 
 def replication_bytes(kind: str, target, ladder, n_iterations: int) -> int:
     """Bytes the engine holds per replication of ``kind``: every level's
-    recorded states, energies, branches and acceptances, and an ``ir``
-    level's prefix sums."""
+    recorded states, branch codes and acceptances, and the prefix sums of
+    each ``ir`` reservoir level (all but the coldest).  It keeps no
+    energies: a reader evaluates the states it draws."""
     levels = ladder.n_levels if kind in ADAPTIVE_KINDS else 1
     state = 8 if target.kind == "finite" else 8 * target.dimension
-    per_step = state + 8 + 2 + (8 if kind == "ir" else 0)
-    return levels * n_iterations * per_step
+    sums = 8 * (levels - 1) if kind == "ir" else 0
+    return n_iterations * (levels * (state + 2) + sums)
 
 
 def _engine(kind, target, ladder, configs, n_iterations, seeds):
@@ -350,7 +354,6 @@ def _engine(kind, target, ladder, configs, n_iterations, seeds):
     ex = checked_energy(target, x)
 
     states = np.zeros((n_rep, n_lev, n) + shape, dtype=x.dtype)
-    energies = np.zeros((n_rep, n_lev, n))
     branches = np.empty((n_rep, n, n_lev), dtype=np.int8)
     # a finite local step, inner step or exact refresh always moves
     always_accepted = finite and kind in ("rwm", "ir", "ir_limit")
@@ -407,12 +410,11 @@ def _engine(kind, target, ladder, configs, n_iterations, seeds):
                     # bisect each resampling replication's prefix sums at u times their total
                     rs, js = np.nonzero(~here[:, 1:])
                     targets = (u_draw[i, rs, js + 1] * cum[rs, js, col - 1]).tolist()
-                    k = np.zeros((n_rep, n_lev), dtype=np.intp)
-                    k[rs, js + 1] = [cum[r, j, :col].searchsorted(t, side="right")
-                                     for r, j, t in zip(rs.tolist(), js.tolist(), targets)]
-                    np.minimum(k, col - 1, out=k)
-                    b = np.where(local_x[i], x, states[rows, hotter, k])
-                    eb = np.where(here, ex, energies[rows, hotter, k])
+                    k = [min(cum[r, j, :col].searchsorted(t, side="right"), col - 1)
+                         for r, j, t in zip(rs.tolist(), js.tolist(), targets)]
+                    starts = states[rs, js, k]
+                    b, eb = x.copy(), ex.copy()
+                    b[rs, js + 1], eb[rs, js + 1] = starts, checked_energy(target, starts)
                 if finite:
                     # inverse CDF: the entries of b's base row at or below the row uniform
                     y = (base_cum[lev, b] <= prop[i][..., None]).sum(-1)
@@ -421,20 +423,14 @@ def _engine(kind, target, ladder, configs, n_iterations, seeds):
                 if kind in ("ee_limit", "ir_limit"):
                     y = np.where(local_x[i], y, exact[i])
                 if kind == "ee" and not here.all():
-                    k = drawn[i]
-                    y = np.where(local_x[i], y, states[rows, hotter, k])
-                    ey = energies[rows, hotter, k]
-                    ey[here] = checked_energy(target, y[here])
-                    exchange = True
-                else:
-                    ey = checked_energy(target, y)
-                    exchange = kind == "ee_limit"
+                    y = np.where(local_x[i], y, states[rows, hotter, drawn[i]])
+                ey = checked_energy(target, y)
                 # (-e' / t) - (-e / t) is e / t - e' / t, bit for bit (likewise for c)
                 if always_accepted:
                     x, ex = y, ey
                 else:
                     lar = np.inf if finite else (eb / temps) - (ey / temps)
-                    if exchange:
+                    if kind in ("ee", "ee_limit"):
                         lar = np.where(here, lar, (eb * coefs) - (ey * coefs))
                     elif kind == "ir_limit":
                         lar = np.where(here, lar, np.inf)
@@ -443,7 +439,6 @@ def _engine(kind, target, ladder, configs, n_iterations, seeds):
                     x = np.where(acc if finite else acc[..., None], y, b)
                     ex = np.where(acc, ey, eb)
                 states[:, :, col] = x
-                energies[:, :, col] = ex
 
                 if kind == "ir" and n_lev > 1:
                     lw = neg_coef * ex[:, :-1]
@@ -454,10 +449,12 @@ def _engine(kind, target, ladder, configs, n_iterations, seeds):
                     record = lw > shift
                     if record.any():
                         for r, j in zip(*(a.tolist() for a in np.nonzero(record))):
-                            top = lw[r, j]
-                            shift[r, j] = top
-                            np.exp(neg_coef[j] * energies[r, j, :col + 1] - top).cumsum(
-                                out=cum[r, j, :col + 1])
+                            top = shift[r, j] = lw[r, j]
+                            sums, history = cum[r, j, :col + 1], states[r, j, :col + 1]
+                            for lo in range(0, col + 1, BLOCK):  # bounds an energy call's stack
+                                e = target.energy(history[lo:lo + BLOCK])
+                                np.exp(neg_coef[j] * e - top, out=sums[lo:lo + BLOCK])
+                            sums.cumsum(out=sums)
 
     return [Trajectory(list(states[r]), branches[r], accepted[r]) for r in range(n_rep)]
 

@@ -530,6 +530,11 @@ MALFORMED_KEYS = [
                      "temperatures": [4, 1], "lambdas": ["x"], "kappas": [0.1]}, "lambdas"),
     (oracle_config, {"energies0": None, "energies1": None, "energies": [0.0, 2.0, 4.0, 2.0, 0.0],
                      "temperatures": [1, 4]}, "temperatures"),
+    # an f this large overflows the report (1e160 and up) or the Poisson solve itself (1e308)
+    (oracle_config, {"f": [1e160, -1e160, 0, 0, 0]}, "f"),
+    (oracle_config, {"f": [1e200, -1e200, 0, 0, 0]}, "f"),
+    (oracle_config, {"f": [1e300, -1e300, 0, 0, 0]}, "f"),
+    (oracle_config, {"f": [1e308, -1e308, 0, 0, 0]}, "f"),
     # two wells the nearest-neighbor Metropolis chain cannot cross in floating point
     (oracle_config, {**THREE_STATES, "energies0": [0.0, 1e3, 0.0], "energies1": [0.0, 1e3, 0.0]},
      "move_prob"),

@@ -36,3 +36,42 @@ def test_every_export_is_referenced_outside_its_definition():
         if not any(word.search(line) and not definition.match(line) for line in lines):
             unused.append(name)
     assert unused == []
+
+
+def module_level_definitions(tree) -> list:
+    """(name, first line, last line) of each function, class and assigned
+    name at the top level of a parsed module."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        found.extend((name, node.lineno, node.end_lineno) for name in names)
+    return found
+
+
+def test_every_module_level_name_is_used_outside_its_definition():
+    """A helper, class or constant that nothing in the library or the demos
+    reads is dead code: an import of it, a docstring or a test does not count
+    as a use, and neither does a use inside its own definition."""
+    files = sorted(PACKAGE.glob("*.py")) + sorted((REPO_ROOT / "demos").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in files}
+    uses = {}  # name -> [(file, line)]
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append((path, node.lineno))
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, first, last in module_level_definitions(trees[path]):
+            if name != "__version__" and not any(
+                    p != path or not first <= line <= last for p, line in uses.get(name, [])):
+                unused.append(f"{path.name}:{first} {name}")
+    assert "run_sampler" in {d[0] for d in module_level_definitions(trees[PACKAGE / "ladder.py"])}
+    assert unused == []

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,18 +32,25 @@ from eesampler.kernels import (
     limit_ir_step,
     rwm_step,
 )
-from eesampler.ladder import ADAPTIVE_KINDS, BLOCK, BRANCH_CODES, SINGLE_KINDS
+from eesampler.analysis import TASK_MEMORY_BUDGET
+from eesampler.ladder import (
+    ADAPTIVE_KINDS,
+    BLOCK,
+    BRANCH_CODES,
+    SINGLE_KINDS,
+    _engine,
+    replication_bytes,
+)
 
 SIGMA = np.array([[0.96, 2.44], [2.44, 7.04]])
 
 
-def finite_ladder(energies=(0.0, 0.4, 0.9, 1.5, 2.2), temps=(4.0, 2.0, 1.0), theta=0.5):
+def finite_ladder(energies=(0.0, 0.4, 0.9, 1.5, 2.2), temps=(4.0, 2.0, 1.0), theta=0.5,
+                  move_prob=1.0):
     target = FiniteTarget(energies)
     ladder = TemperatureLadder(temps)
-    bases = [
-        metropolis_matrix(neighbor_proposal(target.state_count), -np.asarray(energies) / t)
-        for t in temps
-    ]
+    proposal = neighbor_proposal(target.state_count, move_prob)
+    bases = [metropolis_matrix(proposal, -np.asarray(energies) / t) for t in temps]
     configs = ladder_configs(ladder, (theta,) * (len(temps) - 1), base_matrices=bases)
     return target, ladder, configs
 
@@ -257,17 +265,17 @@ def stream_variates(seed, level, n, finite, dim):
     return steps[:n]
 
 
-@pytest.mark.parametrize("config_name, kind", BUNDLED_CASES)
-def test_scalar_kernels_replay_the_engine_bit_for_bit(config_name, kind):
-    """One replication of the engine (in a batch of two), replayed through
-    ``ladder_step`` or the single-chain kernel with the engine's variates
-    rebuilt here: the same states, branches and acceptances, and every
-    carried energy equals a fresh evaluation."""
-    cfg = load_config(CONFIGS / config_name)
-    target, ladder, configs = cfg.target, cfg.ladder, cfg.configs
+def engine_run(kind, target, ladder, configs, n, seed):
+    """Replication ``seed`` of the engine, run in a batch of two."""
+    return run_sampler(kind, target, ladder, configs, n, [seed, seed + 1])[0]
+
+
+def assert_scalar_replay(traj, kind, target, ladder, configs, n, seed):
+    """Replay ``engine_run``'s Trajectory ``traj`` through ``ladder_step`` or the
+    single-chain kernel with the engine's variates rebuilt here: the same
+    states, branches and acceptances, and every carried energy equals a fresh
+    evaluation."""
     finite = target.kind == "finite"
-    n, seed = 300, 5
-    traj = run_sampler(kind, target, ladder, configs, n, [seed, seed + 1])[0]
     dim = None if finite else target.dimension
     levels = range(ladder.n_levels) if kind in ADAPTIVE_KINDS else [ladder.top_level]
     variates = [stream_variates(seed, level, n, finite, dim) for level in levels]
@@ -292,6 +300,62 @@ def test_scalar_kernels_replay_the_engine_bit_for_bit(config_name, kind):
             assert out.accepted == traj.accepted[step, j]
         for x_j, e_j in carried:
             assert e_j == target.energy(x_j)
+
+
+@pytest.mark.parametrize("config_name, kind", BUNDLED_CASES)
+def test_scalar_kernels_replay_the_engine_bit_for_bit(config_name, kind):
+    cfg = load_config(CONFIGS / config_name)
+    args = (kind, cfg.target, cfg.ladder, cfg.configs, 300, 5)
+    assert_scalar_replay(engine_run(*args), *args)
+
+
+@pytest.mark.parametrize("config_name, kind", BUNDLED_CASES)
+def test_replication_bytes_counts_what_the_engine_holds(config_name, kind):
+    """A block more iterations raises the engine's traced peak by
+    ``replication_bytes`` of one block per replication: the engine holds
+    those arrays and no others that grow with the run."""
+    cfg = load_config(CONFIGS / config_name)
+    args = (kind, cfg.target, cfg.ladder, cfg.configs)
+    seeds = list(range(16))
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            _engine(*args, n, seeds)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    _engine(*args, 2, seeds[:2])  # first-call allocations out of the way
+    # two blocks against three: the same block temporaries, one block more history
+    grown = (peak(3 * BLOCK) - peak(2 * BLOCK)) / len(seeds)
+    assert grown == pytest.approx(replication_bytes(kind, cfg.target, cfg.ladder, BLOCK), rel=0.03)
+
+
+def test_every_kind_at_the_benchmark_shape_runs_as_one_task():
+    cfg = load_config(CONFIGS / "gaussian_table1.yaml")
+    # per level and step: 2 coordinates, a branch code and an acceptance; 3 prefix-sum rows
+    assert replication_bytes("ir", cfg.target, cfg.ladder, 10_000) == 10_000 * (4 * 18 + 3 * 8)
+    for kind in ADAPTIVE_KINDS + SINGLE_KINDS:
+        assert TASK_MEMORY_BUDGET // replication_bytes(kind, cfg.target, cfg.ladder, 10_000) >= 10
+
+
+def test_scalar_kernels_replay_a_late_ir_record():
+    """A hotter level that reaches a new lowest energy after iteration 2 BLOCK
+    makes the engine rebuild its prefix sums over several slices of its
+    history; the scalar kernels still replay the run bit for bit."""
+    # from the highest-energy state, slow proposals walk downhill state by state
+    target, ladder, configs = finite_ladder(8.0 * np.arange(40)[::-1], temps=(8.0, 3.0, 1.0),
+                                            move_prob=0.05)
+    args = ("ir", target, ladder, configs, 600, 5)
+    traj = engine_run(*args)
+    late = []
+    for level in range(ladder.n_levels - 1):  # the levels an ir level reads
+        e = target.energy(traj.states[level])
+        records = np.flatnonzero(e[1:] < np.minimum.accumulate(e)[:-1]) + 1
+        late.extend(records[records >= 2 * BLOCK].tolist())
+    assert late
+    assert_scalar_replay(traj, *args)
 
 
 @pytest.mark.parametrize("config_name, kind", BUNDLED_CASES)
