@@ -274,7 +274,8 @@ def theta_lower_bound(lambda_l: float, kappa: float, t_l: float, t_prev: float) 
 def acceptance_matrix(log_r: np.ndarray) -> np.ndarray:
     """A[x, y] = min(1, r(y)/r(x)) from per-state log importance weights."""
     log_r = np.asarray(log_r, dtype=float)
-    return np.exp(np.minimum(0.0, log_r[None, :] - log_r[:, None]))
+    with np.errstate(over="ignore"):  # a difference past the float range is +-inf: A is 1 or 0
+        return np.exp(np.minimum(0.0, log_r[None, :] - log_r[:, None]))
 
 
 def exchange_matrix(proposal: np.ndarray, log_r: np.ndarray) -> np.ndarray:

@@ -23,10 +23,9 @@ levels step in lockstep: iteration n computes every level's move from the
 states of iteration n-1 and from the histories up to iteration n-1, and
 only then records iteration n.  The recorded history of each level is its
 reservoir, so the contract holds by construction.  An ``ir`` level keeps,
-per replication, the running-max prefix sums of its hotter level's
-weights, extended as each state is recorded and rebuilt at a new record
-weight, exactly as ``Reservoir.push`` keeps them; a rebuild evaluates the
-history in slices of ``BLOCK`` states.
+per replication, the log prefix sums of its hotter level's weights, each
+extended by one ``np.logaddexp`` as a state is recorded, exactly as
+``Reservoir.push`` keeps them, so no recorded state is evaluated again.
 
 Seed plumbing: replication r with seed s (``analysis.replication_seed``
 derives s from the master seed and r) drives level l by its own generator
@@ -351,7 +350,6 @@ def _engine(kind, target, ladder, configs, n_iterations, seeds):
 
     x = np.empty((n_rep, n_lev) + shape, dtype=np.int64 if finite else float)
     x[:] = target.initial_state()
-    ex = checked_energy(target, x)
 
     states = np.zeros((n_rep, n_lev, n) + shape, dtype=x.dtype)
     branches = np.empty((n_rep, n, n_lev), dtype=np.int8)
@@ -362,18 +360,19 @@ def _engine(kind, target, ladder, configs, n_iterations, seeds):
     rows, lev = np.arange(n_rep)[:, None], np.arange(n_lev)
     hotter = np.maximum(np.arange(n_lev) - 1, 0)  # level l reads level l-1's history
     if kind == "ir":
-        # per replication and reservoir level j: prefix sums of exp(lw - shift),
-        # lw = -c_{j+1} E, shift the running max of lw
+        # per replication and reservoir level j: log prefix sums of exp(lw),
+        # lw = -c_{j+1} E
         neg_coef = -coefs[1:]
         cum = np.zeros((n_rep, n_lev - 1, n))
-        shift = np.full((n_rep, n_lev - 1), -np.inf)
     away = BRANCH_CODES[EXCHANGE if kind in ("ee", "ee_limit") else RESAMPLE]
     u = np.empty((n_rep, n_lev, 3, BLOCK))
     p = np.empty((n_rep, n_lev, BLOCK) + shape)
 
-    # log 0 = -inf (an accept uniform of 0 accepts), and exp(lw - shift) may
-    # overflow where lw sets a record: that sum is rebuilt at the new shift
+    # log 0 = -inf (a uniform of 0 accepts, or draws the first state), and wide
+    # finite energies may overflow checked_energy's stack sum, a log acceptance
+    # ratio or logaddexp's difference to +-inf, which still compare right
     with np.errstate(divide="ignore", over="ignore"):
+        ex = checked_energy(target, x)
         for start in range(0, n, BLOCK):
             m = min(BLOCK, n - start)
             for r, streams in enumerate(rngs):
@@ -390,7 +389,7 @@ def _engine(kind, target, ladder, configs, n_iterations, seeds):
                 if start == 0:
                     local[0] = True  # iteration 1: every reservoir is empty
             branches[:, start:start + m] = np.where(local, BRANCH_CODES[LOCAL], away).swapaxes(0, 1)
-            log_u = np.log(u_accept)
+            log_u, log_draw = np.log(u_accept), np.log(u_draw)
             if finite:
                 local_x = local
             else:
@@ -407,9 +406,9 @@ def _engine(kind, target, ladder, configs, n_iterations, seeds):
                 # b: the state a local or inner step starts from; y: the candidate
                 b, eb = x, ex
                 if kind == "ir" and col and not here.all():
-                    # bisect each resampling replication's prefix sums at u times their total
+                    # bisect each resampling replication's log prefix sums at log u plus their total
                     rs, js = np.nonzero(~here[:, 1:])
-                    targets = (u_draw[i, rs, js + 1] * cum[rs, js, col - 1]).tolist()
+                    targets = (log_draw[i, rs, js + 1] + cum[rs, js, col - 1]).tolist()
                     k = [min(cum[r, j, :col].searchsorted(t, side="right"), col - 1)
                          for r, j, t in zip(rs.tolist(), js.tolist(), targets)]
                     starts = states[rs, js, k]
@@ -444,17 +443,7 @@ def _engine(kind, target, ladder, configs, n_iterations, seeds):
                     lw = neg_coef * ex[:, :-1]
                     if not np.isfinite(lw).all():
                         raise NonFiniteWeightError("resampling log weights must be finite")
-                    if col:
-                        cum[:, :, col] = cum[:, :, col - 1] + np.exp(lw - shift)
-                    record = lw > shift
-                    if record.any():
-                        for r, j in zip(*(a.tolist() for a in np.nonzero(record))):
-                            top = shift[r, j] = lw[r, j]
-                            sums, history = cum[r, j, :col + 1], states[r, j, :col + 1]
-                            for lo in range(0, col + 1, BLOCK):  # bounds an energy call's stack
-                                e = target.energy(history[lo:lo + BLOCK])
-                                np.exp(neg_coef[j] * e - top, out=sums[lo:lo + BLOCK])
-                            sums.cumsum(out=sums)
+                    cum[:, :, col] = np.logaddexp(cum[:, :, col - 1], lw) if col else lw
 
     return [Trajectory(list(states[r]), branches[r], accepted[r]) for r in range(n_rep)]
 

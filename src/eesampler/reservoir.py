@@ -11,14 +11,16 @@ Every state is stored with its energy E(x), and every draw returns the
 pair, so a kernel never evaluates E at a drawn state.  A draw maps a
 caller's uniform u in [0, 1) to a pair by the batched engine's
 rules: a uniform draw takes item floor(u n), and a weighted draw
-bisects the cumulative weights at u times their total.  A reservoir built
-with its reader's coefficient c weights each state by exp(-c E(x)) when it
-is pushed, as the engine does when it records a state: the running
-cumulative sum of the weights shifted by the running max log weight is
-extended by the new weight, or rebuilt at the new shift when the state
-sets a record.  So a weighted draw only bisects, O(log n), and log
-weights of any magnitude are safe.  No thinning, forgetting or weight
-clipping: all raw states are kept.
+bisects the log prefix sums of the weights at log u plus their total.  A
+reservoir built with its reader's coefficient c weights each state by
+exp(-c E(x)) when it is pushed, as the engine does when it records a
+state: the log prefix sum L_n = logaddexp(L_{n-1}, -c E(x_n)) extends the
+sums by one term, and no weight is formed outside the log domain, so none
+overflows or underflows.  A weighted draw only bisects, O(log n).  Its
+resolution is the spacing of floats near L_n, about 2.2e-16 |L_n|, which
+matters only for log weights far beyond a tempered ladder's: two equal
+weights at log weight 1e15 are drawn 44:56.  No thinning, forgetting or
+weight clipping: all raw states are kept.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .kernels import _log_uniform
 
 
 class EmptyReservoirError(RuntimeError):
@@ -59,10 +63,8 @@ class Reservoir:
             self._shape = (dimension,)
             self._buf = np.empty((16, dimension), dtype=float)
         self._energy = np.empty(16)
-        # with a coefficient: the prefix sums of exp(-c * energy - _shift),
-        # _shift the largest log weight -c * energy pushed so far
+        # with a coefficient: the log prefix sums of exp(-c * energy)
         self._cum = None if coefficient is None else np.empty(16)
-        self._shift = -np.inf
 
     @property
     def count(self) -> int:
@@ -79,8 +81,8 @@ class Reservoir:
         """Append one state (never mutated afterwards) with its finite energy E(x).
 
         With a coefficient c its log weight lw = -c E(x) must be finite too
-        (``NonFiniteWeightError``), and the prefix sums become
-        ``cumsum(exp(lw - lw.max()))`` over every state's lw, bit for bit.
+        (``NonFiniteWeightError``), and the log prefix sums become
+        ``np.logaddexp.accumulate(lw)`` over every state's lw, bit for bit.
         A push that raises changes nothing.
         """
         if energy is None or not math.isfinite(energy):
@@ -103,13 +105,7 @@ class Reservoir:
         self._buf[n] = x
         self._energy[n] = energy
         if self._cum is not None:
-            if lw > self._shift:
-                self._shift = lw
-                np.exp(-self.coefficient * self._energy[: n + 1] - lw).cumsum(
-                    out=self._cum[: n + 1])
-            else:
-                # scalar np.exp (not math.exp): the same float as a vector exp
-                self._cum[n] = self._cum[n - 1] + np.exp(lw - self._shift)
+            self._cum[n] = np.logaddexp(self._cum[n - 1], lw) if n else lw
         self._count = n + 1
 
     def _item(self, k: int) -> tuple:
@@ -126,13 +122,13 @@ class Reservoir:
 
     def sample_weighted(self, u: float) -> tuple:
         """One stored (state, energy) pair, with probability proportional to
-        exp(-coefficient * energy): the prefix sums bisected at u times their
-        total, u a uniform in [0, 1)."""
+        exp(-coefficient * energy): the log prefix sums bisected at log u
+        plus their total, u a uniform in [0, 1)."""
         n = self._count
         if n == 0:
             raise EmptyReservoirError("cannot draw from an empty reservoir")
         if self._cum is None:
             raise ValueError("a reservoir built without a coefficient has no weighted draws")
         cdf = self._cum[:n]
-        k = int(cdf.searchsorted(u * cdf[-1], side="right"))
+        k = int(cdf.searchsorted(_log_uniform(u) + cdf[-1], side="right"))
         return self._item(min(k, n - 1))

@@ -156,7 +156,8 @@ class FiniteTarget:
         if temperature <= 0:
             raise ValueError("temperature must be positive")
         logp = -self.energies / temperature
-        logp -= logp.max()
+        with np.errstate(over="ignore"):  # a state past the float range below the max gets 0
+            logp -= logp.max()
         p = np.exp(logp)
         return p / p.sum()
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -354,6 +355,21 @@ def test_failure_sentinel_on_midrun_error(tmp_path, capsys):
     sentinel = tmp_path / "bad" / "FAILED"
     assert sentinel.exists()
     assert "variance_report.txt" in sentinel.read_text()
+
+
+@pytest.mark.parametrize("energies", [[1e308, 0, -1e308], [0, 1e308, -1e308]],
+                         ids=["high-start", "low-end"])
+def test_wide_finite_energies_run_without_warnings(tmp_path, energies):
+    # a difference of energies past the float range is +-inf, which gives
+    # the right probability (0 or 1): nothing to warn about
+    path = write_config(tmp_path, "wide.yaml", {
+        "target": "finite", "energies": energies, "temperatures": [2, 1], "kernel": "ir",
+        "iterations": 10, "seed": 1, "replications": 3, "out": str(tmp_path / "out")})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", path]) == 0
+        assert main(["run", path]) == 0
+        assert main(["table1", path, "--jobs", "1"]) == 0
 
 
 def test_unreadable_and_malformed_configs(tmp_path, capsys):

@@ -342,8 +342,8 @@ def test_every_kind_at_the_benchmark_shape_runs_as_one_task():
 
 def test_scalar_kernels_replay_a_late_ir_record():
     """A hotter level that reaches a new lowest energy after iteration 2 BLOCK
-    makes the engine rebuild its prefix sums over several slices of its
-    history; the scalar kernels still replay the run bit for bit."""
+    gives a state whose weight dwarfs every earlier one, late in a long
+    history; the scalar kernels still replay the engine's run bit for bit."""
     # from the highest-energy state, slow proposals walk downhill state by state
     target, ladder, configs = finite_ladder(8.0 * np.arange(40)[::-1], temps=(8.0, 3.0, 1.0),
                                             move_prob=0.05)
@@ -445,6 +445,19 @@ def test_ir_limit_evaluates_one_energy_per_step(energy_calls):
     traj = run_sampler("ir_limit", cfg.target, cfg.ladder, cfg.configs, n, seed=3)
     assert 0.3 < traj.branch_fraction(0, "resample") < 0.7
     assert sum(energy_calls) == n + 1
+
+
+@pytest.mark.parametrize("kind", ADAPTIVE_KINDS + SINGLE_KINDS)
+def test_the_engine_evaluates_only_candidates_and_resampling_starts(energy_calls, kind):
+    # each chain's initial state and one candidate per step, plus each ir
+    # resampling start: no recorded state is evaluated again for its weight
+    cfg = load_config(CONFIGS / "gaussian_table1.yaml")
+    n, seeds = 2_000, [1, 2, 3]
+    runs = _engine(kind, cfg.target, cfg.ladder, cfg.configs, n, seeds)
+    chains = len(seeds) * runs[0].n_levels
+    starts = sum(int((traj.branches == BRANCH_CODES["resample"]).sum()) for traj in runs)
+    assert sum(energy_calls) == chains * (n + 1) + (starts if kind == "ir" else 0)
+    assert max(energy_calls) <= chains
 
 
 @pytest.mark.parametrize("scheme", ADAPTIVE_KINDS)
