@@ -13,13 +13,7 @@ Run from the repository root:
 
 import numpy as np
 
-from eesampler import (
-    GaussianTarget,
-    TemperatureLadder,
-    ladder_configs,
-    run_ladder,
-    run_single,
-)
+from eesampler import GaussianTarget, TemperatureLadder, ladder_configs, run_sampler
 
 SIGMA = np.array([[0.96, 2.44], [2.44, 7.04]])
 
@@ -30,7 +24,7 @@ configs = ladder_configs(ladder, (0.5, 0.5, 0.5), proposal_covariance=np.eye(2))
 
 n = 50_000
 print(f"running the equi-energy ladder for {n} iterations ...")
-traj = run_ladder(target, ladder, configs, scheme="ee", n_iterations=n, seed=7)
+traj = run_sampler("ee", target, ladder, configs, n_iterations=n, seed=7)
 
 print("\nlevel   t    mean(X1)  mean(X2)   var(X1) (exact)   var(X2) (exact)")
 for level in range(ladder.n_levels):
@@ -57,7 +51,7 @@ for level in range(ladder.n_levels):
 
 print("\nfor comparison, the limiting kernel of the coldest level")
 print("(independence proposals from the exact t=2 law instead of the reservoir):")
-single = run_single(target, ladder, configs[-1], "ee_limit", n, seed=7)
+single = run_sampler("ee_limit", target, ladder, configs, n, seed=7)
 xs = single.states[0]
 print(
     f"  limit-EE moments: var(X1)={xs[:, 0].var():.2f} (exact {SIGMA[0, 0]:.2f}), "

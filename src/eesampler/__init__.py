@@ -23,31 +23,15 @@ from .analysis import (
 from .kernels import (
     KappaTooLargeError,
     KernelConfig,
-    Variates,
     acceptance_matrix,
-    ee_adaptive_step,
     ee_limit_matrix,
     finite_kernel_matrix,
-    ir_adaptive_step,
-    limit_ee_step,
-    limit_ir_step,
     metropolis_matrix,
     neighbor_proposal,
-    rwm_step,
     theta_lower_bound,
 )
-from .ladder import (
-    Trajectory,
-    init_ladder_state,
-    ladder_configs,
-    ladder_step,
-    level_rng,
-    level_variates,
-    run_ladder,
-    run_sampler,
-    run_single,
-)
-from .reservoir import EmptyReservoirError, NonFiniteWeightError, Reservoir
+from .ladder import Trajectory, ladder_configs, run_sampler
+from .reservoir import NonFiniteWeightError
 from .targets import FiniteTarget, GaussianTarget, TemperatureLadder
 
 __version__ = "0.1.0"

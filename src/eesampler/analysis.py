@@ -526,7 +526,8 @@ class MSETable:
     @property
     def ratios(self) -> np.ndarray:
         mse = self.mse
-        return mse[0][None, :] / mse
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 is nan, x/0 is inf
+            return mse[0][None, :] / mse
 
     def to_text(self) -> str:
         """Aligned table, MSE to 4 decimals and ratios to 2."""

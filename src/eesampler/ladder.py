@@ -8,7 +8,8 @@ most likely place for an implementation bug: when level l computes its step
 for iteration n, the level-(l-1) reservoir must contain exactly the states
 from iterations 1..n-1.
 
-``run_sampler`` takes one seed or a list.  One replication runs through
+``run_sampler`` is the public entry point; it takes one seed or a list.
+One replication runs through the internal single-replication path,
 ``run_ladder`` or ``run_single``: the scalar kernels of ``kernels.py``, one
 level-step at a time (``ladder_step`` advances every level, then pushes
 every new state to its ``Reservoir``), each level reading its steps'
@@ -274,8 +275,8 @@ def _scalar_trajectory(target, n_levels, n_iterations, steps) -> Trajectory:
 
 
 def run_ladder(target, ladder, configs, scheme: str, n_iterations: int, seed: int) -> Trajectory:
-    """Run the full adaptive ladder of one replication through ``ladder_step``;
-    deterministic given (arguments, seed), and the engine's run of that seed."""
+    """Internal single-replication path of ``run_sampler`` for an adaptive
+    ``scheme``: one seed's ladder through ``ladder_step``, as the engine runs it."""
     state = init_ladder_state(target, ladder, scheme)
     _check_ladder(ladder, configs)
     streams = [level_variates(seed, level, target) for level in range(ladder.n_levels)]
@@ -286,11 +287,12 @@ def run_ladder(target, ladder, configs, scheme: str, n_iterations: int, seed: in
 
 def run_single(target, ladder, config: KernelConfig, kind: str, n_iterations: int,
                seed: int, level: int | None = None) -> Trajectory:
-    """Run one chain with a non-adaptive kernel (rwm, ee_limit or ir_limit).
+    """Internal single-replication path of ``run_sampler`` for a non-adaptive
+    ``kind`` (rwm, ee_limit or ir_limit): one chain of one seed.
 
-    The chain sits at ``level`` of the ladder (default: the coldest) and
-    uses that level's variate stream, so a rwm run at level 0 reproduces
-    the level-0 trace of a ladder run bit for bit.
+    The chain sits at ``level`` of the ladder (default: the coldest, as
+    ``run_sampler`` runs it) and uses that level's variate stream, so a rwm
+    run at level 0 reproduces the level-0 trace of a ladder run bit for bit.
     """
     level = _single_level(kind, ladder, level)
     step = {"rwm": rwm_step, "ee_limit": limit_ee_step, "ir_limit": limit_ir_step}[kind]
@@ -478,13 +480,18 @@ def check_adaptive_thetas(configs) -> None:
 
 
 def run_sampler(kind: str, target, ladder, configs, n_iterations: int, seed):
-    """Uniform entry point over the five sampler kinds.
+    """The one public way to run a sampler, for any of the five kinds.
 
     Adaptive kinds run the full ladder; the others run a single chain at
     the coldest level with the last config.  ``seed`` is one replication's
     seed, giving its Trajectory, or a sequence of seeds, giving a list with
     one Trajectory per seed, each exactly as its seed alone would run it.
-    One replication runs through the scalar kernels (``run_ladder``,
+    A run is deterministic given (arguments, seed): level l of seed s draws
+    from ``default_rng(SeedSequence(entropy=s, spawn_key=(l,)))`` (module
+    docstring), so adding levels never perturbs existing streams, the
+    level-0 trace of an adaptive run is the plain random walk of level 0's
+    stream, and a short run is the start of a longer one.  One replication
+    runs through the internal single-replication path (``run_ladder``,
     ``run_single``), several advance together through the batched engine:
     per step the engine makes a few dozen numpy calls whatever their number.
     """

@@ -27,9 +27,9 @@ from eesampler import (
     mse_harness,
     neighbor_proposal,
     poisson_solve,
-    run_ladder,
     simulate_matrix_chain,
 )
+from eesampler.ladder import run_ladder
 
 SIGMA = np.array([[0.96, 2.44], [2.44, 7.04]])
 JOBS = min(2, os.cpu_count() or 1)

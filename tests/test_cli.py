@@ -372,6 +372,26 @@ def test_wide_finite_energies_run_without_warnings(tmp_path, energies):
         assert main(["table1", path, "--jobs", "1"]) == 0
 
 
+@pytest.mark.parametrize("cfg", [
+    {"target": "finite", "energies": [0], "move_prob": 1.0},
+    {"target": "gaussian", "covariance": [[1e-300, 0], [0, 1e-300]]},
+], ids=["one-state", "every-move-rejected"])
+def test_zero_mse_tables_run_without_warnings(tmp_path, cfg):
+    # samplers that never leave the truth have MSE 0: the ratio 0/0 is nan,
+    # kept as the table's value, with nothing to warn about
+    path = write_config(tmp_path, "zero.yaml", {
+        **cfg, "temperatures": [4, 1], "theta": 0.5, "kernel": "ee", "iterations": 50,
+        "replications": 3, "seed": 1, "out": str(tmp_path / "out")})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", path]) == 0
+        assert main(["table1", path, "--jobs", "1"]) == 0
+    table = (tmp_path / "out" / "mse_table.csv").read_text()
+    rows = [row.split(",") for row in table.splitlines()]
+    estimands = len(rows[0]) - 2
+    assert rows[1:3] == [["rwm", "mse"] + ["0.0"] * estimands, ["rwm", "ratio"] + ["nan"] * estimands]
+
+
 def test_unreadable_and_malformed_configs(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.yaml")]) == 1
     bad = tmp_path / "bad.yaml"

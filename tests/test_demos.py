@@ -34,6 +34,6 @@ def readme_quickstart() -> str:
 
 def test_readme_quickstart_exits_zero(tmp_path):
     code = readme_quickstart()
-    assert "run_ladder(" in code  # the block found is the quickstart
+    assert "run_sampler(" in code  # the block found is the quickstart
     result = run_python(tmp_path, "-c", code)
     assert result.returncode == 0, result.stderr

@@ -75,3 +75,18 @@ def test_every_module_level_name_is_used_outside_its_definition():
                 unused.append(f"{path.name}:{first} {name}")
     assert "run_sampler" in {d[0] for d in module_level_definitions(trees[PACKAGE / "ladder.py"])}
     assert unused == []
+
+
+# the single-replication path behind ``run_sampler``, which alone reaches it
+INTERNAL_RUN_PATH = (
+    "Variates", "rwm_step", "ee_adaptive_step", "ir_adaptive_step", "limit_ee_step",
+    "limit_ir_step", "run_ladder", "run_single", "ladder_step", "init_ladder_state",
+    "level_variates", "level_rng", "Reservoir", "EmptyReservoirError",
+)
+
+
+def test_run_sampler_is_the_only_exported_run_entry():
+    names = exported_names()
+    assert "run_sampler" in names and "NonFiniteWeightError" in names
+    assert [name for name in names if name.startswith("run_")] == ["run_sampler"]
+    assert sorted(set(INTERNAL_RUN_PATH) & set(names)) == []

@@ -6,22 +6,24 @@ from eesampler import (
     GaussianTarget,
     KappaTooLargeError,
     KernelConfig,
-    Reservoir,
     TemperatureLadder,
-    Variates,
     acceptance_matrix,
     batch_means_variance,
-    ee_adaptive_step,
     finite_kernel_matrix,
-    ir_adaptive_step,
-    limit_ee_step,
-    limit_ir_step,
     metropolis_matrix,
     neighbor_proposal,
-    rwm_step,
     stationary_distribution,
     theta_lower_bound,
 )
+from eesampler.kernels import (
+    Variates,
+    ee_adaptive_step,
+    ir_adaptive_step,
+    limit_ee_step,
+    limit_ir_step,
+    rwm_step,
+)
+from eesampler.reservoir import Reservoir
 from eesampler.targets import importance_coefficient
 
 SIGMA = np.array([[0.96, 2.44], [2.44, 7.04]])

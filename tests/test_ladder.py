@@ -11,23 +11,17 @@ from eesampler import (
     GaussianTarget,
     KernelConfig,
     TemperatureLadder,
-    Variates,
     batch_means_variance,
     finite_kernel_matrix,
-    init_ladder_state,
     ladder_configs,
-    ladder_step,
-    level_rng,
-    level_variates,
     metropolis_matrix,
     neighbor_proposal,
     replication_seed,
-    run_ladder,
     run_sampler,
-    run_single,
 )
 from eesampler.cli import load_config
 from eesampler.kernels import (
+    Variates,
     limit_ee_step,
     limit_ir_step,
     rwm_step,
@@ -39,7 +33,13 @@ from eesampler.ladder import (
     BRANCH_CODES,
     SINGLE_KINDS,
     _engine,
+    init_ladder_state,
+    ladder_step,
+    level_rng,
+    level_variates,
     replication_bytes,
+    run_ladder,
+    run_single,
 )
 
 SIGMA = np.array([[0.96, 2.44], [2.44, 7.04]])

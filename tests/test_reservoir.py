@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from eesampler import EmptyReservoirError, NonFiniteWeightError, Reservoir
+from eesampler.reservoir import EmptyReservoirError, NonFiniteWeightError, Reservoir
 
 
 def test_first_push_defines_point_mass():
