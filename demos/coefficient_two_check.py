@@ -18,7 +18,7 @@ levels share a kernel and a law.  The script also prints the report's
 ``clt_variance``, the same sum with coefficient 4, which the replicated
 runs contradict; the report keeps it until the benchmark stops reading it.
 
-Run from the repository root (about 6 seconds):
+Run from the repository root (about 3 seconds):
 
     python demos/coefficient_two_check.py
 """

@@ -293,22 +293,61 @@ def _distinct(values) -> np.ndarray:
     return v[np.concatenate(([True], v[1:] != v[:-1]))]
 
 
-def _transition_table(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _InverseCdf:
+    """u -> b.searchsorted(u, side="right") for u in [0, 1), by a guide table.
+
+    ``b`` is sorted, distinct and holds 1.0.  Chen & Asau's guide table cuts
+    [0, 1) into K = 2^k buckets, K > 2 b.size: guide[t] counts the entries
+    <= t / K, which is the answer for every u in bucket t = floor(u K)
+    (exact, as K is a power of two) up to the entries strictly inside the
+    bucket.  Each correction pass adds 1 where b[q] <= u, so as many passes
+    as the most crowded bucket has entries make the lookup exact.  Entries
+    a few ulps apart share a bucket at every K, so when that count passes
+    log2(b.size) + 1 the passes bisect the bucket instead: q += h where
+    b[q + h - 1] <= u, for h = 2^(m-1), ..., 2, 1 and 2^m above the count.
+    """
+
+    def __init__(self, b: np.ndarray):
+        self.buckets = 1 << (b.size.bit_length() + 1)
+        self.guide = b.searchsorted(np.arange(self.buckets) / self.buckets, side="right")
+        scaled = b * self.buckets
+        bucket = scaled.astype(np.intp)
+        inside = (scaled != bucket) & (b < 1.0)
+        crowd = int(np.bincount(bucket[inside]).max(initial=0))
+        if crowd > np.log2(b.size) + 1:
+            self.steps = [1 << e for e in reversed(range(crowd.bit_length()))]
+        else:
+            self.steps = [1] * crowd
+        # a bisection step may read past the bucket's last entry: pad with 1.0 > u
+        self.edges = np.concatenate([b, np.ones(max(self.steps, default=1) - 1)])
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        q = self.guide.take((u * self.buckets).astype(np.intp))
+        for h in self.steps:
+            if h == 1:
+                q += self.edges.take(q) <= u
+            else:
+                q += h * (self.edges.take(q + (h - 1)) <= u)
+        return q
+
+
+def _transition_table(cum: np.ndarray) -> tuple[_InverseCdf, np.ndarray]:
     """Every row's inverse-CDF draw from one lookup.
 
     ``cum`` is a pinned cumulative matrix (see ``_pinned_cumsum``).  Returns
-    (b, table): b holds the sorted distinct entries of ``cum`` and
+    (draw, table): with b the sorted distinct entries of ``cum``,
+    draw(u) = searchsorted(b, u, "right") (``_InverseCdf``) and
     table[q, s] = searchsorted(cum[s], b[q-1], "right"), with row 0 all zero.
-    Every entry of ``cum`` is in b, so for u in [0, 1) and
-    q = searchsorted(b, u, "right"), table[q, s] equals
-    searchsorted(cum[s], u, "right") for every current state s at once: the
-    same next state as the direct draw, by integer lookup alone.
+    Every entry of ``cum`` is in b, so for u in [0, 1) and q = draw(u),
+    table[q, s] equals searchsorted(cum[s], u, "right") for every current
+    state s at once: the same next state as the direct draw, by integer
+    lookup alone.
     """
     b = _distinct(cum)
     table = np.zeros((b.size, cum.shape[0]), dtype=np.intp)
     for s, row in enumerate(cum):
         table[1:, s] = row.searchsorted(b[:-1], side="right")
-    return b, table
+    return _InverseCdf(b), table
 
 
 def _check_state(name: str, x: int, n: int):
@@ -318,10 +357,10 @@ def _check_state(name: str, x: int, n: int):
 
 def simulate_matrix_chain(matrix, n_steps: int, seed: int) -> np.ndarray:
     """Trajectory of a finite chain driven by an explicit matrix, from state 0."""
-    b, table = _transition_table(_pinned_cumsum(_check_stochastic(matrix)))
+    draw, table = _transition_table(_pinned_cumsum(_check_stochastic(matrix)))
     n = table.shape[1]
     rng = np.random.default_rng(seed)
-    codes = (b.searchsorted(rng.random(n_steps), side="right") * n).tolist()
+    codes = (draw(rng.random(n_steps)) * n).tolist()
     flat = table.ravel().tolist()
     out = []
     x = 0
@@ -347,10 +386,21 @@ def check_pair_table_size(p0, p1, log_r):
                          f"entries, more than {PAIR_TABLE_LIMIT}; use fewer states")
 
 
-def _visits(path: np.ndarray, n: int) -> np.ndarray:
-    """Visits to each of ``n`` states per column of ``path``, shape (columns, n)."""
-    r = path.shape[1]
-    return np.bincount((path + np.arange(r) * n).ravel(), minlength=r * n).reshape(r, n)
+def _walk(flat: np.ndarray, code: np.ndarray, s: np.ndarray, visits: np.ndarray) -> np.ndarray:
+    """Step the chain of each column of ``code`` once per row; return the path.
+
+    At row i, column c moves from state s[c] to flat[code[i, c] + s[c]].
+    ``s`` ends on the last states and ``visits`` (columns, states) gains
+    the path's visits, both in place.
+    """
+    path = np.empty(code.shape, dtype=np.intp)
+    state = s
+    for i in range(code.shape[0]):
+        state = flat.take(code[i] + state, out=path[i])
+    s[:] = state
+    r, n = visits.shape
+    visits += np.bincount((path + np.arange(r) * n).ravel(), minlength=r * n).reshape(r, n)
+    return path
 
 
 def ee_pair_scaled_sums(p0, p1, theta: float, log_r, f, n_steps: int,
@@ -369,12 +419,17 @@ def ee_pair_scaled_sums(p0, p1, theta: float, log_r, f, n_steps: int,
     Replications are processed in chunks of ``PAIR_CHUNK`` (chunk c
     seeded by spawn key (c,) of the master seed), and iterations in blocks
     of ``PAIR_BLOCK``, each drawing its variates with one generator call
-    per kind.  Each level advances by one gather per step from a
+    per kind.  Each chain advances by one gather per step from a
     transition table (``_transition_table``; the exchange moves add rows
-    "to y from every state whose log_r ranks below a").  The proposal
+    "to y from every state whose log_r ranks below a"), whose row comes
+    from the uniform by a guide table (``_InverseCdf``).  The proposal
     X_{j+1}, j ~ U{0..n-2}, is read from per-replication level-0 visit
-    counts by an integer inverse CDF, or from the current block, so no
-    history is stored.
+    counts by an integer inverse CDF, or, at the few j this block reached,
+    from the block's path, so no history is stored.  Level 1 runs one
+    block behind level 0: its codes need level 0's path through that
+    block, and then one gather loop over both levels' 2r columns, from one
+    table holding both levels' rows, advances the two chains together
+    (the first block of level 0, and a short last block, run alone).
     """
     m0, m1 = _check_stochastic(p0), _check_stochastic(p1)
     n = m0.shape[0]
@@ -392,8 +447,8 @@ def ee_pair_scaled_sums(p0, p1, theta: float, log_r, f, n_steps: int,
     _check_state("x0", x0, n)
     _check_state("x1", x1, n)
     check_pair_table_size(m0, m1, log_r)
-    b0, table0 = _transition_table(_pinned_cumsum(m0))
-    b1, table1 = _transition_table(_pinned_cumsum(m1))
+    draw0, table0 = _transition_table(_pinned_cumsum(m0))
+    draw1, table1 = _transition_table(_pinned_cumsum(m1))
     # exchange row (y, a) moves to y from every state whose log_r has rank < a;
     # a = #{k : log v < log_r[y] - levels[k]} is a prefix count, because
     # log_r[y] - levels[k] does not increase with k, so the rule is exactly
@@ -403,9 +458,10 @@ def ee_pair_scaled_sums(p0, p1, theta: float, log_r, f, n_steps: int,
     states = np.arange(n)
     exchange_rows = np.where(rank < np.arange(levels.size + 1)[:, None], states[:, None, None],
                              states)
-    flat0 = table0.ravel()
-    flat1 = np.concatenate([table1, exchange_rows.reshape(-1, n)]).ravel()
-    first_exchange_row = b1.size + states * (levels.size + 1)
+    # rows of level 0, then of level 1 (from row first1 on), then the exchange rows
+    flat = np.concatenate([table0, table1, exchange_rows.reshape(-1, n)]).ravel()
+    first1 = table0.shape[0]
+    first_exchange_row = first1 + table1.shape[0] + states * (levels.size + 1)
     gaps = (log_r[:, None] - levels).T
     out = np.empty(replications)
     done = 0
@@ -413,39 +469,42 @@ def ee_pair_scaled_sums(p0, p1, theta: float, log_r, f, n_steps: int,
     while done < replications:
         r = min(PAIR_CHUNK, replications - done)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
-        s0 = np.full(r, x0, dtype=np.intp)
-        s1 = np.full(r, x1, dtype=np.intp)
-        visits0 = np.zeros((r, n), dtype=np.int64)
-        visits1 = np.zeros((r, n), dtype=np.int64)
-        rows = np.arange(r)
+        # columns [0, r) are level 0, [r, 2r) level 1
+        s = np.repeat(np.array([x0, x1], dtype=np.intp), r)
+        visits = np.zeros((2 * r, n), dtype=np.int64)
+        code = np.empty((PAIR_BLOCK, 2 * r), dtype=np.intp)
+        lag = 0  # level-1 steps coded but not yet run
         for start in range(0, n_steps, PAIR_BLOCK):
             length = min(PAIR_BLOCK, n_steps - start)
-            step = np.arange(start + 1, start + length + 1)[:, None]
             u0, u1, u_branch, u_accept = rng.random((4, length, r))
-            j = rng.integers(0, np.maximum(step - 1, 1), size=(length, r))
-            code0 = b0.searchsorted(u0, side="right") * n
-            path0 = np.empty((length, r), dtype=np.intp)
-            for i in range(length):
-                s0 = flat0.take(code0[i] + s0, out=path0[i])
-            # X_{j+1}: the first `start` level-0 states are tallied in visits0,
-            # the rest are this block's path0
-            tallied = np.zeros_like(j)
-            for below in visits0.cumsum(axis=1)[:, :-1].T:
-                tallied += below <= j
-            y = np.where(j < start, tallied, path0[np.clip(j - start, 0, length - 1), rows])
+            j = rng.integers(0, np.maximum(np.arange(start, start + length), 1)[:, None],
+                             size=(length, r))
+            np.multiply(draw0(u0), n, out=code[:length, :r])
+            # X_{j+1} among the first `start` level-0 states, tallied in visits
+            y = np.zeros_like(j)
+            for below in visits[:r].cumsum(axis=1)[:, :-1].T:
+                y += below <= j
+            if lag == length:
+                path0 = _walk(flat, code[:length], s, visits)[:, :r]
+            else:
+                if lag:
+                    _walk(flat, code[:lag, r:], s[r:], visits[r:])
+                path0 = _walk(flat, code[:length, :r], s[:r], visits[:r])
+            # j >= start (rare after the first block): X_{j+1} is on this block's path
+            late, column = np.nonzero(j >= start)
+            y[late, column] = path0[j[late, column] - start, column]
             log_v = np.log(u_accept)
             a = np.zeros_like(j)
             for gap in gaps:
                 a += log_v < gap[y]
-            exchange = (u_branch >= theta) & (step >= 2)
-            code1 = np.where(exchange, first_exchange_row[y] + a,
-                             b1.searchsorted(u1, side="right")) * n
-            path1 = np.empty((length, r), dtype=np.intp)
-            for i in range(length):
-                s1 = flat1.take(code1[i] + s1, out=path1[i])
-            visits0 += _visits(path0, n)
-            visits1 += _visits(path1, n)
-        out[done : done + r] = visits1 @ f / np.sqrt(n_steps)
+            exchange = u_branch >= theta
+            if start == 0:
+                exchange[0] = False
+            np.multiply(np.where(exchange, first_exchange_row[y] + a, draw1(u1) + first1), n,
+                        out=code[:length, r:])
+            lag = length
+        _walk(flat, code[:lag, r:], s[r:], visits[r:])
+        out[done : done + r] = visits[r:] @ f / np.sqrt(n_steps)
         done += r
         chunk_index += 1
     return out

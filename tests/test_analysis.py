@@ -1,8 +1,11 @@
 import functools
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eesampler.analysis
 from eesampler import (
@@ -32,6 +35,7 @@ from eesampler import (
 )
 from eesampler.cli import TABLE1_KINDS, _table1_estimands, load_config
 from eesampler.kernels import acceptance_matrix
+from eesampler.targets import _pinned_cumsum
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -585,6 +589,89 @@ MALFORMED_PAIR_ARGS = {
 def test_pair_simulator_rejects_malformed_inputs(changes):
     with pytest.raises(ValueError):
         ee_pair_scaled_sums(**{**PAIR_ARGS, **changes})
+
+
+WELL_ENERGIES = np.array([0.0, 2.0, 4.0, 2.0, 0.0])
+WELL = metropolis_matrix(neighbor_proposal(5, 0.6), -WELL_ENERGIES)
+WELL_PI = np.exp(-WELL_ENERGIES) / np.exp(-WELL_ENERGIES).sum()
+SEVEN_ENERGIES = np.array([0.0, 0.3, 1.1, 2.0, 0.7, 1.6, 0.2])
+SEVEN = dict(
+    p0=metropolis_matrix(neighbor_proposal(7, 0.5), -SEVEN_ENERGIES / 3.0),
+    p1=metropolis_matrix(neighbor_proposal(7, 0.5), -SEVEN_ENERGIES),
+    theta=0.4, log_r=-(1.0 - 1.0 / 3.0) * SEVEN_ENERGIES,
+    f=np.array([1.0, -2.0, 0.5, 3.0, -1.0, 0.0, 2.0]),
+)
+
+
+def test_pair_simulator_bits_are_pinned():
+    # outputs recorded before the guide-table rewrite; a change to the variate
+    # schedule must edit these on purpose
+    f = np.array([1.0, 0.0, 0.0, 0.0, -1.0])
+    well = ee_pair_scaled_sums(WELL, WELL, 0.5, np.zeros(5), f - WELL_PI @ f,
+                               n_steps=1000, replications=7, seed=2010)
+    assert [v.hex() for v in well.tolist()] == [
+        "-0x1.b11b05373e1b7p+2", "0x1.995341a3c2c5ap+4", "0x1.94c583ada5b53p+3",
+        "-0x1.c558189986648p-2", "0x1.97ceacfc63c02p+4", "0x1.8c2b8ea3e0962p+4",
+        "0x1.2a0357073533dp+4",
+    ]
+    # two chunks (500 + 1) and a short last block (128 + 2)
+    seven = ee_pair_scaled_sums(**SEVEN, n_steps=130, replications=501, seed=7, x0=3, x1=5)
+    assert [seven[i].hex() for i in (0, 1, 250, 499, 500)] == [
+        "0x1.72782486debd4p+1", "0x1.61a13a23a611cp+2", "0x1.18a897cb05d53p+1",
+        "0x1.26b105c85fb97p+2", "0x1.99c2f2190da2cp+1",
+    ]
+    assert math.fsum(seven).hex() == "0x1.9a2aca13c6d59p+10"
+    one = ee_pair_scaled_sums(**SEVEN, n_steps=1, replications=16, seed=3, x1=3)
+    hexes = {"a": "0x1.8000000000000p+1", "b": "0x1.0000000000000p-1", "c": "-0x1.0000000000000p+0"}
+    assert [v.hex() for v in one.tolist()] == [hexes[k] for k in "abababaaaaccccab"]
+
+
+def adversarial_uniforms(b: np.ndarray, buckets: int) -> np.ndarray:
+    """0.0, every entry of b below 1 and its neighbours, every bucket edge, 1 - 2^-53."""
+    inner = b[b < 1.0]
+    u = np.concatenate([[0.0, 1.0 - 2.0**-53], inner, np.nextafter(inner, 0.0),
+                        np.nextafter(inner, 1.0), np.arange(buckets) / buckets])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+def check_inverse_cdf(cum: np.ndarray, extra=()):
+    b = eesampler.analysis._distinct(cum)
+    draw = eesampler.analysis._InverseCdf(b)
+    u = np.concatenate([adversarial_uniforms(b, draw.buckets), extra])
+    assert np.array_equal(draw(u), b.searchsorted(u, side="right"))
+    assert len(draw.steps) <= np.log2(b.size) + 1
+    return b, draw
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 9), data=st.data())
+def test_guide_table_matches_searchsorted(n, data):
+    weights = data.draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-18, 1.0), st.sampled_from([1e-16, 0.1, 0.25, 0.5])),
+        min_size=n * n, max_size=n * n))
+    m = np.array(weights).reshape(n, n) + np.eye(n) * 1e-12
+    m /= m.sum(axis=1, keepdims=True)
+    extra = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+    check_inverse_cdf(_pinned_cumsum(m), extra)
+
+
+def test_guide_table_bisects_a_clustered_bucket():
+    # 0.7 followed by 20 boundaries one ulp apart: no bucket width splits them
+    m = np.full((22, 22), 1 / 22)
+    m[0] = [0.7] + [1.2e-16] * 20 + [0.3 - 20 * 1.2e-16]
+    m[1] = m[0, ::-1]
+    cum = _pinned_cumsum(m)
+    assert np.count_nonzero(np.diff(cum[0]) == np.spacing(0.7)) >= 19
+    _, draw = check_inverse_cdf(cum)
+    assert draw.steps[0] > 1  # bisection, not one pass per clustered entry
+
+
+def test_guide_table_at_the_size_guard_limit():
+    n = 140
+    m = random_chain(np.random.default_rng(31), n)
+    eesampler.analysis.check_pair_table_size(m, m, np.linspace(0.0, 1.0, n))  # admitted
+    b, _ = check_inverse_cdf(_pinned_cumsum(m))
+    assert b.size > n * (n - 1)
 
 
 # --- replication harness --------------------------------------------------------
