@@ -16,11 +16,13 @@ documented in the README and in the bundled files under demos/configs/;
 any other key is a config error.  ``oracle`` reads a two-level finite
 sampler config plus the keys in ``ORACLE_KEYS``, which ``run`` and
 ``table1`` refuse, and ``validate`` checks a config for ``oracle`` when
-one of those keys is present, else for the samplers.  A digest of the
-parsed config is embedded in every metadata sidecar, and CSV output is
-byte-identical across repeated invocations (timestamps only live in the
-sidecars).  If a command fails after its output directory was created, a
-FAILED sentinel file with the error is left there.
+one of those keys is present, else for the samplers.  Every command reads
+the one ``RunConfig`` that the shared parse builds, in which ``p0``/``p1``
+are the oracle's level base matrices.  A digest of the parsed config is
+embedded in every metadata sidecar, and CSV output is byte-identical
+across repeated invocations (timestamps only live in the sidecars).  If
+a command fails after its output directory was created, a FAILED
+sentinel file with the error is left there.
 """
 
 from __future__ import annotations
@@ -151,8 +153,11 @@ def config_digest(raw: dict) -> str:
 @dataclass
 class RunConfig:
     """A validated config.  ``levels`` holds each finite level's energies; in the
-    oracle's explicit-law form ``target`` and ``ladder`` are None.
-    ``theta_bounds`` is the (lines, warnings) of ``theta_bound_report``."""
+    oracle's explicit-law form ``target`` and ``ladder`` are None.  On a finite
+    target ``configs[l].base_matrix`` is level l's base matrix: ``p<l>`` where
+    given, else a Metropolis matrix.  ``theta_bounds`` is the (lines, warnings)
+    of ``theta_bound_report``.  The oracle's ``f`` and cross-check shape
+    (replications, iterations) are None elsewhere, as is a skipped cross-check."""
 
     raw: dict
     target: object
@@ -166,6 +171,8 @@ class RunConfig:
     burn_in: int
     out: Path
     theta_bounds: tuple
+    f: np.ndarray | None = None
+    crosscheck: tuple | None = None
 
 
 # the oracle's additions to a finite sampler config
@@ -230,25 +237,36 @@ def _state_matrix(key, value, n) -> np.ndarray:
 
 
 def _finite_bases(raw, n, log_weights) -> list:
-    """One Metropolis base matrix per log-weight vector, over ``proposal_matrix``
-    (else the nearest-neighbor proposal with ``move_prob``)."""
-    if "proposal_matrix" in raw:
+    """Level l's base matrix, for each level's log-weight vector: ``p<l>`` where
+    given, else the Metropolis matrix over ``proposal_matrix`` (else the
+    nearest-neighbor proposal with ``move_prob``)."""
+    keys = [f"p{level}" for level in range(len(log_weights))]
+    if all(key in raw for key in keys):  # then no base matrix is built from the proposal
+        for stray in sorted({"move_prob", "proposal_matrix"} & raw.keys()):
+            _fail(stray, "has no effect beside p0 and p1")
+    elif "proposal_matrix" in raw:
         proposal = _state_matrix("proposal_matrix", raw["proposal_matrix"], n)
     else:
         move_prob = _float("move_prob", raw.get("move_prob", 1.0))
         proposal = _checked("move_prob", neighbor_proposal, n, move_prob)
-    return [_checked("proposal_matrix", metropolis_matrix, proposal, lw) for lw in log_weights]
+    return [_state_matrix(key, raw[key], n) if key in raw
+            else _checked("proposal_matrix", metropolis_matrix, proposal, lw)
+            for key, lw in zip(keys, log_weights)]
 
 
-def _parse(raw, kernel, seed, out_override, kinds, required) -> RunConfig:
-    """The rules every config shares, for a command that runs the kernels
-    ``kinds`` and needs the keys ``required`` (from "seed" and "iterations")."""
+def _parse(raw, kernel, seed, out_override, oracle) -> RunConfig:
+    """The rules every config shares, for the oracle (which prices ``ee`` and
+    needs a seed for a cross-check only) or for the samplers (which refuse
+    the oracle's keys and need a seed and ``iterations``)."""
     for key in raw:  # so that a misspelt key cannot fall back to a default unnoticed
         if key not in CONFIG_KEYS:
             _fail(key, "unknown key")
+    kinds = ("ee",) if oracle else ADAPTIVE_KINDS + SINGLE_KINDS
     if kernel is not None and kernel not in kinds:
         _fail("kernel", f"must be one of {kinds}, got {kernel!r}")
     target, ladder, levels = _build_levels(raw)
+    for key in () if oracle else sorted(ORACLE_KEYS & raw.keys()):  # never ignore p0/p1 silently
+        _fail(key, "is read by the oracle command only")
     theta = raw.get("theta", 0.5)
     if isinstance(theta, list):
         thetas = _float_list("theta", theta)
@@ -268,9 +286,10 @@ def _parse(raw, kernel, seed, out_override, kinds, required) -> RunConfig:
         configs = _checked("theta", ladder_configs, ladder, thetas, **kwargs)
     if kernel not in SINGLE_KINDS:  # an adaptive (or unnamed) kernel cannot run at theta 0
         _checked("theta", check_adaptive_thetas, configs)
-    seed = _int_at_least("seed", raw.get("seed") if seed is None else seed, 0, "seed" in required)
+    seed_required = not oracle or raw.get("crosscheck_replications") is not None
+    seed = _int_at_least("seed", raw.get("seed") if seed is None else seed, 0, seed_required)
     burn_in = _int_at_least("burn_in", raw.get("burn_in", 0), 0)
-    iterations = _int_at_least("iterations", raw.get("iterations"), 1, "iterations" in required)
+    iterations = _int_at_least("iterations", raw.get("iterations"), 1, not oracle)
     if iterations is not None and burn_in >= iterations:
         _fail("burn_in", f"must be below iterations={iterations}")
     out = raw.get("out", "results") if out_override is None else out_override
@@ -294,11 +313,7 @@ def _parse(raw, kernel, seed, out_override, kinds, required) -> RunConfig:
 def load_config(path, kernel_override=None, seed_override=None, out_override=None) -> RunConfig:
     """A sampler config, for ``run``, ``table1`` and ``validate``."""
     raw = load_raw_config(path)
-    config = _parse(raw, kernel_override or raw.get("kernel"), seed_override, out_override,
-                    ADAPTIVE_KINDS + SINGLE_KINDS, ("seed", "iterations"))
-    for key in sorted(ORACLE_KEYS & raw.keys()):  # never ignore an explicit p0/p1 silently
-        _fail(key, "is read by the oracle command only")
-    return config
+    return _parse(raw, kernel_override or raw.get("kernel"), seed_override, out_override, False)
 
 
 def theta_bound_report(raw, temps, configs):
@@ -371,10 +386,9 @@ def _guarded(outdir: Path, work):
 def cmd_validate(args) -> int:
     raw = load_raw_config(args.config)
     if ORACLE_KEYS & raw.keys():  # an oracle-only key makes it an oracle config
-        cfg = load_oracle_config(args.config)
-        oracle_report(cfg)  # an instance it cannot price is a config error
-        config, verdict = cfg["config"], "valid oracle instance"
-        summary = f"states: {cfg['e0'].size}, theta: {cfg['theta']}"
+        config, verdict = load_oracle_config(args.config), "valid oracle instance"
+        oracle_report(config)  # an instance it cannot price is a config error
+        summary = f"states: {config.levels[0].size}, theta: {config.configs[1].theta}"
     else:
         config, verdict = load_config(args.config), "valid"
         summary = (f"target: {raw['target']}, levels: {config.ladder.n_levels}, "
@@ -469,12 +483,11 @@ def cmd_table1(args) -> int:
 # --- the finite-instance oracle command ----------------------------------------
 
 
-def load_oracle_config(path, seed_override=None, out_override=None) -> dict:
-    """A finite sampler config with two levels, plus the oracle's keys."""
+def load_oracle_config(path, seed_override=None, out_override=None) -> RunConfig:
+    """A finite sampler config with two levels, plus the oracle's keys: ``p0``
+    and ``p1`` as the levels' base matrices, ``f`` and the cross-check shape."""
     raw = load_raw_config(path)
-    reps = raw.get("crosscheck_replications")
-    config = _parse(raw, raw.get("kernel"), seed_override, out_override, ("ee",),
-                    () if reps is None else ("seed",))  # the cross-check draws variates
+    config = _parse(raw, raw.get("kernel"), seed_override, out_override, True)
     if config.levels is None:
         _fail("target", "the oracle command works on finite targets")
     if len(config.levels) != 2:
@@ -482,35 +495,22 @@ def load_oracle_config(path, seed_override=None, out_override=None) -> dict:
                               "(or explicit energies0/energies1)")
     e0, e1 = config.levels
     n = e0.size
-    if "p0" in raw and "p1" in raw:  # then no base matrix is built from the proposal
-        for stray in sorted({"move_prob", "proposal_matrix"} & raw.keys()):
-            _fail(stray, "has no effect beside p0 and p1")
-    p0, p1 = (_state_matrix(key, raw[key], n) if key in raw else level.base_matrix
-              for key, level in zip(("p0", "p1"), config.configs))
-    f = _checked("f", np.asarray, raw.get("f", np.arange(n, dtype=float)), float)
-    if f.shape != (n,) or not np.all(np.isfinite(f)):
-        _fail("f", f"must be {n} finite values (one per state), got shape {f.shape}")
+    config.f = _checked("f", np.asarray, raw.get("f", np.arange(n, dtype=float)), float)
+    if config.f.shape != (n,) or not np.all(np.isfinite(config.f)):
+        _fail("f", f"must be {n} finite values (one per state), got shape {config.f.shape}")
+    reps = raw.get("crosscheck_replications")
     if reps is None and "crosscheck_iterations" in raw:
         _fail("crosscheck_iterations", "has no effect without crosscheck_replications")
     if reps is not None:  # the cross-check reports a sample variance, which needs two
         _int_at_least("crosscheck_replications", reps, 2)
-        _checked("crosscheck_replications", check_pair_table_size, p0, p1, e0 - e1)
-    return {
-        "config": config,
-        "e0": e0,
-        "e1": e1,
-        "theta": config.configs[1].theta,
-        "p0": p0,
-        "p1": p1,
-        "f": f,
-        "crosscheck_replications": reps,
-        "crosscheck_iterations": _int_at_least(
-            "crosscheck_iterations", raw.get("crosscheck_iterations", 100_000), 1
-        ),
-    }
+        _checked("crosscheck_replications", check_pair_table_size,
+                 config.configs[0].base_matrix, config.configs[1].base_matrix, e0 - e1)
+        iterations = raw.get("crosscheck_iterations", 100_000)
+        config.crosscheck = (reps, _int_at_least("crosscheck_iterations", iterations, 1))
+    return config
 
 
-def oracle_report(cfg) -> tuple:
+def oracle_report(config) -> tuple:
     """VarianceReport for an oracle config, plus the limit-kernel model and log r.
 
     A failure is a config error of the key behind the failing level's matrix:
@@ -519,22 +519,23 @@ def oracle_report(cfg) -> tuple:
     solves.  Then, as for a report with a non-finite value, f is too large
     for the report's floats.
     """
-    raw = cfg["config"].raw
+    raw = config.raw
     proposal = "proposal_matrix" if "proposal_matrix" in raw else "move_prob"
     key0, key1 = (key if key in raw else proposal for key in ("p0", "p1"))
-    pi0 = FiniteTarget(cfg["e0"]).tempered_probabilities(1.0)
-    pi1 = FiniteTarget(cfg["e1"]).tempered_probabilities(1.0)
-    log_r = cfg["e0"] - cfg["e1"]
-    model0 = _checked(key0, FiniteChainModel, cfg["p0"], pi0)
-    limit_matrix = ee_limit_matrix(cfg["p1"], pi0, log_r, cfg["theta"])
+    (e0, e1), (c0, c1) = config.levels, config.configs
+    pi0 = FiniteTarget(e0).tempered_probabilities(1.0)
+    pi1 = FiniteTarget(e1).tempered_probabilities(1.0)
+    log_r = e0 - e1
+    model0 = _checked(key0, FiniteChainModel, c0.base_matrix, pi0)
+    limit_matrix = ee_limit_matrix(c1.base_matrix, pi0, log_r, c1.theta)
     limit = _checked(key1, FiniteChainModel, limit_matrix, pi1)
-    f = cfg["f"]
+    f = config.f
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            report = ee_limit_clt_variance(model0, limit, cfg["theta"], f, log_r)
+            report = ee_limit_clt_variance(model0, limit, c1.theta, f, log_r)
         except ValueError as exc:
             _checked(key1, FiniteChainModel, limit_matrix)  # raises if the limit kernel is reducible
-            _checked(key0, ee_limit_clt_variance, model0, limit, cfg["theta"],
+            _checked(key0, ee_limit_clt_variance, model0, limit, c1.theta,
                      f / (np.abs(f).max() or 1.0), log_r)
             _fail("f", f"too large for the variance report's floats ({exc})")
     if not np.isfinite(astuple(report)).all():
@@ -542,46 +543,34 @@ def oracle_report(cfg) -> tuple:
     return report, limit, log_r
 
 
-def format_variance_report(report, theta, crosscheck=None) -> str:
-    lines = [
-        "# two-level equi-energy variance report",
-        f"theta: {theta}",
-        f"sigma_star_sq: {report.sigma_star_sq!r}",
-        f"gamma_gbar: {report.gamma_gbar!r}",
-        f"clt_variance: {report.clt_variance!r}",
-        f"second_moment_limit: {report.second_moment_limit!r}",
-    ]
-    if crosscheck is not None:
-        lines.append(f"crosscheck_sample_variance: {crosscheck['variance']!r}")
-        lines.append(f"crosscheck_standard_error: {crosscheck['std_err']!r}")
-        lines.append(f"crosscheck_replications: {crosscheck['replications']}")
-        lines.append(f"crosscheck_iterations: {crosscheck['iterations']}")
-    return "\n".join(lines)
-
-
 def cmd_oracle(args) -> int:
-    cfg = load_oracle_config(args.config, seed_override=args.seed, out_override=args.out)
-    config = cfg["config"]
-    report, limit, log_r = oracle_report(cfg)
+    config = load_oracle_config(args.config, seed_override=args.seed, out_override=args.out)
+    report, limit, log_r = oracle_report(config)
+    p0, p1 = (level.base_matrix for level in config.configs)
+    theta = config.configs[1].theta
 
     def work():
-        crosscheck = None
-        if cfg["crosscheck_replications"] is not None:
-            reps = cfg["crosscheck_replications"]
-            iters = cfg["crosscheck_iterations"]
-            fc = cfg["f"] - limit.stationary @ cfg["f"]
-            scaled = ee_pair_scaled_sums(
-                cfg["p0"], cfg["p1"], cfg["theta"], log_r, fc,
-                n_steps=iters, replications=reps, seed=config.seed,
-            )
+        lines = [
+            "# two-level equi-energy variance report",
+            f"theta: {theta}",
+            f"sigma_star_sq: {report.sigma_star_sq!r}",
+            f"gamma_gbar: {report.gamma_gbar!r}",
+            f"clt_variance: {report.clt_variance!r}",
+            f"second_moment_limit: {report.second_moment_limit!r}",
+        ]
+        if config.crosscheck is not None:
+            reps, iters = config.crosscheck
+            fc = config.f - limit.stationary @ config.f
+            scaled = ee_pair_scaled_sums(p0, p1, theta, log_r, fc, n_steps=iters,
+                                         replications=reps, seed=config.seed)
             var = float(scaled.var(ddof=1))
-            crosscheck = {
-                "variance": var,
-                "std_err": var * float(np.sqrt(2.0 / (reps - 1))),
-                "replications": reps,
-                "iterations": iters,
-            }
-        text = format_variance_report(report, cfg["theta"], crosscheck)
+            lines += [
+                f"crosscheck_sample_variance: {var!r}",
+                f"crosscheck_standard_error: {var * float(np.sqrt(2.0 / (reps - 1)))!r}",
+                f"crosscheck_replications: {reps}",
+                f"crosscheck_iterations: {iters}",
+            ]
+        text = "\n".join(lines)
         (config.out / "variance_report.txt").write_text(text + "\n")
         _write_metadata(config.out / "variance_report.meta.json", config.raw, config.seed)
         print(text)

@@ -240,16 +240,13 @@ def _check_ladder(ladder, configs) -> None:
     check_adaptive_thetas(configs)
 
 
-def _single_level(kind, ladder, level) -> int:
-    """The level a single chain of ``kind`` runs at (default: the coldest), checked."""
+def _single_level(kind, ladder) -> int:
+    """The level a single chain of ``kind`` runs at: the coldest, checked."""
     if kind not in SINGLE_KINDS:
         raise ValueError(f"kind must be one of {SINGLE_KINDS}, got {kind!r}")
-    if level is None:
-        level = ladder.top_level
-    ladder._check_level(level)
-    if kind == "ee_limit" and level == 0:
-        raise ValueError("the limit EE kernel needs a hotter level and cannot run at level 0")
-    return level
+    if kind == "ee_limit" and ladder.top_level == 0:
+        raise ValueError("the limit EE kernel needs a hotter level, which a one-level ladder lacks")
+    return ladder.top_level
 
 
 def _check_iterations(n_iterations) -> None:
@@ -286,15 +283,11 @@ def run_ladder(target, ladder, configs, scheme: str, n_iterations: int, seed: in
 
 
 def run_single(target, ladder, config: KernelConfig, kind: str, n_iterations: int,
-               seed: int, level: int | None = None) -> Trajectory:
+               seed: int) -> Trajectory:
     """Internal single-replication path of ``run_sampler`` for a non-adaptive
-    ``kind`` (rwm, ee_limit or ir_limit): one chain of one seed.
-
-    The chain sits at ``level`` of the ladder (default: the coldest, as
-    ``run_sampler`` runs it) and uses that level's variate stream, so a rwm
-    run at level 0 reproduces the level-0 trace of a ladder run bit for bit.
-    """
-    level = _single_level(kind, ladder, level)
+    ``kind`` (rwm, ee_limit or ir_limit): one chain of one seed at the
+    ladder's coldest level, on that level's variate stream."""
+    level = _single_level(kind, ladder)
     step = {"rwm": rwm_step, "ee_limit": limit_ee_step, "ir_limit": limit_ir_step}[kind]
 
     def steps():
@@ -326,7 +319,7 @@ def _engine(kind, target, ladder, configs, n_iterations, seeds):
         _check_ladder(ladder, configs)
         levels = range(ladder.n_levels)
     else:
-        levels, configs = [_single_level(kind, ladder, None)], configs[-1:]
+        levels, configs = [_single_level(kind, ladder)], configs[-1:]
     _check_iterations(n_iterations)
     finite = target.kind == "finite"
     n_rep, n_lev, n = len(seeds), len(levels), n_iterations

@@ -88,7 +88,7 @@ class Reservoir:
         if energy is None or not math.isfinite(energy):
             raise ValueError(f"a pushed state needs a finite energy, got {energy!r}")
         if self._cum is not None:
-            lw = -self.coefficient * energy
+            lw = float(-self.coefficient * energy)
             if not math.isfinite(lw):
                 raise NonFiniteWeightError("resampling log weights must be finite")
         if self.dimension is None:
@@ -105,7 +105,11 @@ class Reservoir:
         self._buf[n] = x
         self._energy[n] = energy
         if self._cum is not None:
-            self._cum[n] = np.logaddexp(self._cum[n - 1], lw) if n else lw
+            if n:  # np.logaddexp's formula in Python floats, which do not warn
+                # when two log weights lie further apart than the float range
+                last = float(self._cum[n - 1])
+                lw = max(last, lw) + math.log1p(math.exp(-abs(last - lw)))
+            self._cum[n] = lw
         self._count = n + 1
 
     def _item(self, k: int) -> tuple:

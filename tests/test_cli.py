@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eesampler.analysis
+import eesampler.cli
 from eesampler import FiniteChainModel, ee_limit_clt_variance, ee_limit_matrix
 from eesampler.cli import CONFIG_KEYS, load_config, load_oracle_config, main, oracle_report
 
@@ -311,8 +312,9 @@ def test_oracle_against_independent_model_construction(tmp_path):
     e0, e1 = e / 4.0, e / 1.0
     pi0 = np.exp(-e0) / np.exp(-e0).sum()
     pi1 = np.exp(-e1) / np.exp(-e1).sum()
-    model0 = FiniteChainModel(parsed["p0"], pi0)
-    limit = FiniteChainModel(ee_limit_matrix(parsed["p1"], pi0, e0 - e1, 0.4), pi1)
+    p0, p1 = (level.base_matrix for level in parsed.configs)
+    model0 = FiniteChainModel(p0, pi0)
+    limit = FiniteChainModel(ee_limit_matrix(p1, pi0, e0 - e1, 0.4), pi1)
     direct = ee_limit_clt_variance(model0, limit, 0.4, np.array(cfg["f"]), log_r=e0 - e1)
     assert report.sigma_star_sq == pytest.approx(direct.sigma_star_sq, rel=1e-14)
     assert report.gamma_gbar == pytest.approx(direct.gamma_gbar, rel=1e-14)
@@ -357,14 +359,19 @@ def test_failure_sentinel_on_midrun_error(tmp_path, capsys):
     assert "variance_report.txt" in sentinel.read_text()
 
 
-@pytest.mark.parametrize("energies", [[1e308, 0, -1e308], [0, 1e308, -1e308]],
-                         ids=["high-start", "low-end"])
-def test_wide_finite_energies_run_without_warnings(tmp_path, energies):
+@pytest.mark.parametrize("overrides", [
+    {"energies": [1e308, 0, -1e308]},
+    {"energies": [0, 1e308, -1e308]},
+    # at coefficient 3/4 two log weights lie further apart than the float range
+    {"energies": [1.5e308, 0, -1.5e308], "temperatures": [4, 1], "seed": 2,
+     "proposal_matrix": [[0.5, 0, 0.5], [0, 0.5, 0.5], [0.5, 0.5, 0]]},
+], ids=["high-start", "low-end", "wide-log-weights"])
+def test_wide_finite_energies_run_without_warnings(tmp_path, overrides):
     # a difference of energies past the float range is +-inf, which gives
     # the right probability (0 or 1): nothing to warn about
     path = write_config(tmp_path, "wide.yaml", {
-        "target": "finite", "energies": energies, "temperatures": [2, 1], "kernel": "ir",
-        "iterations": 10, "seed": 1, "replications": 3, "out": str(tmp_path / "out")})
+        "target": "finite", "temperatures": [2, 1], "kernel": "ir", "iterations": 10,
+        "seed": 1, "replications": 3, "out": str(tmp_path / "out"), **overrides})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["validate", path]) == 0
@@ -592,6 +599,18 @@ def test_malformed_key_is_a_config_error(tmp_path, capsys, make, overrides, key)
         assert main([command, path]) == 1
         assert f"config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def test_explicit_p0_p1_are_the_level_base_matrices(tmp_path, monkeypatch):
+    # beside both p0 and p1 no Metropolis base matrix is built and thrown away
+    def unused(*args):
+        raise AssertionError("a proposal was built beside p0 and p1")
+
+    monkeypatch.setattr(eesampler.cli, "metropolis_matrix", unused)
+    monkeypatch.setattr(eesampler.cli, "neighbor_proposal", unused)
+    parsed = load_oracle_config(oracle_config(tmp_path, **THREE_STATES, p0=IID_3, p1=UNIFORM_3))
+    assert np.array_equal(parsed.configs[0].base_matrix, IID_3)
+    assert np.array_equal(parsed.configs[1].base_matrix, UNIFORM_3)
 
 
 def test_a_proposal_key_counts_only_beside_one_explicit_matrix(tmp_path, capsys):

@@ -60,7 +60,7 @@ def test_zero_adaptive_levels_is_plain_rwm():
     ladder = TemperatureLadder((1.0,))
     configs = ladder_configs(ladder, (), proposal_covariance=np.eye(2))
     traj = run_ladder(target, ladder, configs, "ee", 500, seed=5)
-    single = run_single(target, ladder, configs[0], "rwm", 500, seed=5, level=0)
+    single = run_single(target, ladder, configs[0], "rwm", 500, seed=5)
     assert np.array_equal(traj.states[0], single.states[0])
 
 
@@ -124,8 +124,14 @@ def test_level_zero_trace_matches_single_rwm_run():
     ladder = TemperatureLadder((10.0, 5.0, 2.0, 1.0))
     configs = ladder_configs(ladder, (0.5, 0.5, 0.5), proposal_covariance=np.eye(2))
     traj = run_ladder(target, ladder, configs, "ee", 300, seed=77)
-    single = run_single(target, ladder, configs[0], "rwm", 300, seed=77, level=0)
-    assert np.array_equal(traj.states[0], single.states[0])
+    # a random walk at level 0 on level 0's variate stream, stepped by hand
+    x, states = target.initial_state(), []
+    energy = target.energy(x)
+    for _, v in zip(range(300), level_variates(77, 0, target)):
+        out = rwm_step(target, ladder, 0, x, configs[0], v, energy)
+        x, energy = out.next, out.energy
+        states.append(x)
+    assert np.array_equal(traj.states[0], states)
 
 
 def test_run_single_rwm_matches_manual_metropolis():
@@ -197,8 +203,8 @@ def test_run_single_validations():
     target = GaussianTarget(np.eye(2))
     ladder = TemperatureLadder((2.0, 1.0))
     config = KernelConfig(theta=0.5, proposal_covariance=np.eye(2))
-    with pytest.raises(ValueError):
-        run_single(target, ladder, config, "ee_limit", 10, seed=0, level=0)
+    with pytest.raises(ValueError, match="hotter level"):
+        run_single(target, TemperatureLadder((1.0,)), config, "ee_limit", 10, seed=0)
     with pytest.raises(ValueError):
         run_single(target, ladder, config, "nope", 10, seed=0)
     with pytest.raises(ValueError):
