@@ -103,7 +103,7 @@ def _proposal_scale(raw, target) -> float:
     if not (scale > 0.0 and 0.0 < scale * scale < math.inf):
         _fail("proposal_scale", f"must be finite and positive, and so must its square; got {scale!r}")
     step = PROPOSAL_SDS * scale
-    stiffest = float(np.abs(np.linalg.inv(target.covariance)).sum(axis=1).max())
+    stiffest = float(np.abs(target._precision).sum(axis=1).max())
     step_energy = 0.5 * step * step * stiffest  # no float product raises; it overflows to inf
     if not step_energy < math.inf:
         _fail("proposal_scale", f"a step of {PROPOSAL_SDS:g} proposal standard deviations "
@@ -391,6 +391,7 @@ def cmd_validate(args) -> int:
         summary = f"states: {config.levels[0].size}, theta: {config.configs[1].theta}"
     else:
         config, verdict = load_config(args.config), "valid"
+        _checked("theta", check_adaptive_thetas, config.configs)  # valid for table1 too
         summary = (f"target: {raw['target']}, levels: {config.ladder.n_levels}, "
                    f"iterations: {config.iterations}, replications: {config.replications}")
     lines, warnings = config.theta_bounds

@@ -26,7 +26,8 @@ that came without one, a local or inner proposal or an exact draw.
 A single replication steps through these functions, one level-step at a
 time, on the batched engine's variate schedule (``ladder``); several
 replications advance together through the engine, by the same rules and
-with the same bits.
+with the same bits.  ``ladder.run_sampler`` checks a run once, so these
+kernels trust their arguments and check only the energies they evaluate.
 
 On finite targets the "random walk Metropolis" base kernel is a single
 row draw from a caller-supplied stochastic matrix with the right
@@ -144,19 +145,14 @@ def rwm_step(target, ladder, level, x, config: KernelConfig, v: Variates, energy
     chol the Cholesky factor of the proposal covariance, and accept when
     log u < log pi(y) - log pi(x), u the accept uniform.  Finite targets:
     the row uniform's inverse-CDF draw from the configured base matrix's
-    row (assumed stationary for the tempered law at this level).
+    row (assumed stationary for the tempered law at this level).  x and
+    the config are trusted to fit the target, as ``run_sampler`` checks.
     """
     if target.kind == "finite":
         y = int(config._base_cum[int(x)].searchsorted(v.proposal, side="right"))
         return StepOutcome(y, LOCAL, True, checked_energy(target, y))
-    x = np.asarray(x, dtype=float)
-    chol = config._proposal_chol
-    if chol.shape[0] != x.shape[0]:
-        raise ValueError(
-            f"proposal dimension {chol.shape[0]} does not match state dimension {x.shape[0]}"
-        )
     t = ladder.temperature(level)
-    y = x + _matvec(chol, v.proposal)
+    y = x + _matvec(config._proposal_chol, v.proposal)
     ey = checked_energy(target, y)
     if _log_uniform(v.accept) < (-ey / t) - (-energy / t):
         return StepOutcome(y, LOCAL, True, ey)

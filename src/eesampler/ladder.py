@@ -9,6 +9,8 @@ for iteration n, the level-(l-1) reservoir must contain exactly the states
 from iterations 1..n-1.
 
 ``run_sampler`` is the public entry point; it takes one seed or a list.
+It checks a run once, before dispatch; the paths behind it trust their
+arguments and check only what a run produces, such as non-finite energies.
 One replication runs through the internal single-replication path,
 ``run_ladder`` or ``run_single``: the scalar kernels of ``kernels.py``, one
 level-step at a time (``ladder_step`` advances every level, then pushes
@@ -139,8 +141,6 @@ def init_ladder_state(target, ladder, scheme: str) -> LadderState:
     initial state's energy is evaluated here, so every step receives the
     energy of its current state.
     """
-    if scheme not in ADAPTIVE_KINDS:
-        raise ValueError(f"scheme must be 'ee' or 'ir', got {scheme!r}")
     states = [target.initial_state() for _ in range(ladder.n_levels)]
     dim = None if target.kind == "finite" else target.dimension
     reservoirs = [Reservoir(dim, importance_coefficient(ladder, reader) if scheme == "ir" else None)
@@ -234,30 +234,9 @@ class Trajectory:
                     writer.writerow(row)
 
 
-def _check_ladder(ladder, configs) -> None:
-    if len(configs) != ladder.n_levels:
-        raise ValueError(f"need {ladder.n_levels} kernel configs, got {len(configs)}")
-    check_adaptive_thetas(configs)
-
-
-def _single_level(kind, ladder) -> int:
-    """The level a single chain of ``kind`` runs at: the coldest, checked."""
-    if kind not in SINGLE_KINDS:
-        raise ValueError(f"kind must be one of {SINGLE_KINDS}, got {kind!r}")
-    if kind == "ee_limit" and ladder.top_level == 0:
-        raise ValueError("the limit EE kernel needs a hotter level, which a one-level ladder lacks")
-    return ladder.top_level
-
-
-def _check_iterations(n_iterations) -> None:
-    if n_iterations < 1:
-        raise ValueError("n_iterations must be at least 1")
-
-
 def _scalar_trajectory(target, n_levels, n_iterations, steps) -> Trajectory:
     """The Trajectory of the first ``n_iterations`` items of ``steps``, each
     one iteration's outcome at every level."""
-    _check_iterations(n_iterations)
     finite = target.kind == "finite"
     shape = (n_iterations,) if finite else (n_iterations, target.dimension)
     states = [np.empty(shape, dtype=np.int64 if finite else float) for _ in range(n_levels)]
@@ -275,7 +254,6 @@ def run_ladder(target, ladder, configs, scheme: str, n_iterations: int, seed: in
     """Internal single-replication path of ``run_sampler`` for an adaptive
     ``scheme``: one seed's ladder through ``ladder_step``, as the engine runs it."""
     state = init_ladder_state(target, ladder, scheme)
-    _check_ladder(ladder, configs)
     streams = [level_variates(seed, level, target) for level in range(ladder.n_levels)]
     steps = (ladder_step(state, target, ladder, configs, variates)
              for variates in zip(*streams))
@@ -287,7 +265,7 @@ def run_single(target, ladder, config: KernelConfig, kind: str, n_iterations: in
     """Internal single-replication path of ``run_sampler`` for a non-adaptive
     ``kind`` (rwm, ee_limit or ir_limit): one chain of one seed at the
     ladder's coldest level, on that level's variate stream."""
-    level = _single_level(kind, ladder)
+    level = ladder.top_level
     step = {"rwm": rwm_step, "ee_limit": limit_ee_step, "ir_limit": limit_ir_step}[kind]
 
     def steps():
@@ -315,16 +293,12 @@ def replication_bytes(kind: str, target, ladder, n_iterations: int) -> int:
 def _engine(kind, target, ladder, configs, n_iterations, seeds):
     """Run ``kind`` as ``run_sampler`` does, one batch replication per seed;
     one Trajectory per seed, each the scalar run of its seed bit for bit."""
-    if kind in ADAPTIVE_KINDS:
-        _check_ladder(ladder, configs)
-        levels = range(ladder.n_levels)
-    else:
-        levels, configs = [_single_level(kind, ladder)], configs[-1:]
-    _check_iterations(n_iterations)
+    adaptive = kind in ADAPTIVE_KINDS
+    levels = range(ladder.n_levels) if adaptive else [ladder.top_level]
+    configs = configs if adaptive else configs[-1:]
     finite = target.kind == "finite"
     n_rep, n_lev, n = len(seeds), len(levels), n_iterations
     shape = () if finite else (target.dimension,)
-    adaptive = kind in ADAPTIVE_KINDS
     temps = np.array([ladder.temperature(level) for level in levels])
     thetas = np.array([config.theta for config in configs])
     # c_l of the exchange (ee, ee_limit) and of the weights level l puts on level l-1
@@ -334,9 +308,6 @@ def _engine(kind, target, ladder, configs, n_iterations, seeds):
         base_cum = np.stack([config._base_cum for config in configs])
     else:
         chols = np.stack([config._proposal_chol for config in configs])
-        if chols.shape[1] != target.dimension:
-            raise ValueError(f"proposal dimension {chols.shape[1]} does not match state "
-                             f"dimension {target.dimension}")
     exact_t = None  # the temperature of a limit kernel's exact draws
     if kind == "ee_limit":
         exact_t = ladder.temperature(levels[0] - 1)
@@ -487,13 +458,35 @@ def run_sampler(kind: str, target, ladder, configs, n_iterations: int, seed):
     runs through the internal single-replication path (``run_ladder``,
     ``run_single``), several advance together through the batched engine:
     per step the engine makes a few dozen numpy calls whatever their number.
+
+    This is the one check of a run, before either path starts: the kind,
+    the run length, for an adaptive kind one config per level and thetas in
+    (0, 1] (else at least one config), a hotter level for ``ee_limit``, and
+    that each config used fits the target.  An invalid run raises the same ``ValueError`` on both paths.
     """
     seeds = [seed] if isinstance(seed, numbers.Integral) else list(seed)
     if kind not in ADAPTIVE_KINDS + SINGLE_KINDS:
         raise ValueError(f"unknown sampler kind {kind!r}")
+    if n_iterations < 1:
+        raise ValueError("n_iterations must be at least 1")
+    adaptive = kind in ADAPTIVE_KINDS
+    if adaptive:
+        if len(configs) != ladder.n_levels:
+            raise ValueError(f"need {ladder.n_levels} kernel configs, got {len(configs)}")
+        check_adaptive_thetas(configs)
+    elif not configs:
+        raise ValueError("need a kernel config, got none")
+    elif kind == "ee_limit" and ladder.top_level == 0:
+        raise ValueError("the limit EE kernel needs a hotter level, which a one-level ladder lacks")
+    finite = target.kind == "finite"
+    name, size = ("base matrix", target.state_count) if finite else ("proposal", target.dimension)
+    for config in configs if adaptive else configs[-1:]:
+        shape = (config._base_cum if finite else config._proposal_chol).shape
+        if shape != (size, size):
+            raise ValueError(f"{name} shape {shape} does not match the target's size {size}")
     if len(seeds) != 1:
         runs = _engine(kind, target, ladder, configs, n_iterations, seeds)
-    elif kind in ADAPTIVE_KINDS:
+    elif adaptive:
         runs = [run_ladder(target, ladder, configs, kind, n_iterations, seeds[0])]
     else:
         runs = [run_single(target, ladder, configs[-1], kind, n_iterations, seeds[0])]

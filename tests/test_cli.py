@@ -143,12 +143,24 @@ def test_theta_zero_allowed_for_limit_kernels(tmp_path, capsys):
 
 
 def test_validate_reports_the_theta_each_level_runs_with(tmp_path, capsys):
-    path = gaussian_config(tmp_path, kernel="ir_limit", theta=[0, 0.5, 0.5],
+    # level 1's bound is 0.4 (delta / kappa = 4)
+    path = gaussian_config(tmp_path, kernel="ir_limit", theta=[0.25, 0.5, 0.5],
                            lambdas=[0.5, 0.5, 0.5], kappas=[0.025, 0.075, 0.125])
     assert main(["validate", path]) == 0
     lines = capsys.readouterr().out.splitlines()
     level1 = next(line for line in lines if "level 1:" in line)
-    assert "theta=0.0000" in level1 and level1.endswith("-> below bound")
+    assert "theta=0.2500" in level1 and level1.endswith("-> below bound")
+
+
+@pytest.mark.parametrize("kernel", ["rwm", "ir_limit"])
+def test_validate_refuses_the_theta_0_that_table1_refuses(tmp_path, capsys, kernel):
+    # a limit kernel runs at theta 0, but table1 runs the adaptive samplers too
+    path = gaussian_config(tmp_path, kernel=kernel, theta=0.0)
+    assert main(["validate", path]) == 1
+    err = capsys.readouterr().err
+    assert "config key 'theta': adaptive levels need theta in (0, 1], got 0.0" in err
+    assert main(["table1", path]) == 1
+    assert err == capsys.readouterr().err
 
 
 def test_run_writes_deterministic_csv(tmp_path):

@@ -199,16 +199,50 @@ def test_adaptive_ladder_law_of_large_numbers(scheme):
         assert abs(values.mean() - truth) < 4.0 * se
 
 
-def test_run_single_validations():
-    target = GaussianTarget(np.eye(2))
-    ladder = TemperatureLadder((2.0, 1.0))
-    config = KernelConfig(theta=0.5, proposal_covariance=np.eye(2))
-    with pytest.raises(ValueError, match="hotter level"):
-        run_single(target, TemperatureLadder((1.0,)), config, "ee_limit", 10, seed=0)
-    with pytest.raises(ValueError):
-        run_single(target, ladder, config, "nope", 10, seed=0)
-    with pytest.raises(ValueError):
-        run_single(target, ladder, config, "rwm", 0, seed=0)
+def invalid_runs():
+    """(id, the ``run_sampler`` arguments before the seed, a match of the
+    error) of each kind of invalid run."""
+    gauss, ladder = GaussianTarget(np.eye(2)), TemperatureLadder((2.0, 1.0))
+    configs = ladder_configs(ladder, (0.5,), proposal_covariance=np.eye(2))
+    # theta 0 would never take the local branch on a non-empty reservoir
+    theta_0 = ladder_configs(ladder, (0.0,), proposal_covariance=np.eye(2))
+    wide = ladder_configs(ladder, (0.5,), proposal_covariance=np.eye(3))
+    finite, finite_temps, _ = finite_ladder()  # five states
+    return [
+        ("unknown kind", ("nope", gauss, ladder, configs, 10), "unknown sampler kind"),
+        ("no iterations", ("rwm", gauss, ladder, configs, 0), "n_iterations must be at least 1"),
+        ("ee_limit on one level", ("ee_limit", gauss, TemperatureLadder((1.0,)), configs[-1:], 10),
+         "hotter level"),
+        ("one config for two levels", ("ee", gauss, ladder, configs[-1:], 10),
+         "need 2 kernel configs, got 1"),
+        ("no config", ("rwm", gauss, ladder, (), 10), "need a kernel config, got none"),
+        ("adaptive theta 0", ("ee", gauss, ladder, theta_0, 10), "adaptive levels need theta in"),
+    ] + [
+        (f"{kind} 3-dimensional proposal", (kind, gauss, ladder, wide, 10),
+         r"proposal shape \(3, 3\) does not match the target's size 2")
+        for kind in ADAPTIVE_KINDS + SINGLE_KINDS
+    ] + [
+        (f"{kind} {size}x{size} base matrix", (kind, finite, finite_temps, ladder_configs(
+            finite_temps, (0.5, 0.5), base_matrices=[neighbor_proposal(size)] * 3), 10),
+         rf"base matrix shape \({size}, {size}\) does not match the target's size 5")
+        for kind in ADAPTIVE_KINDS + SINGLE_KINDS
+        for size in (3, 7)
+    ]
+
+
+INVALID_RUNS = invalid_runs()
+
+
+@pytest.mark.parametrize("args, match", [case[1:] for case in INVALID_RUNS],
+                         ids=[case[0] for case in INVALID_RUNS])
+def test_run_sampler_validations(args, match):
+    """Every invalid run fails up front, with one message on both paths."""
+    messages = []
+    for seed in (1, [1, 2]):
+        with pytest.raises(ValueError, match=match) as raised:
+            run_sampler(*args, seed=seed)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
 
 
 def test_run_ladder_takes_thetas_from_the_configs():
@@ -221,10 +255,6 @@ def test_run_ladder_takes_thetas_from_the_configs():
     configs = ladder_configs(ladder, (0.8,), proposal_covariance=np.eye(2))
     traj = run_ladder(target, ladder, configs, "ee", 200, seed=0)
     assert traj.branch_fraction(1, "exchange") > 0.0
-    # theta 0 would never take the local branch on a non-empty reservoir
-    configs = ladder_configs(ladder, (0.0,), proposal_covariance=np.eye(2))
-    with pytest.raises(ValueError, match="adaptive levels need theta in"):
-        run_ladder(target, ladder, configs, "ee", 10, seed=0)
 
 
 def test_run_sampler_dispatch():
