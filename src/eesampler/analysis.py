@@ -137,7 +137,8 @@ def poisson_solve(model: FiniteChainModel, f) -> np.ndarray:
     is the fundamental-series value sum_k (M - 1 pi')^k f; in particular
     pi(U) = pi(f).  ``f`` of shape (S, k) solves for k functions at once,
     one per column.  The residual of the Poisson identity is checked
-    against 1e-10 * max(1, max|U|).
+    against 1e-10 * max(1, max|U|): a relative bound, since the rounding
+    error of the solve grows with the size of U.
     """
     f = np.asarray(f, dtype=float)
     m = model.matrix
@@ -375,8 +376,9 @@ def check_pair_table_size(p0, p1, log_r):
 
     For S states, each level's table has a row of S entries per distinct
     entry of its pinned cumulative matrix (at most S^2), and the exchange
-    moves add S (D + 1) rows for D distinct values of ``log_r``: about
-    2 S^3 entries at worst, for dense matrices and distinct weights.
+    moves add S (D + 1) rows for D distinct values of ``log_r``: at most
+    3 S^3 + S^2 entries, for dense matrices and distinct weights, so up to
+    140 states; about S^3 for a nearest-neighbor proposal, about 200 states.
     """
     n = np.shape(p0)[0]
     rows = sum(_distinct(_pinned_cumsum(np.asarray(p, dtype=float))).size for p in (p0, p1))

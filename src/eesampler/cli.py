@@ -71,8 +71,16 @@ def _fail(key: str, message: str):
     raise ConfigError(f"config key '{key}': {message}")
 
 
+def _holds_bool(value) -> bool:
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
+
+
 def _checked(key: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``, with any conversion or domain error reported under ``key``."""
+    """``build(*args, **kwargs)``, with any conversion or domain error reported under ``key``.
+    An argument that is or holds a YAML true/false is refused, not read as 1 or 0."""
+    for arg in (*args, *kwargs.values()):
+        if _holds_bool(arg):
+            _fail(key, f"must not be or hold a boolean, got {arg!r}")
     try:
         return build(*args, **kwargs)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -257,13 +265,16 @@ def _finite_bases(raw, n, log_weights) -> list:
 def _parse(raw, kernel, seed, out_override, oracle) -> RunConfig:
     """The rules every config shares, for the oracle (which prices ``ee`` and
     needs a seed for a cross-check only) or for the samplers (which refuse
-    the oracle's keys and need a seed and ``iterations``)."""
+    the oracle's keys and need a seed and ``iterations``).  A file's
+    ``kernel``, ``seed`` and ``out`` are checked even where a flag replaces them."""
     for key in raw:  # so that a misspelt key cannot fall back to a default unnoticed
         if key not in CONFIG_KEYS:
             _fail(key, "unknown key")
     kinds = ("ee",) if oracle else ADAPTIVE_KINDS + SINGLE_KINDS
-    if kernel is not None and kernel not in kinds:
-        _fail("kernel", f"must be one of {kinds}, got {kernel!r}")
+    for value in (raw.get("kernel"), kernel):
+        if value is not None and value not in kinds:
+            _fail("kernel", f"must be one of {kinds}, got {value!r}")
+    kernel = kernel or raw.get("kernel")
     target, ladder, levels = _build_levels(raw)
     for key in () if oracle else sorted(ORACLE_KEYS & raw.keys()):  # never ignore p0/p1 silently
         _fail(key, "is read by the oracle command only")
@@ -287,12 +298,13 @@ def _parse(raw, kernel, seed, out_override, oracle) -> RunConfig:
     if kernel not in SINGLE_KINDS:  # an adaptive (or unnamed) kernel cannot run at theta 0
         _checked("theta", check_adaptive_thetas, configs)
     seed_required = not oracle or raw.get("crosscheck_replications") is not None
-    seed = _int_at_least("seed", raw.get("seed") if seed is None else seed, 0, seed_required)
+    file_seed = _int_at_least("seed", raw.get("seed"), 0, seed_required and seed is None)
+    seed = file_seed if seed is None else _int_at_least("seed", seed, 0)
     burn_in = _int_at_least("burn_in", raw.get("burn_in", 0), 0)
     iterations = _int_at_least("iterations", raw.get("iterations"), 1, not oracle)
     if iterations is not None and burn_in >= iterations:
         _fail("burn_in", f"must be below iterations={iterations}")
-    out = raw.get("out", "results") if out_override is None else out_override
+    out = _checked("out", Path, raw.get("out", "results"))
     temps = () if ladder is None else ladder.temperatures  # no ladder, no lambdas
     return RunConfig(
         raw=raw,
@@ -305,7 +317,7 @@ def _parse(raw, kernel, seed, out_override, oracle) -> RunConfig:
         replications=_int_at_least("replications", raw.get("replications", 1), 1),
         seed=seed,
         burn_in=burn_in,
-        out=_checked("out", Path, out),
+        out=out if out_override is None else _checked("out", Path, out_override),
         theta_bounds=theta_bound_report(raw, temps, configs),
     )
 
@@ -313,7 +325,7 @@ def _parse(raw, kernel, seed, out_override, oracle) -> RunConfig:
 def load_config(path, kernel_override=None, seed_override=None, out_override=None) -> RunConfig:
     """A sampler config, for ``run``, ``table1`` and ``validate``."""
     raw = load_raw_config(path)
-    return _parse(raw, kernel_override or raw.get("kernel"), seed_override, out_override, False)
+    return _parse(raw, kernel_override, seed_override, out_override, False)
 
 
 def theta_bound_report(raw, temps, configs):
@@ -488,7 +500,7 @@ def load_oracle_config(path, seed_override=None, out_override=None) -> RunConfig
     """A finite sampler config with two levels, plus the oracle's keys: ``p0``
     and ``p1`` as the levels' base matrices, ``f`` and the cross-check shape."""
     raw = load_raw_config(path)
-    config = _parse(raw, raw.get("kernel"), seed_override, out_override, True)
+    config = _parse(raw, None, seed_override, out_override, True)
     if config.levels is None:
         _fail("target", "the oracle command works on finite targets")
     if len(config.levels) != 2:

@@ -593,6 +593,15 @@ MALFORMED_KEYS = [
     # two wells the nearest-neighbor Metropolis chain cannot cross in floating point
     (oracle_config, {**THREE_STATES, "energies0": [0.0, 1e3, 0.0], "energies1": [0.0, 1e3, 0.0]},
      "move_prob"),
+    # YAML's true and false are not numbers, though Python reads them as 1 and 0
+    (gaussian_config, {"theta": True}, "theta"),
+    (gaussian_config, {"theta": [True, 0.5, 0.5]}, "theta"),
+    (gaussian_config, {"temperatures": [2, True]}, "temperatures"),
+    (gaussian_config, {"proposal_scale": True}, "proposal_scale"),
+    (gaussian_config, {"covariance": [[True, 0], [0, True]]}, "covariance"),
+    (finite_config, {"move_prob": True}, "move_prob"),
+    (finite_config, {"energies": [0.0, True, 2.0, False, 4.0]}, "energies"),
+    (oracle_config, {"f": [True, 0, 0, 0, False]}, "f"),
 ]
 
 
@@ -611,6 +620,36 @@ def test_malformed_key_is_a_config_error(tmp_path, capsys, make, overrides, key)
         assert main([command, path]) == 1
         assert f"config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def test_a_boolean_lambda_is_refused_as_a_boolean(tmp_path, capsys):
+    # read as 1.0, it used to be refused as a lambda outside (0, 1)
+    path = gaussian_config(tmp_path, lambdas=[True, 0.5, 0.5], kappas=[0.025, 0.075, 0.125])
+    assert main(["validate", path]) == 1
+    assert "config key 'lambdas': must not be or hold a boolean, got True" in capsys.readouterr().err
+
+
+# (key, invalid file value, the flags that replace it, the commands that take them)
+FLAG_REPLACED_VALUES = [
+    ("kernel", "foo", ["--kernel", "ee"], ("run",)),
+    ("seed", -1, ["--seed", "3"], ("run", "table1", "oracle")),
+    ("out", [1], [], ("run", "table1", "oracle")),  # every command gets --out
+]
+
+
+@pytest.mark.parametrize("key, value, flags, commands", FLAG_REPLACED_VALUES,
+                         ids=[key for key, *_ in FLAG_REPLACED_VALUES])
+def test_a_flag_does_not_hide_an_invalid_file_value(tmp_path, capsys, key, value, flags,
+                                                    commands):
+    for command in commands:
+        path = (oracle_config if command == "oracle" else gaussian_config)(tmp_path, **{key: value})
+        assert main(["validate", path]) == 1
+        message = capsys.readouterr().err
+        assert f"config key '{key}'" in message
+        out = tmp_path / command
+        assert main([command, path, *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
 
 def test_explicit_p0_p1_are_the_level_base_matrices(tmp_path, monkeypatch):
