@@ -17,10 +17,11 @@ second-moment limit, and the mean-squared-error replication harness that
 the table experiment runs on.  Both simulators step through exact
 transition tables: one lookup per chain-step gives the same next state
 as the inverse-CDF draw from the matrix row.  The harness hands
-``run_sampler`` one sampler kind and a chunk of replications per task:
-the batched engine runs the chunk, or the scalar kernels a chunk of one.
+``run_sampler`` a chunk of replications per task, of one adaptive kind or
+of all the single-chain kinds together: the batched engine runs the
+chunk as one batch, or the scalar kernels a chunk of one, kind by kind.
 Replication r derives its seed from (master seed, r), and its result
-depends neither on the chunks nor on the worker count.
+depends neither on the chunks, the grouping nor the worker count.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import _check_stochastic, acceptance_matrix
-from .ladder import replication_bytes, run_sampler
+from .ladder import SINGLE_KINDS, replication_bytes, run_sampler
 from .targets import _pinned_cumsum
 
 # relative to max(1, max|U|): the solve's rounding error grows with |U|
@@ -547,11 +548,13 @@ def replication_seed(master_seed: int, replication: int) -> int:
 
 
 def _replication_task(args) -> list:
-    """Per-replication estimand averages of one (kind, chunk of seeds) task."""
-    kind, target, ladder, configs, estimands, iterations, burn_in, seeds = args
-    trajectories = run_sampler(kind, target, ladder, configs, iterations, seeds)
-    return [[est.average(traj.states[-1][burn_in:]) for est in estimands]
-            for traj in trajectories]
+    """Per-replication estimand averages of one (kinds, chunk of seeds) task,
+    one list per kind; several kinds run as one ``run_sampler`` batch."""
+    kinds, target, ladder, configs, estimands, iterations, burn_in, seeds = args
+    runs = run_sampler(kinds if len(kinds) > 1 else kinds[0], target, ladder, configs,
+                       iterations, seeds)
+    return [[[est.average(traj.states[-1][burn_in:]) for est in estimands] for traj in trajs]
+            for trajs in (runs if len(kinds) > 1 else [runs])]
 
 
 def _chunks(replications: int, size: int) -> list:
@@ -629,12 +632,15 @@ def mse_harness(kinds, target, ladder, configs, estimands, replications: int,
     MSEs are measured at the coldest level against the estimands' truths,
     and the ratio rows are normalized by the first (baseline) kind.
 
-    A task is one kind and a chunk of replications, which the engine
-    advances together: as many as fit ``TASK_MEMORY_BUDGET``
-    (``ladder.replication_bytes``), cut into near-equal chunks.  With
-    ``jobs`` > 1 the tasks fan out to a process pool of min(jobs, tasks)
-    workers.  A replication's result depends on neither the chunks nor the
-    worker count.
+    A task is a chunk of replications of one adaptive kind, or of every
+    requested single-chain kind (``ladder.SINGLE_KINDS``), which the engine
+    advances as one batch; a kind listed twice runs once.  A chunk holds as
+    many replications as fit ``TASK_MEMORY_BUDGET`` (``ladder.replication_bytes``
+    of its kinds), cut into near-equal chunks; a chunk of one shares no
+    batch, so each of its kinds is its own task, on the scalar kernels.
+    With ``jobs`` > 1 the tasks fan out to a process pool of min(jobs,
+    tasks) workers.  A replication's result depends on neither the chunks,
+    the grouping nor the worker count.
     """
     if replications < 1 or iterations < 1:
         raise ValueError("replications and iterations must be positive")
@@ -645,23 +651,30 @@ def mse_harness(kinds, target, ladder, configs, estimands, replications: int,
     kinds = list(kinds)
     estimands = list(estimands)
     seeds = [replication_seed(master_seed, r) for r in range(replications)]
-    tasks = []  # (bytes, kind index, chunk, arguments)
-    for s, kind in enumerate(kinds):
-        per_replication = replication_bytes(kind, target, ladder, iterations)
+    distinct = list(dict.fromkeys(kinds))
+    batch = tuple(kind for kind in distinct if kind in SINGLE_KINDS)
+    units = [(kind,) for kind in distinct if kind not in batch] + ([batch] if batch else [])
+    tasks = []  # (bytes, chunk, arguments)
+    for unit in units:
+        per_replication = replication_bytes(unit, target, ladder, iterations)
         for chunk in _chunks(replications, max(1, TASK_MEMORY_BUDGET // per_replication)):
-            args = (kind, target, ladder, configs, estimands, iterations, burn_in,
-                    [seeds[r] for r in chunk])
-            tasks.append((len(chunk) * per_replication, s, chunk, args))
+            for group in [unit] if len(chunk) > 1 else [(kind,) for kind in unit]:
+                args = (group, target, ladder, configs, estimands, iterations, burn_in,
+                        [seeds[r] for r in chunk])
+                tasks.append((len(chunk) * replication_bytes(group, target, ladder, iterations),
+                              chunk, args))
     tasks.sort(key=lambda t: -t[0])  # largest first, so that the pool ends on short tasks
     averages = np.empty((len(kinds), replications, len(estimands)))
     workers = min(jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replication_task, [t[3] for t in tasks]))
+            results = list(pool.map(_replication_task, [t[2] for t in tasks]))
     else:
-        results = [_replication_task(t[3]) for t in tasks]
-    for (_, s, chunk, _), result in zip(tasks, results):
-        averages[s, chunk.start:chunk.stop] = result
+        results = [_replication_task(t[2]) for t in tasks]
+    rows = {kind: [s for s, label in enumerate(kinds) if label == kind] for kind in distinct}
+    for (_, chunk, args), result in zip(tasks, results):
+        for kind, values in zip(args[0], result):
+            averages[rows[kind], chunk.start:chunk.stop] = values
     return MSETable(
         sampler_labels=kinds,
         estimand_names=[est.name for est in estimands],

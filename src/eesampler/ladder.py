@@ -8,9 +8,10 @@ most likely place for an implementation bug: when level l computes its step
 for iteration n, the level-(l-1) reservoir must contain exactly the states
 from iterations 1..n-1.
 
-``run_sampler`` is the public entry point; it takes one seed or a list.
-It checks a run once, before dispatch; the paths behind it trust their
-arguments and check only what a run produces, such as non-finite energies.
+``run_sampler`` is the public entry point; it takes one seed or a list,
+and one kind or a tuple of single-chain kinds.  It checks a run once,
+before dispatch; the paths behind it trust their arguments and check only
+what a run produces, such as non-finite energies.
 One replication runs through the internal single-replication path,
 ``run_ladder`` or ``run_single``: the scalar kernels of ``kernels.py``, one
 level-step at a time (``ladder_step`` advances every level, then pushes
@@ -29,6 +30,14 @@ reservoir, so the contract holds by construction.  An ``ir`` level keeps,
 per replication, the log prefix sums of its hotter level's weights, each
 extended by one ``np.logaddexp`` as a state is recorded, exactly as
 ``Reservoir.push`` keeps them, so no recorded state is evaluated again.
+The three single-chain kinds are one kernel family at the coldest level:
+a local move with probability theta (1 for ``rwm``), else an exact draw
+at a refresh temperature (t_{K-1} for ``ee_limit``, t_K for
+``ir_limit``) accepted by the ratio r(y)/r(x), which is 1 for
+``ir_limit``.  So a tuple of them runs as one batch, with a row per
+(kind, seed) that carries those parameters, and every row of a seed reads
+that seed's one level-K stream: the engine's per-step calls are paid once
+for all the kinds.
 
 Seed plumbing: replication r with seed s (``analysis.replication_seed``
 derives s from the master seed and r) drives level l by its own generator
@@ -60,6 +69,7 @@ from __future__ import annotations
 
 import csv
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,11 +289,14 @@ def run_single(target, ladder, config: KernelConfig, kind: str, n_iterations: in
     return _scalar_trajectory(target, 1, n_iterations, steps())
 
 
-def replication_bytes(kind: str, target, ladder, n_iterations: int) -> int:
+def replication_bytes(kind, target, ladder, n_iterations: int) -> int:
     """Bytes the engine holds per replication of ``kind``: every level's
     recorded states, branch codes and acceptances, and the prefix sums of
     each ``ir`` reservoir level (all but the coldest).  It keeps no
-    energies: a reader evaluates the states it draws."""
+    energies: a reader evaluates the states it draws.  A tuple of kinds,
+    which the engine runs as one batch, holds the sum of its kinds' bytes."""
+    if not isinstance(kind, str):
+        return sum(replication_bytes(k, target, ladder, n_iterations) for k in kind)
     levels = ladder.n_levels if kind in ADAPTIVE_KINDS else 1
     state = 8 if target.kind == "finite" else 8 * target.dimension
     sums = 8 * (levels - 1) if kind == "ir" else 0
@@ -291,48 +304,65 @@ def replication_bytes(kind: str, target, ladder, n_iterations: int) -> int:
 
 
 def _engine(kind, target, ladder, configs, n_iterations, seeds):
-    """Run ``kind`` as ``run_sampler`` does, one batch replication per seed;
-    one Trajectory per seed, each the scalar run of its seed bit for bit."""
-    adaptive = kind in ADAPTIVE_KINDS
-    levels = range(ladder.n_levels) if adaptive else [ladder.top_level]
-    configs = configs if adaptive else configs[-1:]
+    """Run ``kind`` as ``run_sampler`` does, one batch row per seed; one
+    Trajectory per seed, each the scalar run of its seed bit for bit.  A
+    tuple of single-chain kinds runs as one batch with a row per (kind,
+    seed), kind-major, and gives one such list per kind."""
+    kinds = (kind,) if isinstance(kind, str) else tuple(kind)
+    scheme = kind if kind in ADAPTIVE_KINDS else None
+    levels = range(ladder.n_levels) if scheme else [ladder.top_level]
+    configs = configs if scheme else configs[-1:]
     finite = target.kind == "finite"
-    n_rep, n_lev, n = len(seeds), len(levels), n_iterations
+    n_seeds, n_lev, n = len(seeds), len(levels), n_iterations
+    n_rep = len(kinds) * n_seeds
     shape = () if finite else (target.dimension,)
     temps = np.array([ladder.temperature(level) for level in levels])
-    thetas = np.array([config.theta for config in configs])
-    # c_l of the exchange (ee, ee_limit) and of the weights level l puts on level l-1
-    coefs = np.array([importance_coefficient(ladder, level) if level else 0.0
-                      for level in levels])
     if finite:
         base_cum = np.stack([config._base_cum for config in configs])
     else:
         chols = np.stack([config._proposal_chol for config in configs])
-    exact_t = None  # the temperature of a limit kernel's exact draws
-    if kind == "ee_limit":
-        exact_t = ladder.temperature(levels[0] - 1)
-    elif kind == "ir_limit":
-        exact_t = temps[0]
+    # per row and level: theta, the branch that is not local, and the
+    # coefficient c of its acceptance ratio exp(c (E(b) - E(y)))
+    if scheme:
+        # level 0 never mixes; c_l of the exchange (ee) and of the weights
+        # level l puts on level l-1 (ir)
+        thetas = np.array([1.0] + [config.theta for config in configs[1:]])
+        coefs = np.array([importance_coefficient(ladder, level) if level else 0.0
+                          for level in levels])
+        away = BRANCH_CODES[EXCHANGE if scheme == "ee" else RESAMPLE]
+    else:
+        # a single-chain kind is local with probability theta, else an exact
+        # draw from its refresh level's law, which the coldest level accepts by
+        # the ratio with c = 1/t_K - 1/t_refresh: the exchange ratio for
+        # ee_limit, always (c = 0, and log u < 0) for ir_limit
+        top, theta = levels[0], configs[0].theta
+        family = {"rwm": (1.0, top, LOCAL), "ee_limit": (theta, top - 1, EXCHANGE),
+                  "ir_limit": (theta, top, RESAMPLE)}
+        refresh_temps = [ladder.temperature(family[k][1]) for k in kinds]
+        thetas = np.repeat([family[k][0] for k in kinds], n_seeds)[:, None]
+        coefs = np.repeat([1.0 / temps[0] - 1.0 / t for t in refresh_temps], n_seeds)[:, None]
+        away = np.repeat([BRANCH_CODES[family[k][2]] for k in kinds], n_seeds)[:, None]
 
     x = np.empty((n_rep, n_lev) + shape, dtype=np.int64 if finite else float)
     x[:] = target.initial_state()
 
     states = np.zeros((n_rep, n_lev, n) + shape, dtype=x.dtype)
     branches = np.empty((n_rep, n, n_lev), dtype=np.int8)
-    # a finite local step, inner step or exact refresh always moves
-    always_accepted = finite and kind in ("rwm", "ir", "ir_limit")
+    # a finite local step, inner step or exact refresh moves unless a row exchanges
+    always_accepted = finite and (scheme == "ir" or not scheme and not coefs.any())
     accepted = np.full((n_rep, n, n_lev), always_accepted)
     rngs = [[level_rng(seed, level) for level in levels] for seed in seeds]
     rows, lev = np.arange(n_rep)[:, None], np.arange(n_lev)
-    hotter = np.maximum(np.arange(n_lev) - 1, 0)  # level l reads level l-1's history
-    if kind == "ir":
+    hotter = np.maximum(lev - 1, 0)  # level l reads level l-1's history
+    if scheme == "ir":
         # per replication and reservoir level j: log prefix sums of exp(lw),
-        # lw = -c_{j+1} E
+        # lw = -c_{j+1} E, padded with +inf past the recorded column, so that
+        # a bisection searches the whole row
         neg_coef = -coefs[1:]
-        cum = np.zeros((n_rep, n_lev - 1, n))
-    away = BRANCH_CODES[EXCHANGE if kind in ("ee", "ee_limit") else RESAMPLE]
-    u = np.empty((n_rep, n_lev, 3, BLOCK))
-    p = np.empty((n_rep, n_lev, BLOCK) + shape)
+        cum = np.full((n_rep, n_lev - 1, n), np.inf)
+        cum_rows = list(cum.reshape(-1, n))
+    u = np.empty((n_seeds, n_lev, 3, BLOCK))
+    p = np.empty((n_seeds, n_lev, BLOCK) + shape)
 
     # log 0 = -inf (a uniform of 0 accepts, or draws the first state), and wide
     # finite energies may overflow checked_energy's stack sum, a log acceptance
@@ -344,50 +374,63 @@ def _engine(kind, target, ladder, configs, n_iterations, seeds):
             for r, streams in enumerate(rngs):
                 for j, rng in enumerate(streams):
                     _draw_block(rng, finite, u[r, j], p[r, j])
-            u_branch, u_draw, u_accept = u.transpose(2, 3, 0, 1)[:, :m]
-            prop = np.moveaxis(p, 2, 0)[:m]
-            if kind == "rwm":
-                local = np.ones((m, n_rep, n_lev), dtype=bool)
-            else:
-                local = u_branch < thetas
-            if adaptive:
-                local[:, :, 0] = True
-                if start == 0:
-                    local[0] = True  # iteration 1: every reservoir is empty
+            # every row of a seed reads that seed's block
+            u_rows, p_rows = u, p
+            if len(kinds) > 1:
+                u_rows, p_rows = np.concatenate([u] * len(kinds)), np.concatenate([p] * len(kinds))
+            u_branch, u_draw, u_accept = u_rows.transpose(2, 3, 0, 1)[:, :m]
+            prop = np.moveaxis(p_rows, 2, 0)[:m]
+            local = u_branch < thetas
+            if scheme and start == 0:
+                local[0] = True  # iteration 1: every reservoir is empty
             branches[:, start:start + m] = np.where(local, BRANCH_CODES[LOCAL], away).swapaxes(0, 1)
-            log_u, log_draw = np.log(u_accept), np.log(u_draw)
+            log_u = np.log(u_accept)
             if finite:
                 local_x = local
             else:
                 local_x = local[..., None]
                 increments = _matvec(chols, prop)
-            if exact_t is not None:
-                exact = target.tempered_draw(exact_t, u_draw if finite else prop)
-            if kind == "ee":
+            if not scheme:
+                # the exact draws of every row of each kind, from the seeds' variates
+                draws = (u_draw if finite else prop)[:, :n_seeds]
+                exact = np.concatenate([target.tempered_draw(t, draws) for t in refresh_temps],
+                                       axis=1)
+            elif scheme == "ee":
                 drawn = (u_draw * np.arange(start, start + m)[:, None, None]).astype(np.intp)
+                mixes = (~local).any(axis=(1, 2)).tolist()
+            else:
+                # the (replication, reservoir level) pairs that resample at each
+                # step, with their row of prefix sums and the log of their draw uniform
+                steps, rs, js = np.nonzero(~local[:, :, 1:])
+                ends = np.bincount(steps, minlength=m).cumsum().tolist()
+                resample_rows = (rs * (n_lev - 1) + js).tolist()
+                log_draws = np.log(u_draw[steps, rs, js + 1])
 
+            lo = 0
             for i in range(m):
                 col = start + i
                 here = local[i]
                 # b: the state a local or inner step starts from; y: the candidate
                 b, eb = x, ex
-                if kind == "ir" and col and not here.all():
-                    # bisect each resampling replication's log prefix sums at log u plus their total
-                    rs, js = np.nonzero(~here[:, 1:])
-                    targets = (log_draw[i, rs, js + 1] + cum[rs, js, col - 1]).tolist()
-                    k = [min(cum[r, j, :col].searchsorted(t, side="right"), col - 1)
-                         for r, j, t in zip(rs.tolist(), js.tolist(), targets)]
-                    starts = states[rs, js, k]
+                if scheme == "ir" and lo < ends[i]:
+                    # bisect each resampling row's log prefix sums at log u plus their total
+                    hi = ends[i]
+                    r_i, j_i = rs[lo:hi], js[lo:hi]
+                    targets = (log_draws[lo:hi] + cum[r_i, j_i, col - 1]).tolist()
+                    k = [min(cum_rows[f].searchsorted(t, side="right"), col - 1)
+                         for f, t in zip(resample_rows[lo:hi], targets)]
+                    starts = states[r_i, j_i, k]
                     b, eb = x.copy(), ex.copy()
-                    b[rs, js + 1], eb[rs, js + 1] = starts, checked_energy(target, starts)
+                    b[r_i, j_i + 1], eb[r_i, j_i + 1] = starts, checked_energy(target, starts)
+                    lo = hi
                 if finite:
                     # inverse CDF: the entries of b's base row at or below the row uniform
                     y = (base_cum[lev, b] <= prop[i][..., None]).sum(-1)
                 else:
                     y = b + increments[i]
-                if kind in ("ee_limit", "ir_limit"):
+                if not scheme:
                     y = np.where(local_x[i], y, exact[i])
-                if kind == "ee" and not here.all():
+                elif scheme == "ee" and mixes[i]:
                     y = np.where(local_x[i], y, states[rows, hotter, drawn[i]])
                 ey = checked_energy(target, y)
                 # (-e' / t) - (-e / t) is e / t - e' / t, bit for bit (likewise for c)
@@ -395,23 +438,23 @@ def _engine(kind, target, ladder, configs, n_iterations, seeds):
                     x, ex = y, ey
                 else:
                     lar = np.inf if finite else (eb / temps) - (ey / temps)
-                    if kind in ("ee", "ee_limit"):
+                    if scheme != "ir":  # an inner step is accepted as a local one
                         lar = np.where(here, lar, (eb * coefs) - (ey * coefs))
-                    elif kind == "ir_limit":
-                        lar = np.where(here, lar, np.inf)
                     acc = log_u[i] < lar
                     accepted[:, col] = acc
                     x = np.where(acc if finite else acc[..., None], y, b)
                     ex = np.where(acc, ey, eb)
                 states[:, :, col] = x
 
-                if kind == "ir" and n_lev > 1:
+                if scheme == "ir" and n_lev > 1:
                     lw = neg_coef * ex[:, :-1]
                     if not np.isfinite(lw).all():
                         raise NonFiniteWeightError("resampling log weights must be finite")
                     cum[:, :, col] = np.logaddexp(cum[:, :, col - 1], lw) if col else lw
 
-    return [Trajectory(list(states[r]), branches[r], accepted[r]) for r in range(n_rep)]
+    runs = [Trajectory(list(states[r]), branches[r], accepted[r]) for r in range(n_rep)]
+    per_kind = [runs[k * n_seeds:(k + 1) * n_seeds] for k in range(len(kinds))]
+    return per_kind[0] if isinstance(kind, str) else per_kind
 
 
 def ladder_configs(ladder, thetas, proposal_covariance=None, base_matrices=None):
@@ -443,13 +486,15 @@ def check_adaptive_thetas(configs) -> None:
             raise ValueError(f"adaptive levels need theta in (0, 1], got {config.theta}")
 
 
-def run_sampler(kind: str, target, ladder, configs, n_iterations: int, seed):
+def run_sampler(kind, target, ladder, configs, n_iterations: int, seed):
     """The one public way to run a sampler, for any of the five kinds.
 
     Adaptive kinds run the full ladder; the others run a single chain at
     the coldest level with the last config.  ``seed`` is one replication's
     seed, giving its Trajectory, or a sequence of seeds, giving a list with
     one Trajectory per seed, each exactly as its seed alone would run it.
+    ``kind`` may also be a tuple of single-chain kinds, which gives a list
+    with one result per kind, each exactly what that kind alone gives.
     A run is deterministic given (arguments, seed): level l of seed s draws
     from ``default_rng(SeedSequence(entropy=s, spawn_key=(l,)))`` (module
     docstring), so adding levels never perturbs existing streams, the
@@ -457,26 +502,38 @@ def run_sampler(kind: str, target, ladder, configs, n_iterations: int, seed):
     stream, and a short run is the start of a longer one.  One replication
     runs through the internal single-replication path (``run_ladder``,
     ``run_single``), several advance together through the batched engine:
-    per step the engine makes a few dozen numpy calls whatever their number.
+    per step the engine makes a few dozen numpy calls whatever their number,
+    and a tuple of kinds shares those calls, and each seed's variates,
+    between its kinds.
 
-    This is the one check of a run, before either path starts: the kind,
-    the run length, for an adaptive kind one config per level and thetas in
-    (0, 1] (else at least one config), a hotter level for ``ee_limit``, and
-    that each config used fits the target.  An invalid run raises the same ``ValueError`` on both paths.
+    This is the one check of a run, before either path starts: the seeds
+    (integers, not bools), each kind, the run length, for an adaptive kind
+    one config per level and thetas in (0, 1] (else at least one config),
+    a hotter level for ``ee_limit``, and that each config used fits the
+    target.  An invalid run raises the same ``ValueError`` on both paths.
     """
-    seeds = [seed] if isinstance(seed, numbers.Integral) else list(seed)
-    if kind not in ADAPTIVE_KINDS + SINGLE_KINDS:
-        raise ValueError(f"unknown sampler kind {kind!r}")
+    alone = isinstance(seed, (str, bytes)) or not isinstance(seed, Iterable)
+    seeds = [seed] if alone else list(seed)
+    for s in seeds:
+        if isinstance(s, bool) or not isinstance(s, numbers.Integral):
+            raise ValueError(f"seed must be an integer or a sequence of integers, got {s!r}")
+    group = isinstance(kind, (tuple, list))
+    kinds = tuple(kind) if group else (kind,)
+    for k in kinds:
+        if k not in ADAPTIVE_KINDS + SINGLE_KINDS:
+            raise ValueError(f"unknown sampler kind {k!r}")
+    if group and not (kinds and set(kinds) <= set(SINGLE_KINDS)):
+        raise ValueError(f"a tuple of kinds takes single-chain kinds {SINGLE_KINDS}, got {kind!r}")
     if n_iterations < 1:
         raise ValueError("n_iterations must be at least 1")
-    adaptive = kind in ADAPTIVE_KINDS
+    adaptive = kinds[0] in ADAPTIVE_KINDS
     if adaptive:
         if len(configs) != ladder.n_levels:
             raise ValueError(f"need {ladder.n_levels} kernel configs, got {len(configs)}")
         check_adaptive_thetas(configs)
     elif not configs:
         raise ValueError("need a kernel config, got none")
-    elif kind == "ee_limit" and ladder.top_level == 0:
+    elif "ee_limit" in kinds and ladder.top_level == 0:
         raise ValueError("the limit EE kernel needs a hotter level, which a one-level ladder lacks")
     finite = target.kind == "finite"
     name, size = ("base matrix", target.state_count) if finite else ("proposal", target.dimension)
@@ -486,8 +543,11 @@ def run_sampler(kind: str, target, ladder, configs, n_iterations: int, seed):
             raise ValueError(f"{name} shape {shape} does not match the target's size {size}")
     if len(seeds) != 1:
         runs = _engine(kind, target, ladder, configs, n_iterations, seeds)
+        per_kind = runs if group else [runs]
     elif adaptive:
-        runs = [run_ladder(target, ladder, configs, kind, n_iterations, seeds[0])]
+        per_kind = [[run_ladder(target, ladder, configs, kind, n_iterations, seeds[0])]]
     else:
-        runs = [run_single(target, ladder, configs[-1], kind, n_iterations, seeds[0])]
-    return runs[0] if isinstance(seed, numbers.Integral) else runs
+        per_kind = [[run_single(target, ladder, configs[-1], k, n_iterations, seeds[0])]
+                    for k in kinds]
+    results = [runs[0] if alone else runs for runs in per_kind]
+    return results if group else results[0]

@@ -35,8 +35,8 @@ SIGMA = np.array([[0.96, 2.44], [2.44, 7.04]])
 JOBS = min(2, os.cpu_count() or 1)
 
 
-def _report(name, detail):
-    print(f"\nACCEPTANCE PASS {name}: {detail}")
+def _report(name, detail, status="PASS"):
+    print(f"\nACCEPTANCE {status} {name}: {detail}")
 
 
 # the bundled 5-state two-temperature instance (demos/configs/finite_5state.yaml)
@@ -86,6 +86,10 @@ def test_criterion_1_table_reproduction():
         master_seed=20100127, burn_in=0, jobs=JOBS,
     )
     row = {k: i for i, k in enumerate(kinds)}
+    # the whole table first, so that a run outside the bands shows what it read
+    _report("criterion 1 (table reproduction)", "".join(
+        f"\n  {kind}: MSE {table.mse[i].tolist()}, ratio {table.ratios[i].tolist()}"
+        for i, kind in enumerate(kinds)), status="TABLE")
     rwm_mse_x1 = table.mse[row["rwm"], 0]
     assert 0.003 <= rwm_mse_x1 <= 0.03
     assert table.ratios[row["ir_limit"], 0] >= 10.0

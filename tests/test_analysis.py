@@ -734,6 +734,22 @@ def test_mse_harness_results_independent_of_worker_count(monkeypatch, case):
     assert np.array_equal(run(replications=5).averages, five.averages)
 
 
+def test_mse_harness_averages_do_not_depend_on_the_order_or_repeats_of_kinds():
+    """The single-chain kinds share one batch task; each label's averages are
+    those of its kind alone, in any order and however often it is listed."""
+    (kinds, *rest), estimands = bundled_samplers("gaussian_table1.yaml")
+    run = functools.partial(mse_harness, estimands=estimands, replications=3, iterations=200,
+                            master_seed=30)
+    table = run(kinds, *rest)
+    shuffled = ("ee_limit", "rwm", "ir", "ee_limit", "ir_limit", "ee", "rwm")
+    again = run(shuffled, *rest)
+    for label, averages in zip(shuffled, again.averages):
+        assert np.array_equal(averages, table.averages[kinds.index(label)])
+    for label in ("rwm", "ee_limit"):  # alone, a kind is a task of its own
+        alone = run([label], *rest)
+        assert np.array_equal(alone.averages[0], table.averages[kinds.index(label)])
+
+
 def test_mse_harness_pool_has_no_more_workers_than_tasks(monkeypatch, pool_sizes):
     samplers, estimands = finite_samplers()
     serial = mse_harness(*samplers, estimands, replications=3, iterations=200, master_seed=27)
@@ -744,8 +760,8 @@ def test_mse_harness_pool_has_no_more_workers_than_tasks(monkeypatch, pool_sizes
     kinds, *rest = samplers
     mse_harness(kinds[:1], *rest, estimands, replications=1, iterations=200, master_seed=27,
                 jobs=2)
-    # a task is one sampler and a chunk of replications: here each sampler's 3
-    # fit one chunk, so 2 tasks; a single task runs in-process
+    # a task is a chunk of replications of ee, or of the single-chain samplers:
+    # here each one's 3 fit one chunk, so 2 tasks; a single task runs in-process
     assert pool_sizes == [2, 2]
     monkeypatch.setattr(eesampler.analysis, "TASK_MEMORY_BUDGET", 1)  # chunks of one
     for jobs in (64, 4):

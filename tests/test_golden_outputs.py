@@ -61,10 +61,12 @@ def test_run_trajectory_bytes_are_pinned(tmp_path, name, kind):
     assert digest(tmp_path / "out" / "trajectory.csv") == RUN_PINS[name, kind]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("name", sorted(TABLE1_PINS))
-def test_table1_bytes_are_pinned(tmp_path, name):
+def test_table1_bytes_are_pinned(tmp_path, name, jobs):
+    # in-process, and through a pool of two workers: the same pin
     path = sized_config(tmp_path, name, replications=3, iterations=300)
-    assert main(["table1", path, "--seed", "1", "--jobs", "1"]) == 0
+    assert main(["table1", path, "--seed", "1", "--jobs", str(jobs)]) == 0
     assert digest(tmp_path / "out" / "mse_table.csv") == TABLE1_PINS[name]
 
 

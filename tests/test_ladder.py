@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -200,15 +201,16 @@ def test_adaptive_ladder_law_of_large_numbers(scheme):
 
 
 def invalid_runs():
-    """(id, the ``run_sampler`` arguments before the seed, a match of the
-    error) of each kind of invalid run."""
+    """(id, the ``run_sampler`` arguments before the seed, the seeds to try
+    them with, a match of the error) of each kind of invalid run."""
     gauss, ladder = GaussianTarget(np.eye(2)), TemperatureLadder((2.0, 1.0))
     configs = ladder_configs(ladder, (0.5,), proposal_covariance=np.eye(2))
     # theta 0 would never take the local branch on a non-empty reservoir
     theta_0 = ladder_configs(ladder, (0.0,), proposal_covariance=np.eye(2))
     wide = ladder_configs(ladder, (0.5,), proposal_covariance=np.eye(3))
     finite, finite_temps, _ = finite_ladder()  # five states
-    return [
+    seeds = (1, [1, 2])
+    cases = [
         ("unknown kind", ("nope", gauss, ladder, configs, 10), "unknown sampler kind"),
         ("no iterations", ("rwm", gauss, ladder, configs, 0), "n_iterations must be at least 1"),
         ("ee_limit on one level", ("ee_limit", gauss, TemperatureLadder((1.0,)), configs[-1:], 10),
@@ -227,18 +229,34 @@ def invalid_runs():
          rf"base matrix shape \({size}, {size}\) does not match the target's size 5")
         for kind in ADAPTIVE_KINDS + SINGLE_KINDS
         for size in (3, 7)
+    ] + [
+        ("adaptive kind in a tuple", (("rwm", "ee"), gauss, ladder, configs, 10),
+         "a tuple of kinds takes single-chain kinds"),
+        ("empty tuple of kinds", ((), gauss, ladder, configs, 10),
+         "a tuple of kinds takes single-chain kinds"),
+        ("unknown kind in a tuple", (("rwm", "nope"), gauss, ladder, configs, 10),
+         "unknown sampler kind 'nope'"),
     ]
+    # a bad seed is named alone and in a list, for a kind and for a tuple of kinds
+    bad_seeds = [
+        (f"{name} seed{' with a tuple' if group else ''}",
+         (SINGLE_KINDS if group else "rwm", gauss, ladder, configs, 10), (bad, [1, bad]),
+         rf"seed must be an integer or a sequence of integers, got {re.escape(repr(bad))}$")
+        for name, bad in (("float", 1.5), ("bool", True), ("string", "7"), ("none", None))
+        for group in (False, True)
+    ]
+    return [(name, args, seeds, match) for name, args, match in cases] + bad_seeds
 
 
 INVALID_RUNS = invalid_runs()
 
 
-@pytest.mark.parametrize("args, match", [case[1:] for case in INVALID_RUNS],
+@pytest.mark.parametrize("args, seeds, match", [case[1:] for case in INVALID_RUNS],
                          ids=[case[0] for case in INVALID_RUNS])
-def test_run_sampler_validations(args, match):
+def test_run_sampler_validations(args, seeds, match):
     """Every invalid run fails up front, with one message on both paths."""
     messages = []
-    for seed in (1, [1, 2]):
+    for seed in seeds:
         with pytest.raises(ValueError, match=match) as raised:
             run_sampler(*args, seed=seed)
         messages.append(str(raised.value))
@@ -286,7 +304,19 @@ BUNDLED_CASES = [
     for config in ("gaussian_table1.yaml", "finite_5state.yaml")
     for kind in ADAPTIVE_KINDS + SINGLE_KINDS
 ]
+# tuples of single-chain kinds, which the engine runs as one batch: all three,
+# and two in reversed order
+GROUP_CASES = [
+    pytest.param(config, kinds, id=f"{config}-{'+'.join(kinds)}")
+    for config in ("gaussian_table1.yaml", "finite_5state.yaml")
+    for kinds in (SINGLE_KINDS, SINGLE_KINDS[:0:-1])
+]
 SINGLE_KERNELS = {"rwm": rwm_step, "ee_limit": limit_ee_step, "ir_limit": limit_ir_step}
+
+
+def each_kind(kind, runs):
+    """(kind, its result) of a ``run_sampler`` result for ``kind``, one kind or a tuple."""
+    return [(kind, runs)] if isinstance(kind, str) else list(zip(kind, runs))
 
 
 def stream_variates(seed, level, n, finite, dim):
@@ -302,8 +332,10 @@ def stream_variates(seed, level, n, finite, dim):
 
 
 def engine_run(kind, target, ladder, configs, n, seed):
-    """Replication ``seed`` of the engine, run in a batch of two."""
-    return run_sampler(kind, target, ladder, configs, n, [seed, seed + 1])[0]
+    """Replication ``seed`` of the engine, run in a batch of two seeds: per kind
+    of ``kind``, one kind or a tuple run as one batch, (the kind, its Trajectory)."""
+    runs = run_sampler(kind, target, ladder, configs, n, [seed, seed + 1])
+    return [(k, trajs[0]) for k, trajs in each_kind(kind, runs)]
 
 
 def assert_scalar_replay(traj, kind, target, ladder, configs, n, seed):
@@ -338,14 +370,15 @@ def assert_scalar_replay(traj, kind, target, ladder, configs, n, seed):
             assert e_j == target.energy(x_j)
 
 
-@pytest.mark.parametrize("config_name, kind", BUNDLED_CASES)
+@pytest.mark.parametrize("config_name, kind", BUNDLED_CASES + GROUP_CASES)
 def test_scalar_kernels_replay_the_engine_bit_for_bit(config_name, kind):
     cfg = load_config(CONFIGS / config_name)
-    args = (kind, cfg.target, cfg.ladder, cfg.configs, 300, 5)
-    assert_scalar_replay(engine_run(*args), *args)
+    args = (cfg.target, cfg.ladder, cfg.configs, 300, 5)
+    for k, traj in engine_run(kind, *args):
+        assert_scalar_replay(traj, k, *args)
 
 
-@pytest.mark.parametrize("config_name, kind", BUNDLED_CASES)
+@pytest.mark.parametrize("config_name, kind", BUNDLED_CASES + GROUP_CASES)
 def test_replication_bytes_counts_what_the_engine_holds(config_name, kind):
     """A block more iterations raises the engine's traced peak by
     ``replication_bytes`` of one block per replication: the engine holds
@@ -372,7 +405,9 @@ def test_every_kind_at_the_benchmark_shape_runs_as_one_task():
     cfg = load_config(CONFIGS / "gaussian_table1.yaml")
     # per level and step: 2 coordinates, a branch code and an acceptance; 3 prefix-sum rows
     assert replication_bytes("ir", cfg.target, cfg.ladder, 10_000) == 10_000 * (4 * 18 + 3 * 8)
-    for kind in ADAPTIVE_KINDS + SINGLE_KINDS:
+    # the three single-chain kinds, one batch: the sum of their bytes
+    assert replication_bytes(SINGLE_KINDS, cfg.target, cfg.ladder, 10_000) == 3 * 10_000 * 18
+    for kind in ADAPTIVE_KINDS + SINGLE_KINDS + (SINGLE_KINDS,):
         assert TASK_MEMORY_BUDGET // replication_bytes(kind, cfg.target, cfg.ladder, 10_000) >= 10
 
 
@@ -384,7 +419,7 @@ def test_scalar_kernels_replay_a_late_ir_record():
     target, ladder, configs = finite_ladder(8.0 * np.arange(40)[::-1], temps=(8.0, 3.0, 1.0),
                                             move_prob=0.05)
     args = ("ir", target, ladder, configs, 600, 5)
-    traj = engine_run(*args)
+    [(_, traj)] = engine_run(*args)
     late = []
     for level in range(ladder.n_levels - 1):  # the levels an ir level reads
         e = target.energy(traj.states[level])
@@ -405,19 +440,20 @@ def test_a_shorter_run_is_the_start_of_a_longer_one(config_name, kind):
     assert np.array_equal(short.accepted, long.accepted[:300])
 
 
-@pytest.mark.parametrize("config_name, kind", BUNDLED_CASES)
+@pytest.mark.parametrize("config_name, kind", BUNDLED_CASES + GROUP_CASES)
 def test_a_replication_runs_the_same_alone_and_in_any_batch(config_name, kind):
     """Alone, a replication runs through the scalar kernels; in a batch, through
-    the engine: every level, branch and acceptance agrees."""
+    the engine, with the other seeds and, for a tuple, the other kinds: every
+    level, branch and acceptance agrees."""
     cfg = load_config(CONFIGS / config_name)
-    args = (kind, cfg.target, cfg.ladder, cfg.configs, 200)
-    batch = run_sampler(*args, seed=[3, 17, 5])
-    for seed, traj in zip((3, 17, 5), batch):
-        alone = run_sampler(*args, seed=seed)
-        for mine, ref in zip(traj.states, alone.states):
-            assert np.array_equal(mine, ref)
-        assert np.array_equal(traj.branches, alone.branches)
-        assert np.array_equal(traj.accepted, alone.accepted)
+    args = (cfg.target, cfg.ladder, cfg.configs, 200)
+    for k, batch in each_kind(kind, run_sampler(kind, *args, seed=[3, 17, 5])):
+        for seed, traj in zip((3, 17, 5), batch):
+            alone = run_sampler(k, *args, seed=seed)
+            for mine, ref in zip(traj.states, alone.states):
+                assert np.array_equal(mine, ref)
+            assert np.array_equal(traj.branches, alone.branches)
+            assert np.array_equal(traj.accepted, alone.accepted)
 
 
 @pytest.mark.parametrize("scheme, frozen", [("ee", "ee_frozen"), ("ir", "ir_frozen")])
