@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import _check_stochastic, acceptance_matrix
-from .ladder import SINGLE_KINDS, replication_bytes, run_sampler
+from .ladder import SINGLE_KINDS, check_count, is_integer, replication_bytes, run_sampler
 from .targets import _pinned_cumsum
 
 # relative to max(1, max|U|): the solve's rounding error grows with |U|
@@ -353,12 +353,13 @@ def _transition_table(cum: np.ndarray) -> tuple[_InverseCdf, np.ndarray]:
 
 
 def _check_state(name: str, x: int, n: int):
-    if not 0 <= x < n:
-        raise ValueError(f"{name} must be a state in [0, {n}), got {x}")
+    if not is_integer(x) or not 0 <= x < n:
+        raise ValueError(f"{name} must be a state in [0, {n}), got {x!r}")
 
 
 def simulate_matrix_chain(matrix, n_steps: int, seed: int) -> np.ndarray:
     """Trajectory of a finite chain driven by an explicit matrix, from state 0."""
+    check_count("n_steps", n_steps, 0)
     draw, table = _transition_table(_pinned_cumsum(_check_stochastic(matrix)))
     n = table.shape[1]
     rng = np.random.default_rng(seed)
@@ -445,8 +446,8 @@ def ee_pair_scaled_sums(p0, p1, theta: float, log_r, f, n_steps: int,
     for name, values in (("log_r", log_r), ("f", f)):
         if values.shape != (n,) or not np.all(np.isfinite(values)):
             raise ValueError(f"{name} must be {n} finite values, got shape {values.shape}")
-    if n_steps < 1 or replications < 1:
-        raise ValueError(f"n_steps and replications must be positive, got {n_steps}, {replications}")
+    check_count("n_steps", n_steps)
+    check_count("replications", replications)
     _check_state("x0", x0, n)
     _check_state("x1", x1, n)
     check_pair_table_size(m0, m1, log_r)
@@ -642,12 +643,10 @@ def mse_harness(kinds, target, ladder, configs, estimands, replications: int,
     tasks) workers.  A replication's result depends on neither the chunks,
     the grouping nor the worker count.
     """
-    if replications < 1 or iterations < 1:
-        raise ValueError("replications and iterations must be positive")
-    if not 0 <= burn_in < iterations:
-        raise ValueError(f"burn_in must lie in [0, {iterations}), got {burn_in}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    for name, count in (("replications", replications), ("iterations", iterations), ("jobs", jobs)):
+        check_count(name, count)
+    if not is_integer(burn_in) or not 0 <= burn_in < iterations:
+        raise ValueError(f"burn_in must be an integer in [0, {iterations}), got {burn_in!r}")
     kinds = list(kinds)
     estimands = list(estimands)
     seeds = [replication_seed(master_seed, r) for r in range(replications)]

@@ -274,37 +274,22 @@ def acceptance_matrix(log_r: np.ndarray) -> np.ndarray:
         return np.exp(np.minimum(0.0, log_r[None, :] - log_r[:, None]))
 
 
-def exchange_matrix(proposal: np.ndarray, log_r: np.ndarray) -> np.ndarray:
-    """Exchange move R: propose y from ``proposal`` (a probability vector),
-    accept by min(1, r(y)/r(x)), and hold at x on rejection."""
+def ee_limit_matrix(base: np.ndarray, proposal: np.ndarray, log_r: np.ndarray, theta: float) -> np.ndarray:
+    """theta * base + (1 - theta) * R, R the exchange move: propose y from
+    ``proposal`` (a probability vector), accept by min(1, r(y)/r(x)) with
+    r = exp(``log_r``), and hold at x on rejection.  Exported, it takes any
+    caller's ``base`` and checks it itself."""
+    base = _check_stochastic(base)
     r_kernel = acceptance_matrix(log_r) * np.asarray(proposal, dtype=float)[None, :]
     r_kernel[np.diag_indices_from(r_kernel)] += 1.0 - r_kernel.sum(axis=1)
-    return r_kernel
-
-
-def ee_limit_matrix(base: np.ndarray, proposal: np.ndarray, log_r: np.ndarray, theta: float) -> np.ndarray:
-    """theta * base + (1 - theta) * R, R being ``exchange_matrix(proposal, log_r)``."""
-    base = _check_stochastic(base)
-    return theta * base + (1.0 - theta) * exchange_matrix(proposal, log_r)
+    return theta * base + (1.0 - theta) * r_kernel
 
 
 def ir_limit_matrix(base: np.ndarray, refresh: np.ndarray, theta: float) -> np.ndarray:
-    """theta * base + (1 - theta) * (every row = ``refresh``)."""
-    base = _check_stochastic(base)
-    refresh = np.asarray(refresh, dtype=float)
+    """theta * base + (1 - theta) * (every row = ``refresh``).  ``base`` is
+    trusted: ``finite_kernel_matrix``, which builds both IR kinds with it,
+    has checked it."""
     return theta * base + (1.0 - theta) * np.tile(refresh, (base.shape[0], 1))
-
-
-def ir_frozen_matrix(base: np.ndarray, mu: np.ndarray, log_r: np.ndarray, theta: float) -> np.ndarray:
-    """Frozen importance-resampling kernel: resample from ``mu`` with
-    weights exp(log_r), then one base-matrix step."""
-    base = _check_stochastic(base)
-    lw = np.asarray(log_r, dtype=float)
-    q = np.asarray(mu, dtype=float) * np.exp(lw - lw.max())
-    total = q.sum()
-    if total <= 0.0:
-        raise ValueError("frozen measure puts no mass anywhere")
-    return ir_limit_matrix(base, (q / total) @ base, theta)
 
 
 def finite_kernel_matrix(kind, target, ladder, level, base_matrix, theta, mu=None) -> np.ndarray:
@@ -334,7 +319,11 @@ def finite_kernel_matrix(kind, target, ladder, level, base_matrix, theta, mu=Non
             raise ValueError("mu must be a nonnegative vector over the state space")
         if kind == "ee_frozen":
             return ee_limit_matrix(base, mu / mu.sum(), log_r, theta)
-        return ir_frozen_matrix(base, mu, log_r, theta)
+        # resample from mu with weights r = exp(log_r), then one base step
+        q = mu * np.exp(log_r - log_r.max())
+        if q.sum() <= 0.0:
+            raise ValueError("frozen measure puts no mass anywhere")
+        return ir_limit_matrix(base, (q / q.sum()) @ base, theta)
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 

@@ -289,27 +289,26 @@ def run_single(target, ladder, config: KernelConfig, kind: str, n_iterations: in
     return _scalar_trajectory(target, 1, n_iterations, steps())
 
 
-def replication_bytes(kind, target, ladder, n_iterations: int) -> int:
-    """Bytes the engine holds per replication of ``kind``: every level's
-    recorded states, branch codes and acceptances, and the prefix sums of
-    each ``ir`` reservoir level (all but the coldest).  It keeps no
-    energies: a reader evaluates the states it draws.  A tuple of kinds,
-    which the engine runs as one batch, holds the sum of its kinds' bytes."""
-    if not isinstance(kind, str):
-        return sum(replication_bytes(k, target, ladder, n_iterations) for k in kind)
-    levels = ladder.n_levels if kind in ADAPTIVE_KINDS else 1
+def replication_bytes(kinds, target, ladder, n_iterations: int) -> int:
+    """Bytes the engine holds per replication of the tuple ``kinds``, which
+    it runs as one batch: every level's recorded states, branch codes and
+    acceptances, and the prefix sums of each ``ir`` reservoir level (all but
+    the coldest), summed over the kinds.  It keeps no energies: a reader
+    evaluates the states it draws."""
     state = 8 if target.kind == "finite" else 8 * target.dimension
-    sums = 8 * (levels - 1) if kind == "ir" else 0
-    return n_iterations * (levels * (state + 2) + sums)
+    per_step = 0
+    for kind in kinds:
+        levels = ladder.n_levels if kind in ADAPTIVE_KINDS else 1
+        per_step += levels * (state + 2) + (8 * (levels - 1) if kind == "ir" else 0)
+    return n_iterations * per_step
 
 
-def _engine(kind, target, ladder, configs, n_iterations, seeds):
-    """Run ``kind`` as ``run_sampler`` does, one batch row per seed; one
-    Trajectory per seed, each the scalar run of its seed bit for bit.  A
-    tuple of single-chain kinds runs as one batch with a row per (kind,
-    seed), kind-major, and gives one such list per kind."""
-    kinds = (kind,) if isinstance(kind, str) else tuple(kind)
-    scheme = kind if kind in ADAPTIVE_KINDS else None
+def _engine(kinds, target, ladder, configs, n_iterations, seeds):
+    """Run the tuple ``kinds`` as ``run_sampler`` does, one adaptive kind or
+    single-chain kinds as one batch with a row per (kind, seed), kind-major;
+    gives, per kind, one Trajectory per seed, each the scalar run of its
+    seed bit for bit."""
+    scheme = kinds[0] if kinds[0] in ADAPTIVE_KINDS else None
     levels = range(ladder.n_levels) if scheme else [ladder.top_level]
     configs = configs if scheme else configs[-1:]
     finite = target.kind == "finite"
@@ -453,8 +452,7 @@ def _engine(kind, target, ladder, configs, n_iterations, seeds):
                     cum[:, :, col] = np.logaddexp(cum[:, :, col - 1], lw) if col else lw
 
     runs = [Trajectory(list(states[r]), branches[r], accepted[r]) for r in range(n_rep)]
-    per_kind = [runs[k * n_seeds:(k + 1) * n_seeds] for k in range(len(kinds))]
-    return per_kind[0] if isinstance(kind, str) else per_kind
+    return [runs[k * n_seeds:(k + 1) * n_seeds] for k in range(len(kinds))]
 
 
 def ladder_configs(ladder, thetas, proposal_covariance=None, base_matrices=None):
@@ -476,6 +474,17 @@ def ladder_configs(ladder, thetas, proposal_covariance=None, base_matrices=None)
         )
         for level, theta in enumerate(thetas)
     )
+
+
+def is_integer(value) -> bool:
+    """An integer, numpy's included, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_count(name: str, value, low: int = 1) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer of at least ``low``."""
+    if not is_integer(value) or value < low:
+        raise ValueError(f"{name} must be at least {low} and an integer, got {value!r}")
 
 
 def check_adaptive_thetas(configs) -> None:
@@ -507,7 +516,7 @@ def run_sampler(kind, target, ladder, configs, n_iterations: int, seed):
     between its kinds.
 
     This is the one check of a run, before either path starts: the seeds
-    (integers, not bools), each kind, the run length, for an adaptive kind
+    and the run length (integers, not bools), each kind, for an adaptive kind
     one config per level and thetas in (0, 1] (else at least one config),
     a hotter level for ``ee_limit``, and that each config used fits the
     target.  An invalid run raises the same ``ValueError`` on both paths.
@@ -515,7 +524,7 @@ def run_sampler(kind, target, ladder, configs, n_iterations: int, seed):
     alone = isinstance(seed, (str, bytes)) or not isinstance(seed, Iterable)
     seeds = [seed] if alone else list(seed)
     for s in seeds:
-        if isinstance(s, bool) or not isinstance(s, numbers.Integral):
+        if not is_integer(s):
             raise ValueError(f"seed must be an integer or a sequence of integers, got {s!r}")
     group = isinstance(kind, (tuple, list))
     kinds = tuple(kind) if group else (kind,)
@@ -524,8 +533,7 @@ def run_sampler(kind, target, ladder, configs, n_iterations: int, seed):
             raise ValueError(f"unknown sampler kind {k!r}")
     if group and not (kinds and set(kinds) <= set(SINGLE_KINDS)):
         raise ValueError(f"a tuple of kinds takes single-chain kinds {SINGLE_KINDS}, got {kind!r}")
-    if n_iterations < 1:
-        raise ValueError("n_iterations must be at least 1")
+    check_count("n_iterations", n_iterations)
     adaptive = kinds[0] in ADAPTIVE_KINDS
     if adaptive:
         if len(configs) != ladder.n_levels:
@@ -542,10 +550,9 @@ def run_sampler(kind, target, ladder, configs, n_iterations: int, seed):
         if shape != (size, size):
             raise ValueError(f"{name} shape {shape} does not match the target's size {size}")
     if len(seeds) != 1:
-        runs = _engine(kind, target, ladder, configs, n_iterations, seeds)
-        per_kind = runs if group else [runs]
+        per_kind = _engine(kinds, target, ladder, configs, n_iterations, seeds)
     elif adaptive:
-        per_kind = [[run_ladder(target, ladder, configs, kind, n_iterations, seeds[0])]]
+        per_kind = [[run_ladder(target, ladder, configs, kinds[0], n_iterations, seeds[0])]]
     else:
         per_kind = [[run_single(target, ladder, configs[-1], k, n_iterations, seeds[0])]
                     for k in kinds]

@@ -93,6 +93,8 @@ class GaussianTarget:
         self.dimension = self.covariance.shape[0]
         self._shape = (self.dimension,)
         self._precision = np.linalg.inv(self.covariance)
+        if not np.all(np.isfinite(self._precision)):
+            raise ValueError("covariance is too near singular: its inverse is not finite")
         self._precision_rows = self._precision.tolist()
         self._chol = np.linalg.cholesky(self.covariance)
 

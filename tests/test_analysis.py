@@ -448,6 +448,12 @@ def test_batch_means_validation():
         batch_means_variance(np.zeros(1000), 1)
 
 
+@pytest.mark.parametrize("n_steps", [-1, 2.5, True])
+def test_simulate_matrix_chain_rejects_a_bad_step_count(n_steps):
+    with pytest.raises(ValueError, match="n_steps must be at least 0 and an integer"):
+        simulate_matrix_chain(np.eye(2), n_steps, seed=1)
+
+
 def test_simulate_matrix_chain_occupation():
     rng = np.random.default_rng(17)
     m = random_chain(rng, 4)
@@ -574,9 +580,15 @@ MALFORMED_PAIR_ARGS = {
     "nan in log_r": {"log_r": np.array([0.0, np.nan, 0.0, 0.0, 0.0])},
     "nan in f": {"f": np.array([0.0, 0.0, np.nan, 0.0, 0.0])},
     "no steps": {"n_steps": 0},
+    "fractional steps": {"n_steps": 2.5},
     "no replications": {"replications": 0},
+    "bool replications": {"replications": True},
     "x0 past the states": {"x0": 5},
     "negative x1": {"x1": -1},
+    # numpy would truncate a fractional start and read True as state 1
+    "fractional x0": {"x0": 2.5},
+    "bool x0": {"x0": True},
+    "bool x1": {"x1": True},
     "tables past the limit": {  # 300 states with distinct log weights: about 2.7e7 entries
         "p0": metropolis_matrix(neighbor_proposal(300), np.zeros(300)),
         "p1": metropolis_matrix(neighbor_proposal(300), np.zeros(300)),
@@ -771,7 +783,7 @@ def test_mse_harness_pool_has_no_more_workers_than_tasks(monkeypatch, pool_sizes
     assert pool_sizes[2:] == [6, 4]  # 2 samplers x 3 replications
 
 
-@pytest.mark.parametrize("jobs", [0, -3])
+@pytest.mark.parametrize("jobs", [0, -3, 2.5, True])
 def test_mse_harness_rejects_jobs_below_one(jobs):
     samplers, estimands = finite_samplers()
     with pytest.raises(ValueError, match="jobs"):
@@ -779,12 +791,21 @@ def test_mse_harness_rejects_jobs_below_one(jobs):
                     jobs=jobs)
 
 
-@pytest.mark.parametrize("burn_in", [-5, 300, 301])
+@pytest.mark.parametrize("burn_in", [-5, 300, 301, 2.5, True])
 def test_mse_harness_rejects_burn_in_outside_the_run(burn_in):
     samplers, estimands = finite_samplers()
     with pytest.raises(ValueError, match="burn_in"):
         mse_harness(*samplers, estimands, replications=2, iterations=300, master_seed=29,
                     burn_in=burn_in)
+
+
+@pytest.mark.parametrize("key", ["replications", "iterations"])
+@pytest.mark.parametrize("value", [0, 2.5, True])
+def test_mse_harness_rejects_a_count_that_is_not_a_positive_integer(key, value):
+    samplers, estimands = finite_samplers()
+    counts = {"replications": 2, "iterations": 50, key: value}
+    with pytest.raises(ValueError, match=f"{key} must be at least 1 and an integer"):
+        mse_harness(*samplers, estimands, **counts, master_seed=30)
 
 
 def test_iid_sampler_mse_matches_closed_form():

@@ -529,6 +529,8 @@ MALFORMED_KEYS = [
     (gaussian_config, {"covariance": [[1, 0], [0, 1]], "temperatures": [1.0e308, 1],
                        "kernel": "ee_limit"}, "temperatures"),
     (gaussian_config, {"proposal_scale": "abc"}, "proposal_scale"),
+    # positive definite, but its float inverse holds NaN, which no other key can explain
+    (gaussian_config, {"covariance": [[1, 0], [0, 1e-320]]}, "covariance"),
     (gaussian_config, {"proposal_scale": 1e308}, "proposal_scale"),
     # the scale's square is finite, but a 10-sd step overflows the energy
     (gaussian_config, {"covariance": [[1e-10, 0], [0, 1e-10]], "proposal_scale": 1e150},

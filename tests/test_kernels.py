@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from eesampler import (
     stationary_distribution,
     theta_lower_bound,
 )
+from eesampler.cli import load_config
 from eesampler.kernels import (
     Variates,
     ee_adaptive_step,
@@ -27,6 +31,7 @@ from eesampler.reservoir import Reservoir
 from eesampler.targets import importance_coefficient
 
 SIGMA = np.array([[0.96, 2.44], [2.44, 7.04]])
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def variates(rng, dim=None):
@@ -247,6 +252,28 @@ def test_equal_energies_make_exchange_kernel_rank_one():
     pi_hot = target.tempered_probabilities(2.0)
     k = finite_kernel_matrix("ee_limit", target, ladder, 1, bases[1], 0.0)
     assert np.allclose(k, np.tile(pi_hot, (2, 1)), atol=1e-15)
+
+
+# sha256 of each kind's matrix bytes at level 1 of finite_5state.yaml, from
+# frozen counts mu (a zero among them): a rewrite of the builders keeps
+# every bit, as the oracle's reports and the demos read these matrices
+KIND_MATRIX_SHA256 = {
+    "base": "7876bce43aec9bbd94bbf24ba2a5b3c32a797d031ae2f763d2b556748eb9b4cf",
+    "ee_limit": "2e71edc0e2141f2c0d766934ab4c97f1bcbc4781be978936bf5a26bb393608a5",
+    "ir_limit": "40c2cda4fc953fbc919d92736d2c3d0ed98550f368fe20be19e8e93a3fd52d1c",
+    "ee_frozen": "30ae6313f592b6822d928dd1037d641f198640c9e04be5d9ce7533874545196e",
+    "ir_frozen": "badbf4bb446de21d3b4546799a5c8c82eb53b23fe75ff0e657d1edf1923f7395",
+}
+
+
+@pytest.mark.parametrize("kind", KIND_MATRIX_SHA256)
+def test_finite_kernel_matrix_bits_are_pinned(kind):
+    cfg = load_config(CONFIGS / "finite_5state.yaml")
+    mu = np.array([1.0, 3.0, 0.0, 4.0, 2.0])
+    m = finite_kernel_matrix(kind, cfg.target, cfg.ladder, 1, cfg.configs[1].base_matrix,
+                             cfg.configs[1].theta, mu=mu)
+    assert m.dtype == np.float64 and m.shape == (5, 5)
+    assert hashlib.sha256(m.tobytes()).hexdigest() == KIND_MATRIX_SHA256[kind]
 
 
 def test_metropolis_matrix_reversible():

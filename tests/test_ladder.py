@@ -213,6 +213,11 @@ def invalid_runs():
     cases = [
         ("unknown kind", ("nope", gauss, ladder, configs, 10), "unknown sampler kind"),
         ("no iterations", ("rwm", gauss, ladder, configs, 0), "n_iterations must be at least 1"),
+        # a bool or a fraction is not a run length, whatever numpy would make of it
+        ("bool iterations", ("rwm", gauss, ladder, configs, True),
+         "n_iterations must be at least 1"),
+        ("fractional iterations", ("ee", gauss, ladder, configs, 2.5),
+         "n_iterations must be at least 1"),
         ("ee_limit on one level", ("ee_limit", gauss, TemperatureLadder((1.0,)), configs[-1:], 10),
          "hotter level"),
         ("one config for two levels", ("ee", gauss, ladder, configs[-1:], 10),
@@ -384,7 +389,8 @@ def test_replication_bytes_counts_what_the_engine_holds(config_name, kind):
     ``replication_bytes`` of one block per replication: the engine holds
     those arrays and no others that grow with the run."""
     cfg = load_config(CONFIGS / config_name)
-    args = (kind, cfg.target, cfg.ladder, cfg.configs)
+    kinds = kind if isinstance(kind, tuple) else (kind,)  # the engine takes a tuple
+    args = (kinds, cfg.target, cfg.ladder, cfg.configs)
     seeds = list(range(16))
 
     def peak(n):
@@ -398,17 +404,17 @@ def test_replication_bytes_counts_what_the_engine_holds(config_name, kind):
     _engine(*args, 2, seeds[:2])  # first-call allocations out of the way
     # two blocks against three: the same block temporaries, one block more history
     grown = (peak(3 * BLOCK) - peak(2 * BLOCK)) / len(seeds)
-    assert grown == pytest.approx(replication_bytes(kind, cfg.target, cfg.ladder, BLOCK), rel=0.03)
+    assert grown == pytest.approx(replication_bytes(kinds, cfg.target, cfg.ladder, BLOCK), rel=0.03)
 
 
 def test_every_kind_at_the_benchmark_shape_runs_as_one_task():
     cfg = load_config(CONFIGS / "gaussian_table1.yaml")
     # per level and step: 2 coordinates, a branch code and an acceptance; 3 prefix-sum rows
-    assert replication_bytes("ir", cfg.target, cfg.ladder, 10_000) == 10_000 * (4 * 18 + 3 * 8)
+    assert replication_bytes(("ir",), cfg.target, cfg.ladder, 10_000) == 10_000 * (4 * 18 + 3 * 8)
     # the three single-chain kinds, one batch: the sum of their bytes
     assert replication_bytes(SINGLE_KINDS, cfg.target, cfg.ladder, 10_000) == 3 * 10_000 * 18
-    for kind in ADAPTIVE_KINDS + SINGLE_KINDS + (SINGLE_KINDS,):
-        assert TASK_MEMORY_BUDGET // replication_bytes(kind, cfg.target, cfg.ladder, 10_000) >= 10
+    for kinds in [(kind,) for kind in ADAPTIVE_KINDS + SINGLE_KINDS] + [SINGLE_KINDS]:
+        assert TASK_MEMORY_BUDGET // replication_bytes(kinds, cfg.target, cfg.ladder, 10_000) >= 10
 
 
 def test_scalar_kernels_replay_a_late_ir_record():
@@ -525,7 +531,7 @@ def test_the_engine_evaluates_only_candidates_and_resampling_starts(energy_calls
     # resampling start: no recorded state is evaluated again for its weight
     cfg = load_config(CONFIGS / "gaussian_table1.yaml")
     n, seeds = 2_000, [1, 2, 3]
-    runs = _engine(kind, cfg.target, cfg.ladder, cfg.configs, n, seeds)
+    [runs] = _engine((kind,), cfg.target, cfg.ladder, cfg.configs, n, seeds)
     chains = len(seeds) * runs[0].n_levels
     starts = sum(int((traj.branches == BRANCH_CODES["resample"]).sum()) for traj in runs)
     assert sum(energy_calls) == chains * (n + 1) + (starts if kind == "ir" else 0)

@@ -99,6 +99,13 @@ def test_equal_energy_acceptance_ratio_is_one():
     assert np.exp(r1 - r0) == 1.0
 
 
+def test_gaussian_target_refuses_a_covariance_without_a_finite_inverse():
+    # Cholesky succeeds on the subnormal 1e-320, but the float inverse holds
+    # NaN, which would make every energy NaN, the origin's included
+    with pytest.raises(ValueError, match="covariance is too near singular"):
+        GaussianTarget([[1.0, 0.0], [0.0, 1e-320]])
+
+
 def test_importance_weight_rejects_level_zero():
     ladder = TemperatureLadder((2.0, 1.0))
     with pytest.raises(ValueError, match="level 0 has no importance weight"):
